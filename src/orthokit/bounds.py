@@ -62,8 +62,7 @@ class BoundReport:
         }
 
 
-def bound_report(g: Geometry, certificates: list[list[Space]] = (),
-                 workers: int = 1) -> BoundReport:
+def bound_report(g: Geometry, certificates: list[list[Space]] = ()) -> BoundReport:
     """Compare verified families against both bounds.
 
     Every certificate family is re-verified here; an invalid one is a
@@ -72,7 +71,7 @@ def bound_report(g: Geometry, certificates: list[list[Space]] = (),
     achieved = 1  # the standard space alone
     sizes = []
     for fam in certificates:
-        if len(fam) >= 2 and not are_mutually_orthogoval(fam, workers=workers):
+        if len(fam) >= 2 and not are_mutually_orthogoval(fam):
             raise UnverifiedCertificate(
                 f"certificate family of size {len(fam)} fails verification")
         sizes.append(len(fam))

@@ -88,7 +88,7 @@ def build_char_p_pair(p: int, n: int, k: int) -> tuple[Space, Space, np.ndarray]
                      f.add(f.mul(A, x[1]), f.mul(B, x[0])))
         y.append(last)
         perm[idx] = g.point_index(tuple(y))
-    image = from_map(g, perm, name=f"char{p}-image", linear=True)
+    image = from_map(g, perm, name=f"char{p}-image")
     return standard(g), image, perm
 
 
@@ -111,8 +111,7 @@ def build_product_family(family_a: list[Space], family_b: list[Space]) -> list[S
     out = []
     for sa, sb in zip(family_a, family_b):
         perm = (sa.perm[:, None] * nb + sb.perm[None, :]).reshape(-1)
-        out.append(from_map(g, perm, name=f"({sa.name})x({sb.name})",
-                            linear=sa.linear and sb.linear))
+        out.append(from_map(g, perm, name=f"({sa.name})x({sb.name})"))
     return out
 
 
@@ -163,7 +162,10 @@ def build_askew_pair(k: int, q: int) -> tuple[Space, Space]:
 
 def _load_catalog() -> dict:
     text = resources.files("orthokit").joinpath("data/catalog.json").read_text()
-    return json.loads(text)
+    catalog = json.loads(text)
+    for entry in catalog.values():
+        entry["resolved_modulus"] = _resolve_modulus(entry)
+    return catalog
 
 
 _CATALOG = None
@@ -193,36 +195,38 @@ def _perm_from_cycles(n: int, cycles) -> np.ndarray:
     return perm
 
 
-def catalog_family(name: str) -> list[Space]:
-    """Build a named family from stored permutation data.
-
-    Entries with several admissible labelling moduli are resolved by
-    checking the family under each candidate and keeping the one that
-    verifies; if none does the entry is unverified and an error is
-    raised (cycle data is never altered)."""
-    entry = catalog_entry(name)
-    kind = entry["kind"]
+def _resolve_modulus(entry: dict):
+    """The entry's labelling modulus.  Entries with several admissible
+    moduli are resolved by checking the family under each candidate and
+    keeping the first one that verifies; None if none does."""
     candidates = entry.get("modulus_candidates")
     if candidates is None:
-        candidates = [entry.get("modulus")]
-    last = None
+        return entry.get("modulus")
     for modulus in candidates:
-        if kind == "affine":
-            g = geom.affine(entry["dim"], entry["q"])
-        else:
-            g = geom.projective(entry["dim"], entry["q"],
-                                labeling_modulus=modulus,
-                                basis=entry.get("basis", "phi"))
-        spaces = _entry_spaces(g, entry)
-        if len(candidates) == 1:
-            entry["resolved_modulus"] = modulus
-            return spaces
-        if are_mutually_orthogoval(spaces):
-            entry["resolved_modulus"] = modulus
-            return spaces
-        last = spaces
-    raise UnverifiedCertificate(
-        f"catalog entry {name!r}: no candidate labelling modulus verifies")
+        g = _entry_geometry(entry, modulus)
+        if are_mutually_orthogoval(_entry_spaces(g, entry)):
+            return modulus
+    return None
+
+
+def catalog_family(name: str) -> list[Space]:
+    """Build a named family from stored permutation data, under the
+    labelling modulus resolved when the catalog was loaded.  An entry
+    whose candidate moduli all fail is unverified and raises (cycle data
+    is never altered)."""
+    entry = catalog_entry(name)
+    modulus = entry["resolved_modulus"]
+    if modulus is None and "modulus_candidates" in entry:
+        raise UnverifiedCertificate(
+            f"catalog entry {name!r}: no candidate labelling modulus verifies")
+    return _entry_spaces(_entry_geometry(entry, modulus), entry)
+
+
+def _entry_geometry(entry: dict, modulus) -> geom.Geometry:
+    if entry["kind"] == "affine":
+        return geom.affine(entry["dim"], entry["q"])
+    return geom.projective(entry["dim"], entry["q"], labeling_modulus=modulus,
+                           basis=entry.get("basis", "phi"))
 
 
 def _entry_spaces(g: geom.Geometry, entry: dict) -> list[Space]:

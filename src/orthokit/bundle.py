@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geom
 from .check import Space, from_map
-from .errors import MalformedBundle
+from .errors import MalformedBundle, OrthokitError
 from .gf import GF
 
 FORMAT_VERSION = 1
@@ -60,23 +60,53 @@ def write_bundle(path: str, spaces: list[Space], provenance: dict = None):
         fh.write(canonical_json(bundle_dict(spaces, provenance)))
 
 
+def _header_int(obj: dict, key: str, lo: int, hi: int) -> int:
+    value = obj.get(key)
+    if type(value) is not int or not lo <= value <= hi:
+        raise MalformedBundle(
+            f"header {key!r} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
+
+
 def _geometry_from_header(header: dict) -> geom.Geometry:
+    """The standard geometry a header describes.  Sizes are checked
+    before anything is built, so a bad header allocates nothing large,
+    and any construction error is a malformed bundle."""
     if not isinstance(header, dict):
         raise MalformedBundle("bundle header must be an object")
-    try:
-        kind, dim = header["kind"], header["dim"]
-        fdesc = header["field"]
-        field = GF(fdesc["p"], fdesc["n"], modulus=fdesc["modulus"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedBundle(f"geometry header is incomplete: {exc}")
-    if kind == geom.AFFINE:
-        return geom.Geometry(geom.AFFINE, dim, field=field)
+    kind = header.get("kind")
+    if kind not in (geom.AFFINE, geom.PROJECTIVE):
+        raise MalformedBundle(f"unknown geometry kind {kind!r}")
+    fdesc = header.get("field")
+    if not isinstance(fdesc, dict):
+        raise MalformedBundle("geometry header is incomplete: no field")
+    q = _header_int(header, "q", 2, geom.MAX_POINTS)
+    p = _header_int(fdesc, "p", 2, q)
+    n = _header_int(fdesc, "n", 1, q.bit_length())
+    if p ** n != q:
+        raise MalformedBundle(f"header q = {q} disagrees with the field GF({p}^{n})")
+    dim = _header_int(header, "dim", 1, geom.MAX_POINTS)
+    labeling, basis, modulus = {}, "phi", None
     if kind == geom.PROJECTIVE:
         labeling = header.get("labeling", {})
-        return geom.Geometry(geom.PROJECTIVE, dim, field=field,
-                             labeling_modulus=labeling.get("modulus"),
-                             basis=header.get("basis", "phi"))
-    raise MalformedBundle(f"unknown geometry kind {kind!r}")
+        basis = header.get("basis", "phi")
+        if not isinstance(labeling, dict) or not (
+                basis in ("phi", "desc") or (
+                    isinstance(basis, list) and len(basis) == dim + 1
+                    and all(type(b) is int for b in basis))):
+            raise MalformedBundle("projective header needs a labeling object "
+                                  "and a basis of dim+1 exponents")
+        modulus = labeling.get("modulus")
+    try:
+        field = GF(p, n, modulus=fdesc["modulus"])
+        g = geom.Geometry(kind, dim, field=field, labeling_modulus=modulus,
+                          basis=basis)
+        g._check_cap()
+        if kind == geom.PROJECTIVE:
+            g.labeling_field
+    except (KeyError, OrthokitError, TypeError, ValueError) as exc:
+        raise MalformedBundle(f"geometry header is malformed: {exc}")
+    return g
 
 
 def _space_perm(item: dict, n: int, i: int) -> np.ndarray:

@@ -1,25 +1,32 @@
 """Property deciders: k-orthogoval, orthomorphism, askew, half-dimension.
 
-The k=2 checks run off a triple index: one packed 64-bit key per
-colinear point triple, kept sorted so pair and family checks are merges
-instead of line-by-line intersections.  The naive all-line-pairs scan is
-kept as an independent oracle path (``naive_k_orthogoval_pair``).
+Pair checks run off a line index.  Two points lie on exactly one line,
+so a dense table maps each point pair a<b to the row of ``s.lines()``
+holding the line of ``s`` through it.  Gathering those ids for every
+point pair of a line of ``t`` counts, for each line of ``s``, the pairs
+the two lines share: a line of ``t`` meets a line of ``s`` in c >= 2
+points exactly when that line's id repeats C(c, 2) times in its row.
+One sort per row thus decides k-orthogovality for every k >= 2.
 
-All predicates are pure and deterministic; the ``workers`` argument
-partitions scans into chunks whose results are merged canonically, so
-verdicts and witnesses do not depend on the worker count.
+Family checks at k=2 run off a triple index: one packed 64-bit key per
+colinear point triple, sorted globally so that a triple colinear in two
+spaces shows up as a duplicate.  The naive all-block-pairs scan is kept
+as an independent oracle (``naive_k_orthogoval_pair``).  It also decides
+k <= 1: there every pair fails, and the scan stops within the first line
+of ``s``.
+
+All predicates are pure and deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryMismatch, OddDimension
-from .geom import AFFINE, Geometry
+from .geom import Geometry
 
 _TRIPLE_CACHE_LIMIT = 2_000_000
 
@@ -31,11 +38,12 @@ class Space:
     geometry: Geometry
     perm: np.ndarray
     name: str = ""
-    linear: bool = False
     _triples: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.perm = np.asarray(self.perm, dtype=np.int64)
+        # a private read-only copy, so the cached triples cannot go stale
+        self.perm = np.array(self.perm, dtype=np.int64)
+        self.perm.flags.writeable = False
         n = self.geometry.point_count
         if len(self.perm) != n or len(np.unique(self.perm)) != n:
             raise ValueError("map is not a permutation of the point indices")
@@ -68,11 +76,11 @@ class Space:
 
 
 def standard(g: Geometry, name: str = "standard") -> Space:
-    return Space(g, np.arange(g.point_count), name=name, linear=True)
+    return Space(g, np.arange(g.point_count), name=name)
 
 
-def from_map(g: Geometry, perm, name: str = "", linear: bool = False) -> Space:
-    return Space(g, np.asarray(perm), name=name, linear=linear)
+def from_map(g: Geometry, perm, name: str = "") -> Space:
+    return Space(g, perm, name=name)
 
 
 @dataclass
@@ -85,8 +93,21 @@ class Verdict:
 
 
 # ----------------------------------------------------------------------
-# triple index
+# line index and triple index
 # ----------------------------------------------------------------------
+
+def _line_index(space: Space) -> tuple[np.ndarray, np.ndarray]:
+    """The space's lines, and a flat n*n table whose entry a*n+b, for
+    points a<b, is the row of the line through a and b.  Entries with
+    a>=b are never written."""
+    lines = space.lines()
+    n = space.geometry.point_count
+    table = np.empty(n * n, dtype=np.int32)
+    rows = np.arange(len(lines), dtype=np.int32)
+    for i, j in itertools.combinations(range(lines.shape[1]), 2):
+        table[lines[:, i] * n + lines[:, j]] = rows
+    return lines, table
+
 
 def packed_triples(g: Geometry, lines: np.ndarray) -> np.ndarray:
     """One uint64 key per colinear triple: ((a*N)+b)*N+c with a<b<c."""
@@ -116,140 +137,111 @@ def _check_same_geometry(spaces):
     return g
 
 
-def _chunk_bounds(n: int, workers: int):
-    workers = max(1, min(workers, n)) if n else 1
-    step = -(-n // workers)
-    return [(i, min(i + step, n)) for i in range(0, n, step)]
+def _first_overlap(blocks_a: list[frozenset], blocks_b: list[frozenset],
+                   limit: int):
+    """First block pair, in scan order, sharing more than ``limit``
+    points: (block_a, block_b, intersection) as sorted tuples, or None."""
+    for a in blocks_a:
+        for b in blocks_b:
+            inter = a & b
+            if len(inter) > limit:
+                return tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(inter))
+    return None
 
 
 # ----------------------------------------------------------------------
 # pair checks
 # ----------------------------------------------------------------------
 
-def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2, workers: int = 1) -> Verdict:
+def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
     """Every line of s meets every line of t in at most k points."""
     g = _check_same_geometry([s, t])
     if k >= g.points_per_line:
         return Verdict(True)
-    if k == 2:
-        common = np.intersect1d(s.triples(), t.triples(), assume_unique=True)
-        if len(common) == 0:
-            return Verdict(True)
-        return Verdict(False, _triple_witness(int(common[0]), s, t))
-    if g.kind == AFFINE and s.is_standard and t.linear:
-        return _linear_affine_orthogoval(s, t, k)
-    return naive_k_orthogoval_pair(s, t, k, workers=workers)
-
-
-def naive_k_orthogoval_pair(s: Space, t: Space, k: int, workers: int = 1) -> Verdict:
-    """Oracle path: intersect every line pair directly."""
-    _check_same_geometry([s, t])
-    ls = s.line_sets()
-    lt = t.line_sets()
-
-    def scan(bounds):
-        lo, hi = bounds
-        for i in range(lo, hi):
-            li = ls[i]
-            for j, lj in enumerate(lt):
-                inter = li & lj
-                if len(inter) > k:
-                    return (i, j, inter)
-        return None
-
-    bounds = _chunk_bounds(len(ls), workers)
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = [h for h in pool.map(scan, bounds) if h is not None]
-    else:
-        hits = [h for h in map(scan, bounds) if h is not None]
-    if not hits:
+    if k <= 1:
+        return naive_k_orthogoval_pair(s, t, k)
+    n = g.point_count
+    ls, table = _line_index(s)
+    lt = t.lines()
+    pairs = list(itertools.combinations(range(lt.shape[1]), 2))
+    ids = np.empty((len(lt), len(pairs)), dtype=np.int32)
+    for c, (i, j) in enumerate(pairs):
+        ids[:, c] = table[lt[:, i] * n + lt[:, j]]
+    ids.sort(axis=1)
+    # lines meeting in more than k points share more than C(k, 2) point
+    # pairs, so some id equals the one C(k, 2) places further on
+    r = k * (k - 1) // 2
+    hit = ids[:, r:] == ids[:, :-r]
+    hit[:, 1:] &= ~hit[:, :-1]  # one hit per (line of t, line of s)
+    rows, cols = np.nonzero(hit)
+    if len(rows) == 0:
         return Verdict(True)
-    i, j, inter = min(hits)
+    sids = ids[rows, cols]
+    if k == 2:
+        return Verdict(False, _least_triple_witness(ls[sids], lt[rows], n))
+    # the naive oracle's witness: least line of s, then least line of t
+    first = np.lexsort((rows, sids))[0]
+    a, b = ls[sids[first]].tolist(), lt[rows[first]].tolist()
     return Verdict(False, {
-        "line_a": tuple(sorted(ls[i])),
-        "line_b": tuple(sorted(lt[j])),
-        "intersection": tuple(sorted(inter)),
+        "line_a": tuple(a),
+        "line_b": tuple(b),
+        "intersection": tuple(sorted(set(a) & set(b))),
     })
 
 
-def _linear_affine_orthogoval(s: Space, t: Space, k: int) -> Verdict:
-    """Shortcut for a linear map: only origin lines and their translates.
-
-    |f(l) ∩ l'| for arbitrary translates is the multiplicity of a value
-    in the difference multiset of the two origin lines, so the max over
-    all translate pairs comes from one pass per direction pair.
-    """
-    g = s.geometry
-    base = g.field
-    origin_lines = []
-    pts = g.points()
-    for row in g.lines():
-        if 0 in row:
-            origin_lines.append([int(x) for x in row])
-    fmap = t.perm
-    for lu in origin_lines:
-        image = [int(fmap[x]) for x in lu]
-        for lv in origin_lines:
-            counts = {}
-            for x in image:
-                cx = pts[x]
-                for y in lv:
-                    cy = pts[y]
-                    d = g.point_index(tuple(base.sub(a, b) for a, b in zip(cx, cy)))
-                    counts[d] = counts.get(d, 0) + 1
-            worst = max(counts.values())
-            if worst > k:
-                shift = min(c for c, v in counts.items() if v == worst)
-                sc = pts[shift]
-                line_b = tuple(sorted(
-                    g.point_index(tuple(base.add(a, b) for a, b in zip(pts[y], sc)))
-                    for y in lv))
-                inter = tuple(sorted(set(image) & set(line_b)))
-                return Verdict(False, {
-                    "line_a": tuple(sorted(image)),
-                    "line_b": line_b,
-                    "intersection": inter,
-                })
-    return Verdict(True)
-
-
-def _triple_witness(key: int, s: Space, t: Space) -> dict:
-    g = s.geometry
-    tri = unpack_triple(key, g.point_count)
+def _least_triple_witness(lines_a: np.ndarray, lines_b: np.ndarray,
+                          n: int) -> dict:
+    """The least triple shared by a row pair of two sorted line arrays
+    whose paired rows share at least 3 points, with its two lines."""
+    shared = (lines_a[:, :, None] == lines_b[:, None, :]).any(axis=2)
+    first3 = np.argsort(~shared, axis=1, kind="stable")[:, :3]
+    tri = np.take_along_axis(lines_a, first3, axis=1)
+    best = np.argmin((tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2])
     return {
-        "triple": tri,
-        "line_a": _line_containing(s, tri),
-        "line_b": _line_containing(t, tri),
+        "triple": tuple(tri[best].tolist()),
+        "line_a": tuple(lines_a[best].tolist()),
+        "line_b": tuple(lines_b[best].tolist()),
     }
 
 
-def _line_containing(space: Space, tri) -> tuple[int, ...]:
-    want = set(tri)
-    for row in space.lines().tolist():
-        if want <= set(row):
-            return tuple(row)
-    return None  # pragma: no cover
+def naive_k_orthogoval_pair(s: Space, t: Space, k: int) -> Verdict:
+    """Oracle path: intersect every line pair directly."""
+    _check_same_geometry([s, t])
+    hit = _first_overlap(s.line_sets(), t.line_sets(), k)
+    if hit is None:
+        return Verdict(True)
+    return Verdict(False, dict(zip(("line_a", "line_b", "intersection"), hit)))
 
 
 # ----------------------------------------------------------------------
 # families
 # ----------------------------------------------------------------------
 
-def are_mutually_orthogoval(spaces: list[Space], k: int = 2,
-                            workers: int = 1) -> Verdict:
+def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     """No point triple colinear in two spaces of the family (k=2), or
     pairwise k-orthogoval for general k."""
     if len(spaces) < 2:
         raise ValueError("need at least 2 spaces")
     g = _check_same_geometry(spaces)
-    if k != 2:
-        for i, j in itertools.combinations(range(len(spaces)), 2):
-            v = is_k_orthogoval_pair(spaces[i], spaces[j], k, workers=workers)
-            if not v:
-                v.witness = dict(v.witness, space_a=i, space_b=j)
-                return v
-        return Verdict(True)
+    pairs = itertools.combinations(range(len(spaces)), 2)
+    if k == 2:
+        # the triple index names the failing pair, if any; the pair
+        # decider's least shared triple is then the least duplicate key
+        owners = _duplicate_owners(spaces, g)
+        if owners is None:
+            return Verdict(True)
+        pairs = [owners]
+    for i, j in pairs:
+        v = is_k_orthogoval_pair(spaces[i], spaces[j], k)
+        if not v:
+            v.witness = dict(v.witness, space_a=i, space_b=j)
+            return v
+    return Verdict(True)
+
+
+def _duplicate_owners(spaces: list[Space], g: Geometry):
+    """The first two spaces holding the least triple colinear in two
+    spaces of the family, or None if there is no such triple."""
     per_space = g.line_count * _c3(g.points_per_line)
     total = per_space * len(spaces)
     buf = np.empty(total, dtype=np.uint64)
@@ -258,14 +250,17 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2,
     buf.sort()
     dup = _first_duplicate(buf)
     if dup is None:
-        return Verdict(True)
-    owners = [i for i, s in enumerate(spaces)
-              if np.searchsorted(s.triples(), dup) < len(s.triples())
-              and s.triples()[np.searchsorted(s.triples(), dup)] == dup]
-    i, j = owners[0], owners[1]
-    w = _triple_witness(int(dup), spaces[i], spaces[j])
-    w["space_a"], w["space_b"] = i, j
-    return Verdict(False, w)
+        return None
+    del buf
+    owners = []
+    for i, s in enumerate(spaces):
+        keys = s.triples()
+        pos = np.searchsorted(keys, dup)
+        if pos < len(keys) and keys[pos] == dup:
+            owners.append(i)
+            if len(owners) == 2:
+                return tuple(owners)
+    raise AssertionError("a duplicate key has fewer than two owners")  # pragma: no cover
 
 
 def _c3(m: int) -> int:
@@ -290,10 +285,9 @@ def _first_duplicate(sorted_arr: np.ndarray):
 # orthomorphisms, general position, askew, half-dimension
 # ----------------------------------------------------------------------
 
-def is_orthomorphism(g: Geometry, perm, workers: int = 1) -> Verdict:
+def is_orthomorphism(g: Geometry, perm) -> Verdict:
     """Bijection whose line images are caps of the standard space."""
-    image = from_map(g, perm)
-    return is_k_orthogoval_pair(standard(g), image, 2, workers=workers)
+    return is_k_orthogoval_pair(standard(g), from_map(g, perm), 2)
 
 
 def in_general_position(space: Space, pts) -> bool:
@@ -317,39 +311,17 @@ def in_general_position(space: Space, pts) -> bool:
     return True
 
 
-def is_askew_pair(s: Space, t: Space, workers: int = 1) -> Verdict:
+def is_askew_pair(s: Space, t: Space) -> Verdict:
     """Every line of each space is in general linear position in the other."""
     _check_same_geometry([s, t])
-
-    def scan(args):
-        lines, other, tag, bounds = args
-        lo, hi = bounds
-        for i in range(lo, hi):
-            row = [int(x) for x in lines[i]]
+    for line_of, src, other in (("first", s, t), ("second", t, s)):
+        for row in src.lines().tolist():
             if not in_general_position(other, row):
-                return (tag, i, tuple(row))
-        return None
-
-    tasks = []
-    for tag, (src, other) in enumerate([(s, t), (t, s)]):
-        lines = src.lines()
-        for bounds in _chunk_bounds(len(lines), workers):
-            tasks.append((lines, other, tag, bounds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = [h for h in pool.map(scan, tasks) if h is not None]
-    else:
-        hits = [h for h in map(scan, tasks) if h is not None]
-    if not hits:
-        return Verdict(True)
-    tag, i, row = min(hits)
-    return Verdict(False, {
-        "line_of": "first" if tag == 0 else "second",
-        "line": row,
-    })
+                return Verdict(False, {"line_of": line_of, "line": tuple(row)})
+    return Verdict(True)
 
 
-def is_half_dimension_orthogoval(s: Space, t: Space, workers: int = 1) -> Verdict:
+def is_half_dimension_orthogoval(s: Space, t: Space) -> Verdict:
     """In dimension 2k, k-flats of one space meet k-flats of the other in
     at most k+1 points."""
     g = _check_same_geometry([s, t])
@@ -359,31 +331,10 @@ def is_half_dimension_orthogoval(s: Space, t: Space, workers: int = 1) -> Verdic
     std = g.flats(k)
     flats_s = [frozenset(int(s.perm[p]) for p in f) for f in std]
     flats_t = [frozenset(int(t.perm[p]) for p in f) for f in std]
-
-    def scan(bounds):
-        lo, hi = bounds
-        for i in range(lo, hi):
-            fi = flats_s[i]
-            for j, fj in enumerate(flats_t):
-                inter = fi & fj
-                if len(inter) > k + 1:
-                    return (i, j, inter)
-        return None
-
-    bounds = _chunk_bounds(len(flats_s), workers)
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = [h for h in pool.map(scan, bounds) if h is not None]
-    else:
-        hits = [h for h in map(scan, bounds) if h is not None]
-    if not hits:
+    hit = _first_overlap(flats_s, flats_t, k + 1)
+    if hit is None:
         return Verdict(True)
-    i, j, inter = min(hits)
-    return Verdict(False, {
-        "flat_a": tuple(sorted(flats_s[i])),
-        "flat_b": tuple(sorted(flats_t[j])),
-        "intersection": tuple(sorted(inter)),
-    })
+    return Verdict(False, dict(zip(("flat_a", "flat_b", "intersection"), hit)))
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: construct, verify, bound, search, reproduce.  Structured
-output is a canonical JSON run report (stable across runs and worker
-counts; wall-clock timings are deliberately left out of it), human
-tables go to stdout with --format table.
+output is a canonical JSON run report (stable across runs; wall-clock
+timings are deliberately left out of it), human tables go to stdout
+with --format table.  ``--workers`` is still accepted and ignored: every
+check runs in one thread.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage
 error, 3 malformed input, 4 budget exceeded.
@@ -122,17 +123,16 @@ def cmd_construct(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _verify_family(spaces, prop, k, workers):
+def _verify_family(spaces, prop, k):
     if prop == "k-orthogoval":
-        return are_mutually_orthogoval(spaces, k=k, workers=workers)
+        return are_mutually_orthogoval(spaces, k=k)
     verdicts = []
     for i in range(len(spaces)):
         for j in range(i + 1, len(spaces)):
             if prop == "askew":
-                v = is_askew_pair(spaces[i], spaces[j], workers=workers)
+                v = is_askew_pair(spaces[i], spaces[j])
             else:
-                v = is_half_dimension_orthogoval(spaces[i], spaces[j],
-                                                 workers=workers)
+                v = is_half_dimension_orthogoval(spaces[i], spaces[j])
             if not v:
                 v.witness = dict(v.witness, pair=[i, j])
                 return v
@@ -142,7 +142,7 @@ def _verify_family(spaces, prop, k, workers):
 
 def cmd_verify(args) -> int:
     spaces, prov = bundle.read_bundle(args.bundle)
-    verdict = _verify_family(spaces, args.property, args.k, args.workers)
+    verdict = _verify_family(spaces, args.property, args.k)
     g = spaces[0].geometry
     report = run_report(
         "verify",
@@ -169,7 +169,7 @@ def cmd_bound(args) -> int:
     else:
         g = geom.projective(args.dim, args.q)
     families = [bundle.read_bundle(p)[0] for p in args.bundles]
-    rep = bounds.bound_report(g, families, workers=args.workers)
+    rep = bounds.bound_report(g, families)
     d = rep.as_dict()
     report = run_report("bound",
                         {"kind": args.kind, "dim": args.dim, "q": args.q,
@@ -192,8 +192,7 @@ def cmd_bound(args) -> int:
 
 def cmd_search(args) -> int:
     if args.task == "exponent-scan":
-        res = explore.exponent_scan(args.q, args.r, args.w_max,
-                                    workers=args.workers)
+        res = explore.exponent_scan(args.q, args.r, args.w_max)
         report = run_report("search",
                             {"task": args.task, "q": args.q, "r": args.r,
                              "w_max": args.w_max}, res)
@@ -203,7 +202,7 @@ def cmd_search(args) -> int:
         return EXIT_OK
 
     if args.task == "power-chain":
-        n = explore.power_chain(args.q, args.r, args.w, workers=args.workers)
+        n = explore.power_chain(args.q, args.r, args.w)
         report = run_report("search",
                             {"task": args.task, "q": args.q, "r": args.r,
                              "w": args.w}, {"chain_length": n})
@@ -214,8 +213,7 @@ def cmd_search(args) -> int:
         g = geom.projective(args.r - 1, args.q)
         ws = [int(w) for w in args.w_list.split(",")]
         cands = [build_phi_map(g, w) for w in ws]
-        res = explore.clique_search(cands, g, budget=args.budget,
-                                    workers=args.workers)
+        res = explore.clique_search(cands, g, budget=args.budget)
         report = run_report(
             "search",
             {"task": args.task, "q": args.q, "r": args.r, "w_list": ws,
@@ -272,7 +270,7 @@ def _reproduce_big_sets(args):
     for q, r, ws, n in table:
         for w in ws:
             fam = build_phi_family(q, r, w, n)
-            verdict = are_mutually_orthogoval(fam, workers=args.workers)
+            verdict = are_mutually_orthogoval(fam)
             good = bool(verdict) and len(fam) == n + 1
             ok = ok and good
             rows.append({"q": q, "r": r, "w": w, "n": n,
@@ -286,7 +284,7 @@ def _reproduce_catalog(args):
     for name in catalog_names():
         fam = catalog_family(name)
         entry = catalog_entry(name)
-        verdict = are_mutually_orthogoval(fam, workers=args.workers)
+        verdict = are_mutually_orthogoval(fam)
         good = bool(verdict) and len(fam) == entry["expected_size"]
         ok = ok and good
         row = {"name": name, "spaces": len(fam), "pass": good}
@@ -318,7 +316,7 @@ def _reproduce_askew(args):
     ok = True
     for k, q in ((2, 2), (2, 3), (2, 5), (4, 2), (4, 3), (6, 2)):
         s, t = build_askew_pair(k, q)
-        good = bool(is_askew_pair(s, t, workers=args.workers))
+        good = bool(is_askew_pair(s, t))
         ok = ok and good
         rows.append({"k": k, "q": q, "pass": good})
     return ok, rows
@@ -374,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and ignored")
 
     c = sub.add_parser("construct", help="build a family and write a bundle")
     cs = c.add_subparsers(dest="builder", required=True)

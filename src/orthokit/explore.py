@@ -64,7 +64,7 @@ def sufficient_exponents(q: int, r: int, w_max: int) -> list[int]:
     return out
 
 
-def exponent_scan(q: int, r: int, w_max: int, workers: int = 1) -> dict:
+def exponent_scan(q: int, r: int, w_max: int) -> dict:
     """All w in [2, w_max] coprime to q^r - 1 whose power map is an
     orthomorphism of PG(r-1, q), plus the sufficient-condition subset."""
     g = geom.projective(r - 1, q)
@@ -73,7 +73,7 @@ def exponent_scan(q: int, r: int, w_max: int, workers: int = 1) -> dict:
     for w in range(2, w_max + 1):
         if math.gcd(w, big) != 1:
             continue
-        if is_orthomorphism(g, build_phi_map(g, w), workers=workers):
+        if is_orthomorphism(g, build_phi_map(g, w)):
             found.append(w)
     return {
         "q": q,
@@ -92,7 +92,7 @@ def _mult_order(w: int, m: int) -> int:
     return o
 
 
-def power_chain(q: int, r: int, w: int, workers: int = 1) -> int:
+def power_chain(q: int, r: int, w: int) -> int:
     """Largest n with the w^i power map an orthomorphism for all
     1 <= i <= n; scan stops at the first failure and is capped by the
     multiplicative order of w (the order-th power is the identity)."""
@@ -105,7 +105,7 @@ def power_chain(q: int, r: int, w: int, workers: int = 1) -> int:
     n = 0
     for i in range(1, cap + 1):
         perm = build_phi_map(g, pow(w, i, big))
-        if not is_k_orthogoval_pair(std, from_map(g, perm), 2, workers=workers):
+        if not is_k_orthogoval_pair(std, from_map(g, perm), 2):
             break
         n = i
     return n
@@ -123,7 +123,7 @@ class CliqueResult:
 
 
 def clique_search(candidates: list, g: geom.Geometry,
-                  budget: int = None, workers: int = 1) -> CliqueResult:
+                  budget: int = None) -> CliqueResult:
     """Largest found set of candidate maps whose induced spaces are
     mutually orthogoval: exact branch-and-bound with greedy-coloring
     bounds and canonical tie-breaking."""
@@ -131,7 +131,7 @@ def clique_search(candidates: list, g: geom.Geometry,
     m = len(spaces)
     adj = [[False] * m for _ in range(m)]
     for i, j in itertools.combinations(range(m), 2):
-        ok = bool(is_k_orthogoval_pair(spaces[i], spaces[j], 2, workers=workers))
+        ok = bool(is_k_orthogoval_pair(spaces[i], spaces[j], 2))
         adj[i][j] = adj[j][i] = ok
 
     best: list[int] = []

@@ -31,10 +31,9 @@ def test_find_no_root_coeffs_is_rootless_and_least():
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3)])
-def test_char_p_pair_verifies(p, n, k):
+def test_char_p_pair_verifies(p, n, k, assert_additive):
     s, t, perm = build.build_char_p_pair(p, n, k)
-    assert t.linear
-    assert int(perm[0]) == 0  # the map is linear, so fixes the origin
+    assert_additive(s.geometry, perm)
     assert check.is_k_orthogoval_pair(s, t, p)
 
 
@@ -112,10 +111,14 @@ def test_catalog_families_verify(name, size):
     assert bool(check.are_mutually_orthogoval(fam))
 
 
-def test_pg3_f2_modulus_resolution_is_recorded():
-    build.catalog_family("PG3_F2_X7")
+def test_pg3_f2_modulus_resolution_is_recorded(monkeypatch):
+    # a fresh catalog carries the resolved modulus before any family is built
+    monkeypatch.setattr(build, "_CATALOG", None)
     entry = build.catalog_entry("PG3_F2_X7")
     assert entry["resolved_modulus"] == [1, 1, 0, 0, 1]
+    fam = build.catalog_family("PG3_F2_X7")
+    assert fam[0].geometry.labeling_field.modulus == (1, 1, 0, 0, 1)
+    assert build.catalog_entry("PG3_F2_X7") is entry
 
 
 def test_ag3_f3_generator_has_order_eight():

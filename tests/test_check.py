@@ -40,31 +40,65 @@ def test_k_at_least_line_size_is_vacuous():
     assert check.is_k_orthogoval_pair(s, t, 3)
 
 
+def triple_reference(s, t):
+    """k=2 witness from the least key shared by the two triple indexes,
+    with the lines found by scanning every line."""
+    g = s.geometry
+    common = np.intersect1d(check.packed_triples(g, s.lines()),
+                            check.packed_triples(g, t.lines()))
+    if len(common) == 0:
+        return None
+    tri = check.unpack_triple(int(common[0]), g.point_count)
+
+    def line_of(space):
+        return next(tuple(row) for row in space.lines().tolist()
+                    if set(tri) <= set(row))
+
+    return {"triple": tri, "line_a": line_of(s), "line_b": line_of(t)}
+
+
 def test_fast_equals_naive_on_seeded_bijections():
     rng = np.random.default_rng(20260823)
-    cases = [geom.affine(2, 3), geom.affine(2, 4), geom.projective(2, 2),
-             geom.projective(2, 3), geom.projective(3, 2)]
+    cases = [geom.affine(2, 3), geom.affine(2, 4), geom.affine(2, 5),
+             geom.affine(3, 3), geom.projective(2, 2), geom.projective(2, 3),
+             geom.projective(3, 2), geom.projective(2, 4)]
+    outcomes = set()
     for g in cases:
         s = check.standard(g)
-        for _ in range(6):
-            t = random_space(g, rng)
-            fast = check.is_k_orthogoval_pair(s, t, 2)
-            slow = check.naive_k_orthogoval_pair(s, t, 2)
-            assert bool(fast) == bool(slow)
-            if not fast:
-                tri = set(fast.witness["triple"])
-                assert tri <= set(fast.witness["line_a"])
-                assert tri <= set(fast.witness["line_b"])
+        n = g.point_count
+        pairs = [(s, random_space(g, rng)) for _ in range(5)]
+        pairs.append((random_space(g, rng), random_space(g, rng)))
+        # negative controls: the identity map and a duplicated space
+        pairs.append((s, check.from_map(g, np.arange(n))))
+        dup = random_space(g, rng)
+        pairs.append((dup, check.from_map(g, dup.perm)))
+        for a, b in pairs:
+            for k in range(1, g.points_per_line):
+                fast = check.is_k_orthogoval_pair(a, b, k)
+                slow = check.naive_k_orthogoval_pair(a, b, k)
+                assert bool(fast) == bool(slow), (g, k)
+                outcomes.add((k, bool(fast)))
+                if k == 2:
+                    assert fast.witness == triple_reference(a, b), g
+                else:
+                    assert fast.witness == slow.witness, (g, k)
+        assert not check.is_k_orthogoval_pair(pairs[-2][0], pairs[-2][1], 2)
+        assert not check.is_k_orthogoval_pair(pairs[-1][0], pairs[-1][1], 2)
+    # every decider path both passed and failed somewhere
+    assert outcomes >= {(k, v) for k in (2, 3) for v in (True, False)}
 
 
-def test_linear_shortcut_agrees_with_naive():
+def test_linear_maps_agree_with_naive(assert_additive):
     from orthokit.build import build_char_p_pair
     for p, n, k in ((2, 1, 3), (3, 1, 2), (2, 2, 2)):
-        s, t, _ = build_char_p_pair(p, n, k)
-        assert t.linear
-        fast = check.is_k_orthogoval_pair(s, t, p)
-        slow = check.naive_k_orthogoval_pair(s, t, p)
-        assert bool(fast) == bool(slow) == True  # noqa: E712
+        s, t, perm = build_char_p_pair(p, n, k)
+        assert_additive(s.geometry, perm)
+        for kk in range(1, s.geometry.points_per_line):
+            fast = check.is_k_orthogoval_pair(s, t, kk)
+            slow = check.naive_k_orthogoval_pair(s, t, kk)
+            assert bool(fast) == bool(slow) == (kk >= p)
+            if kk != 2:
+                assert fast.witness == slow.witness
 
 
 def test_family_check_matches_pairwise():
@@ -80,10 +114,13 @@ def test_family_check_matches_pairwise():
 def test_family_witness_names_the_offenders():
     g = geom.affine(2, 3)
     s = check.standard(g)
-    dup = check.from_map(g, np.arange(9), name="copy")
-    v = check.are_mutually_orthogoval([s, dup])
+    t = random_space(g, np.random.default_rng(1))
+    dup = check.from_map(g, t.perm, name="copy")
+    v = check.are_mutually_orthogoval([s, t, dup])
     assert not v
-    assert (v.witness["space_a"], v.witness["space_b"]) == (0, 1)
+    assert (v.witness["space_a"], v.witness["space_b"]) == (1, 2)
+    ref = triple_reference(t, dup)
+    assert {key: v.witness[key] for key in ref} == ref
 
 
 def test_geometry_mismatch_rejected():
@@ -93,16 +130,14 @@ def test_geometry_mismatch_rejected():
         check.is_k_orthogoval_pair(s, t, 2)
 
 
-def test_workers_do_not_change_results():
-    rng = np.random.default_rng(5)
-    g = geom.projective(2, 3)
-    s = check.standard(g)
-    for _ in range(5):
-        t = random_space(g, rng)
-        v1 = check.naive_k_orthogoval_pair(s, t, 2, workers=1)
-        v4 = check.naive_k_orthogoval_pair(s, t, 2, workers=4)
-        assert bool(v1) == bool(v4)
-        assert v1.witness == v4.witness
+def test_space_perm_is_a_read_only_copy():
+    g = geom.affine(2, 3)
+    perm = np.arange(9, dtype=np.int64)
+    s = check.from_map(g, perm)
+    perm[:2] = [1, 0]  # the caller's array is not aliased
+    assert s.is_standard
+    with pytest.raises(ValueError):
+        s.perm[0] = 1
 
 
 def test_translations_and_singer_shifts_are_collineations():

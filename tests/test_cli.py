@@ -66,6 +66,30 @@ def test_verify_malformed_bundle(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 3
 
 
+@pytest.mark.parametrize("kind,key,value", [
+    ("projective", "dim", "4"),
+    ("projective", "dim", 0),
+    ("projective", "dim", 2.0),
+    ("projective", "q", 3),
+    ("projective", "basis", [1, 2]),
+    ("projective", "labeling", {"modulus": [1, 0, 1]}),
+    ("projective", "field", {"p": 4, "n": 1, "modulus": [1, 1]}),
+    ("affine", "dim", 40),
+    ("affine", "field", {"p": 3, "n": 1}),
+])
+def test_malformed_header_exits_3(tmp_path, capsys, kind, key, value):
+    from orthokit import bundle, geom
+    from orthokit.check import standard
+    g = geom.projective(2, 2) if kind == "projective" else geom.affine(2, 3)
+    doc = bundle.bundle_dict([standard(g)])
+    doc["header"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert (code, stdout) == (3, "")
+    assert "MALFORMED_BUNDLE" in err
+
+
 def test_construct_invalid_params_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     code, _, err = run(capsys, "construct", "askew", "--k", "3", "--q", "2",
