@@ -87,3 +87,9 @@ class BudgetExceeded(OrthokitError):
 
 class MalformedBundle(OrthokitError):
     code = "MALFORMED_BUNDLE"
+
+
+class MalformedCheckpoint(MalformedBundle):
+    """A search checkpoint that is unreadable, belongs to another task or
+    search version, or names a state the search cannot reach."""
+    code = "MALFORMED_CHECKPOINT"

@@ -2,8 +2,9 @@
 
 Four task kinds: exponent scans for orthomorphism power maps, power
 chains, branch-and-bound clique search over candidate bijections, and
-the symmetry-reduced exhaustive search over affine structures used for
-the half-dimension nonexistence question.  All searches are
+the exhaustive search over affine structures used for the
+half-dimension nonexistence question, reduced by GL(d, q) through a
+closed-form test of lex-least prefixes.  All searches are
 deterministic: candidate orders are canonical and results never depend
 on timing.  Every certificate emitted here is re-verified through
 :mod:`orthokit.check` before it is reported.
@@ -29,7 +30,8 @@ from .check import (
     is_orthomorphism,
     standard,
 )
-from .errors import BudgetExceeded, NotCoprime
+from .errors import BudgetExceeded, MalformedCheckpoint, NotCoprime
+from .geom import _gf_rank
 from .gf import prime_factors
 
 
@@ -187,20 +189,23 @@ def clique_search(candidates: list, g: geom.Geometry,
 # exhaustive search over affine structures (half-dimension question)
 # ----------------------------------------------------------------------
 
-def _gl_point_perms(g: geom.Geometry, limit: int = 200_000) -> list:
-    """Point permutations of all invertible linear maps (origin fixed)."""
+# Identifies the search tree a checkpoint belongs to.  Bump it whenever a
+# change to the candidate order or the pruning changes the tree, so that
+# an old checkpoint is refused instead of resumed into the wrong tree.
+_SEARCH_VERSION = 2
+
+
+def _gl_point_perms(g: geom.Geometry) -> list:
+    """Point permutations of all invertible linear maps (origin fixed): the
+    test reference for the canonicity rule of :func:`half_dim_exhaustive`."""
     base, d, q = g.field, g.dim, g.q
-    if q ** (d * d) > limit:
-        return []
     pts = g.points()
     perms = []
     for entries in itertools.product(range(q), repeat=d * d):
         mat = [entries[i * d:(i + 1) * d] for i in range(d)]
-        from .geom import _gf_rank
         if _gf_rank([list(r) for r in mat], base) != d:
             continue
         perm = [0] * g.point_count
-        ok = True
         for i, x in enumerate(pts):
             y = []
             for row in mat:
@@ -224,6 +229,16 @@ def _flat_image_ok(g: geom.Geometry, image: list[int], k: int) -> bool:
     return True
 
 
+def _canonical_top(path: list, q: int) -> int:
+    """The least power of q above every image in ``path``: appending an
+    image keeps the prefix lex-least under GL(d, q) exactly when the
+    image is at most this."""
+    top = 1
+    while top <= max(path):
+        top *= q
+    return top
+
+
 @dataclass
 class _HalfDimState:
     path: list
@@ -242,21 +257,80 @@ def _checkpoint_path(d, q, override=None):
     return os.path.join(root, f"half-dim-{d}-{q}.json")
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
+def _load_checkpoint(cpath: str, task: dict, g: geom.Geometry, candidates):
+    """The search state saved in ``cpath`` and its rebuilt candidate
+    stack.  Raises MalformedCheckpoint unless the file holds a state of
+    this task and search version that the search itself can reach, with
+    every stored certificate passing re-verification."""
+    def bad(why):
+        return MalformedCheckpoint(f"checkpoint {cpath}: {why}")
+
+    try:
+        with open(cpath) as fh:
+            saved = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise bad(f"unreadable: {exc}")
+    if not isinstance(saved, dict) or saved.get("task") != task:
+        raise bad(f"not a checkpoint of {task}; delete it to start over")
+    path, idx, nodes, certs = (saved.get(key) for key in
+                               ("path", "idx", "nodes", "certificates"))
+    if not (_int_list(path) and _int_list(idx) and type(nodes) is int
+            and nodes >= 0 and isinstance(certs, list)
+            and all(_int_list(c) for c in certs)):
+        raise bad("path, idx, nodes or certificates has the wrong type")
+    n = g.point_count
+    cands = []
+    if idx:
+        # the loop invariant of half_dim_exhaustive, which every save keeps
+        if not (path[:1] == [0] and len(idx) == len(path) < n):
+            raise bad("path and idx do not describe a search position")
+        for i in range(1, len(path) + 1):
+            cands.append(candidates(path[:i]))
+            j = idx[i - 1]
+            if i < len(path) and not (0 <= j < len(cands[-1])
+                                      and cands[-1][j] == path[i]):
+                raise bad(f"path[{i}] = {path[i]} is not candidate {j}")
+        if not 0 <= idx[-1] <= len(cands[-1]):
+            raise bad(f"idx[-1] = {idx[-1]} is out of range")
+    elif path != [0]:
+        raise bad("a finished search must have path [0]")
+    std = standard(g)
+    for c in certs:
+        if sorted(c) != list(range(n)) or not is_half_dimension_orthogoval(
+                std, from_map(g, c)):
+            raise bad("a stored certificate fails re-verification")
+    return _HalfDimState(path=path, idx=idx, nodes=nodes,
+                         certificates=certs), cands
+
+
 def half_dim_exhaustive(d: int, q: int, budget: int = None,
                         checkpoint_path: str = None,
                         checkpoint_every: int = 250_000,
                         max_certificates: int = 1,
-                        gl_prune_depth: int = 4,
                         resume: bool = True) -> SearchResult:
     """Search all affine structures on the AG(d, q) point set for one
     forming a half-dimension-orthogoval pair with the standard space.
 
     Structures are swept as point bijections with the image of the
-    origin pinned to the origin and a lex-minimality filter under the
-    linear group at shallow depths, which quotients by the collineations
-    of the standard space.  Raises BudgetExceeded (with the partial
-    result attached) when the node budget runs out; a checkpoint file is
-    written so the run can resume.
+    origin pinned to the origin.  Composing with an invertible linear map
+    keeps the standard space and the verdict, so only bijections whose
+    image sequence is lex-least in its GL(d, q) orbit are visited, at
+    every depth.  In base-q point indices the span of the first r new
+    images of a lex-least prefix is the index range [0, q^r), and its
+    stabiliser moves any point outside that span to any other, so a
+    prefix is lex-least exactly when each image is at most the least
+    power of q above every earlier one.
+
+    Raises BudgetExceeded (with the partial result attached) when the
+    node budget runs out.  A checkpoint file is written so the run can
+    resume; a finished checkpoint, or one already holding
+    ``max_certificates`` certificates, returns its stored result, and one
+    of another task or search version, or naming a position the search
+    cannot reach, raises MalformedCheckpoint.
     """
     if d % 2:
         raise ValueError("dimension must be even")
@@ -267,8 +341,9 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     by_max = [[] for _ in range(n)]
     for f in flats:
         by_max[max(f)].append(f)
-    gl = _gl_point_perms(g)
     cpath = _checkpoint_path(d, q, checkpoint_path)
+    task = {"kind": "HALF_DIM_EXHAUSTIVE", "d": d, "q": q,
+            "version": _SEARCH_VERSION}
 
     if q == 2 and k == 2:
         # F_2 point indices are the coordinate bit-vectors, and a 4-point
@@ -284,50 +359,28 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
         depth = len(path)  # next point to assign is `depth`
         used = set(path)
         out = []
-        for v in range(n):
+        for v in range(min(_canonical_top(path, q) + 1, n)):
             if v in used:
                 continue
             trial = path + [v]
-            ok = True
-            for f in by_max[depth]:
-                image = [trial[p] for p in f]
-                if not flat_ok(image):
-                    ok = False
-                    break
-            if ok and gl and depth <= gl_prune_depth:
-                part = trial[1:]
-                for sigma in gl:
-                    if [sigma[x] for x in part] < part:
-                        ok = False
-                        break
-            if ok:
+            if all(flat_ok([trial[p] for p in f]) for f in by_max[depth]):
                 out.append(v)
         return out
 
-    state = None
     if resume and cpath and os.path.exists(cpath):
-        with open(cpath) as fh:
-            saved = json.load(fh)
-        if saved.get("task") == {"kind": "HALF_DIM_EXHAUSTIVE", "d": d, "q": q}:
-            state = _HalfDimState(path=saved["path"], idx=saved["idx"],
-                                  nodes=saved["nodes"],
-                                  certificates=saved["certificates"])
-    if state is None:
-        state = _HalfDimState(path=[0], idx=[], nodes=0)
-
-    # rebuild the candidate stack from the saved path
-    cands = []
-    for depth in range(1, len(state.path)):
-        cands.append(candidates(state.path[:depth]))
-    if len(state.idx) == len(cands) + 1:
-        # a frontier candidate list beyond the path tip
-        cands.append(candidates(state.path))
+        state, cands = _load_checkpoint(cpath, task, g, candidates)
+        if not state.idx or (state.certificates and
+                             len(state.certificates) >= max_certificates):
+            return SearchResult(state.certificates, state.nodes, not state.idx)
+    else:
+        state = _HalfDimState(path=[0], idx=[0], nodes=0)
+        cands = [candidates(state.path)]
 
     def save_checkpoint():
         if not cpath:
             return
         payload = {
-            "task": {"kind": "HALF_DIM_EXHAUSTIVE", "d": d, "q": q},
+            "task": task,
             "path": state.path,
             "idx": state.idx,
             "nodes": state.nodes,
@@ -338,14 +391,13 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
             json.dump(payload, fh)
         os.replace(tmp, cpath)
 
-    if not state.idx:
-        cands.append(candidates(state.path))
-        state.idx.append(0)
-
+    # Loop invariant, and the state every save records: len(path) ==
+    # len(idx) == len(cands), cands[i] lists the candidates after
+    # path[:i+1], path[i+1] == cands[i][idx[i]], and cands[-1][idx[-1]]
+    # is the next node to visit.
     while True:
-        depth = len(state.idx)
-        cur = cands[depth - 1]
-        pos = state.idx[depth - 1]
+        cur = cands[-1]
+        pos = state.idx[-1]
         if pos >= len(cur):
             # backtrack
             cands.pop()
@@ -356,27 +408,25 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
             state.path.pop()
             state.idx[-1] += 1
             continue
-        v = cur[pos]
-        state.nodes += 1
-        if budget is not None and state.nodes > budget:
-            state.nodes -= 1
+        if budget is not None and state.nodes >= budget:
             save_checkpoint()
             raise BudgetExceeded(
                 f"node budget {budget} exhausted",
                 SearchResult(state.certificates, state.nodes, False))
-        if cpath and state.nodes % checkpoint_every == 0:
+        if cpath and state.nodes and state.nodes % checkpoint_every == 0:
             save_checkpoint()
-        state.path.append(v)
-        if len(state.path) == n:
-            perm = list(state.path)
+        state.nodes += 1
+        v = cur[pos]
+        if len(state.path) + 1 == n:
+            perm = state.path + [v]
+            state.idx[-1] += 1
             if is_half_dimension_orthogoval(standard(g), from_map(g, perm)):
                 state.certificates.append(perm)
                 if len(state.certificates) >= max_certificates:
                     save_checkpoint()
                     return SearchResult(state.certificates, state.nodes, False)
-            state.path.pop()
-            state.idx[-1] += 1
             continue
+        state.path.append(v)
         cands.append(candidates(state.path))
         state.idx.append(0)
 

@@ -138,18 +138,18 @@ class Geometry:
         self.labeling_field
         return self._embed[small_code]
 
-    def _build_coords(self):
-        """Coordinates of every projective point, normalized."""
+    def _label_digits_to_coords(self) -> np.ndarray:
+        """Inverse over F_p of the basis matrix, whose columns are the
+        F_p digits of root^i z^{b_j}: it maps the digits of a label to
+        the F_p digits of its coordinates.  Raises ValueError ("singular
+        matrix mod p") when the basis exponents do not give a basis."""
         ext = self.labeling_field
-        base = self.field
-        p, e, r = base.p, base.n, self.dim + 1
-        m = e * r
+        p, e, r = self.field.p, self.field.n, self.dim + 1
         basis_elems = [ext.antilog(b) for b in self.basis]
-        tpow = [self.embed(base.antilog_table[0])]  # = 1
         # powers of the embedding root, for assembling small digits
         root_pows = [1]
         if e > 1:
-            root = self._embed[base.p]  # embed of x
+            root = self._embed[p]  # embed of x
             for _ in range(e - 1):
                 root_pows.append(ext.mul(root_pows[-1], root))
         cols = []
@@ -158,7 +158,14 @@ class Geometry:
                 u = ext.mul(root_pows[i], basis_elems[j])
                 cols.append(ext._digits(u))
         A = np.array(cols, dtype=np.int64).T % p  # m x m
-        Ainv = _mat_inv_mod_p(A, p)
+        return _mat_inv_mod_p(A, p)
+
+    def _build_coords(self):
+        """Coordinates of every projective point, normalized."""
+        ext = self.labeling_field
+        base = self.field
+        p, e, r = base.p, base.n, self.dim + 1
+        Ainv = self._label_digits_to_coords()
         N = self.point_count
         labels = np.array([ext._digits(ext.antilog_table[i]) for i in range(N)],
                           dtype=np.int64)
@@ -378,11 +385,13 @@ class Geometry:
             lower = self.flats(j - 1)
             seen = set()
             for flat in lower:
-                inflat = set(flat)
+                # a point of a span already found spans that flat again
+                done = set(flat)
                 for pnt in range(self.point_count):
-                    if pnt in inflat:
+                    if pnt in done:
                         continue
                     new = self.span(flat + (pnt,))
+                    done.update(new)
                     seen.add(new)
             result = sorted(seen)
         self._flats[j] = result

@@ -76,6 +76,7 @@ def test_verify_malformed_bundle(tmp_path, capsys):
     ("projective", "field", {"p": 4, "n": 1, "modulus": [1, 1]}),
     ("affine", "dim", 40),
     ("affine", "field", {"p": 3, "n": 1}),
+    ("projective", "basis", [1, 1, 1]),
 ])
 def test_malformed_header_exits_3(tmp_path, capsys, kind, key, value):
     from orthokit import bundle, geom

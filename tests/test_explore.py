@@ -1,13 +1,15 @@
 """Search engines: scans, chains, clique search, the half-dimension
-exhaustive search (budget, checkpoint, resume), and the plane-structure
-partition search."""
+exhaustive search (canonicity rule, budget, checkpoint, resume), and the
+plane-structure partition search."""
 
+import itertools
+import json
 import os
 
 import numpy as np
 import pytest
 
-from orthokit import check, explore, geom
+from orthokit import check, cli, explore, geom
 from orthokit.build import build_phi_map
 from orthokit.errors import BudgetExceeded, NotCoprime
 
@@ -67,13 +69,63 @@ def test_clique_budget():
 
 
 def test_half_dim_small_case_finds_pair():
-    res = explore.half_dim_exhaustive(2, 3)
-    assert len(res.certificates) == 1
-    perm = res.certificates[0]
-    g = geom.affine(2, 3)
-    v = check.is_half_dimension_orthogoval(check.standard(g),
-                                           check.from_map(g, perm))
-    assert v
+    for q, nodes in ((3, 14), (4, 232)):
+        res = explore.half_dim_exhaustive(2, q)
+        assert len(res.certificates) == 1 and res.nodes == nodes
+        perm = res.certificates[0]
+        g = geom.affine(2, q)
+        v = check.is_half_dimension_orthogoval(check.standard(g),
+                                               check.from_map(g, perm))
+        assert v
+
+
+def _lex_least_prefixes(perms, n, length):
+    """Oracle: every sequence of `length` distinct nonzero images that no
+    map of the group (a points x maps array) sends to a lex-smaller one.
+    Sequences compare as base-n keys, which fit int32 for the cases here."""
+    pre = np.array(list(itertools.permutations(range(1, n), length)),
+                   dtype=np.int64)
+    own = pre @ n ** np.arange(length - 1, -1, -1)
+    keep = []
+    for lo in range(0, len(pre), 256):
+        chunk = pre[lo:lo + 256]
+        key = np.zeros((len(chunk), perms.shape[1]), dtype=np.int32)
+        for i in range(length):
+            key = key * n + perms[chunk[:, i]]
+        keep.append(chunk[key.min(axis=1) == own[lo:lo + 256]])
+    return {tuple(p) for p in np.concatenate(keep).tolist()}
+
+
+def _rule_prefixes(n, q, length):
+    """The sequences the closed-form rule admits: each image at most
+    `_canonical_top` of the images before it (origin included)."""
+    out = set()
+
+    def grow(path):
+        if len(path) == length + 1:
+            out.add(tuple(path[1:]))
+            return
+        for v in range(1, min(explore._canonical_top(path, q) + 1, n)):
+            if v not in path:
+                grow(path + [v])
+
+    grow([0])
+    return out
+
+
+@pytest.mark.parametrize("d,q,longest", [
+    (2, 3, 4), (2, 4, 4), (2, 5, 4), (3, 2, 4), (4, 2, 3)])
+def test_canonicity_rule_equals_gl_lex_min(d, q, longest):
+    g = geom.affine(d, q)
+    perms = np.array(explore._gl_point_perms(g), dtype=np.int32).T.copy()
+    for length in range(1, longest + 1):
+        assert (_rule_prefixes(g.point_count, q, length)
+                == _lex_least_prefixes(perms, g.point_count, length))
+
+
+def test_half_dim_ag42_is_exhaustive_with_no_certificates():
+    res = explore.half_dim_exhaustive(4, 2)
+    assert (res.exhaustive, res.certificates, res.nodes) == (True, [], 168_439)
 
 
 def test_half_dim_budget_and_partial_result():
@@ -109,6 +161,99 @@ def test_half_dim_checkpoint_env_var(tmp_path, monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         explore.half_dim_exhaustive(4, 2, budget=700)
     assert exc.value.result.nodes == 700
+
+
+def _search_cli(capsys, *extra):
+    code = cli.main(["search", "half-dim", "--dim", "2", "--q", "3", *extra])
+    out = capsys.readouterr()
+    return code, json.loads(out.out)["verdicts"] if out.out else out.err
+
+
+def test_half_dim_rerun_of_finished_checkpoint_returns_stored_result(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
+    first = _search_cli(capsys, "--max-certificates", "100000")
+    assert first == (0, {"certificates": 192, "exhaustive": True,
+                         "nodes": 833})
+    assert _search_cli(capsys, "--max-certificates", "100000") == first
+
+
+def test_half_dim_rerun_after_certificate_stop(tmp_path, monkeypatch):
+    straight = [explore.half_dim_exhaustive(2, 3, max_certificates=m)
+                for m in (1, 2)]
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
+    for _ in range(2):
+        again = explore.half_dim_exhaustive(2, 3)
+        assert (again.certificates, again.nodes) == (
+            straight[0].certificates, straight[0].nodes)
+    more = explore.half_dim_exhaustive(2, 3, max_certificates=2)
+    assert (more.certificates, more.nodes) == (
+        straight[1].certificates, straight[1].nodes)
+
+
+def test_half_dim_periodic_checkpoint_resumes_exactly(tmp_path, monkeypatch):
+    full = explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9)
+    cp = tmp_path / "cp.json"
+    saved = []
+    replace = os.replace
+
+    def keep_first(src, dst):
+        # keep the first save, a periodic one, as if the run died after it
+        replace(src, dst)
+        if not saved:
+            saved.append(cp.read_text())
+
+    monkeypatch.setattr(explore.os, "replace", keep_first)
+    explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9,
+                                checkpoint_path=str(cp), checkpoint_every=100)
+    monkeypatch.undo()
+    assert json.loads(saved[0])["nodes"] == 100
+    cp.write_text(saved[0])
+    resumed = explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9,
+                                          checkpoint_path=str(cp))
+    assert (resumed.nodes, resumed.certificates) == (full.nodes,
+                                                     full.certificates)
+
+
+def _forge_path(cp):
+    cp["path"] = [0, 5, 3]
+
+
+def _forge_path_of_finished(cp):
+    cp["path"], cp["idx"] = [0, 5, 3], []
+
+
+def _drop_idx(cp):
+    del cp["idx"]
+
+
+def _old_version(cp):
+    del cp["task"]["version"]
+
+
+def _fake_certificate(cp):
+    cp["certificates"] = [list(range(9))]
+
+
+def _not_a_permutation(cp):
+    cp["certificates"] = [[0] * 9]
+
+
+@pytest.mark.parametrize("edit", [
+    _forge_path, _forge_path_of_finished, _drop_idx, _old_version,
+    _fake_certificate, _not_a_permutation, "truncate"])
+def test_half_dim_bad_checkpoint_exits_3(tmp_path, monkeypatch, capsys, edit):
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
+    assert _search_cli(capsys, "--budget", "5")[0] == 4
+    path = tmp_path / "half-dim-2-3.json"
+    if edit == "truncate":
+        path.write_text(path.read_text()[:20])
+    else:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    code, err = _search_cli(capsys)
+    assert code == 3 and "MALFORMED_CHECKPOINT" in err
 
 
 def test_phi_half_dim_probe():

@@ -1,6 +1,8 @@
 """Point/line/flat enumeration against closed-form counts and frozen
 hand-checked incidences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,14 @@ def test_flats_counts_ag42():
     g = geom.affine(4, 2)
     assert len(g.flats(1)) == 120
     assert len(g.flats(2)) == 140
+    g3 = geom.affine(4, 3)
+    planes = g3.flats(2)
+    assert len(planes) == 1170 and len(set(planes)) == 1170
+    for f in planes:
+        assert len(f) == 9
+        fs = set(f)
+        for a, b in itertools.combinations(f, 2):
+            assert set(g3.line_through(a, b)) <= fs
 
 
 def test_flat_sizes_and_closure():
