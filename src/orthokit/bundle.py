@@ -110,16 +110,34 @@ def _geometry_from_header(header: dict) -> geom.Geometry:
     return g
 
 
-def _space_perm(item: dict, n: int, i: int) -> np.ndarray:
+def _point_list(value, n: int, what: str) -> list[int]:
+    """A JSON list of point indices: integers in [0, n)."""
+    if not isinstance(value, list) or not all(
+            type(x) is int and 0 <= x < n for x in value):
+        raise MalformedBundle(f"{what} must be a list of integers in [0, {n})")
+    return value
+
+
+def _space_perm(item, n: int, i: int) -> np.ndarray:
+    if not isinstance(item, dict):
+        raise MalformedBundle(f"space {i} must be an object")
     if "permutation" in item:
-        return np.asarray(item["permutation"], dtype=np.int64)
-    if "cycles" in item:
-        perm = np.arange(n, dtype=np.int64)
-        for cyc in item["cycles"]:
-            for a, b in zip(cyc, list(cyc[1:]) + list(cyc[:1])):
+        perm = _point_list(item["permutation"], n, f"space {i}: permutation")
+    elif "cycles" in item:
+        cycles = item["cycles"]
+        if not isinstance(cycles, list):
+            raise MalformedBundle(f"space {i}: cycles must be a list")
+        perm = list(range(n))
+        for cyc in cycles:
+            cyc = _point_list(cyc, n, f"space {i}: cycle")
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 perm[a] = b
-        return perm
-    raise MalformedBundle(f"space {i} has neither permutation nor cycles")
+    else:
+        raise MalformedBundle(f"space {i} has neither permutation nor cycles")
+    if sorted(perm) != list(range(n)):
+        raise MalformedBundle(
+            f"space {i}: permutation is not a bijection on {n} points")
+    return np.asarray(perm, dtype=np.int64)
 
 
 def load_bundle(data) -> tuple[list[Space], dict]:
@@ -133,20 +151,10 @@ def load_bundle(data) -> tuple[list[Space], dict]:
     raw = data.get("spaces")
     if not isinstance(raw, list) or not raw:
         raise MalformedBundle("bundle has no spaces")
-    spaces = []
     n = g.point_count
-    for i, item in enumerate(raw):
-        try:
-            perm = _space_perm(item, n, i)
-            name = item.get("name", f"space[{i}]")
-        except MalformedBundle:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise MalformedBundle(f"space {i} is malformed: {exc}")
-        if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-            raise MalformedBundle(
-                f"space {i}: permutation is not a bijection on {n} points")
-        spaces.append(from_map(g, perm, name=name))
+    spaces = [from_map(g, _space_perm(item, n, i),
+                       name=item.get("name", f"space[{i}]"))
+              for i, item in enumerate(raw)]
     prov = data.get("provenance", {})
     if not isinstance(prov, dict):
         raise MalformedBundle("provenance must be an object")

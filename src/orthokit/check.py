@@ -15,6 +15,17 @@ as an independent oracle (``naive_k_orthogoval_pair``).  It also decides
 k <= 1: there every pair fails, and the scan stops within the first line
 of ``s``.
 
+Singer reduction.  When every space is projective and its permutation
+is x -> u*x + c (mod N) on the Singer labels, as the power maps are,
+both k=2 deciders (pair and family) index only the triples through
+point 0.  Such a space's lines are u times the standard lines, and the
+Singer cycle x -> x+1 permutes them, so a triple (a, b, c) colinear in
+two such spaces shifts to (0, b-a, c-a), also colinear in both and no
+larger as a key.  The least shared triple thus always starts with 0 and
+the verdicts and witnesses are those of the full index, from
+(N-1)(q-1)/2 keys per space.  The form is read from the permutation
+itself; any other family, and any k != 2, takes the paths above.
+
 All predicates are pure and deterministic.
 """
 
@@ -26,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryMismatch, OddDimension
-from .geom import Geometry
+from .geom import PROJECTIVE, Geometry
 
 _TRIPLE_CACHE_LIMIT = 2_000_000
 
@@ -129,6 +140,54 @@ def unpack_triple(key: int, n: int) -> tuple[int, int, int]:
     return (key // n, key % n, c)
 
 
+def _singer_multiplier(space: Space):
+    """u if the space's permutation is x -> u*x + c (mod N) on the
+    Singer labels of a projective geometry, else None."""
+    if space.geometry.kind != PROJECTIVE:
+        return None
+    perm = space.perm
+    n = len(perm)
+    c = int(perm[0])
+    u = (int(perm[1]) - c) % n
+    if np.array_equal(perm, (np.arange(n) * u + c) % n):
+        return u
+    return None
+
+
+def _singer_keys(spaces: list[Space]):
+    """Each space's sorted packed keys of its colinear triples through
+    point 0, or None unless every space is x -> u*x + c (mod N).  The
+    lines through 0 of such a space are u times the standard ones, so
+    a triple (0, lo, hi) packs as lo*N + hi, its full-index key."""
+    us = [_singer_multiplier(s) for s in spaces]
+    if None in us:
+        return None
+    g = spaces[0].geometry
+    n = g.point_count
+    rest = g.lines_through_origin()[:, 1:].astype(np.uint64)
+    i, j = np.triu_indices(rest.shape[1], 1)
+    out = []
+    for u in us:
+        pts = rest * np.uint64(u) % np.uint64(n)
+        a, b = pts[:, i], pts[:, j]
+        keys = (np.minimum(a, b) * np.uint64(n) + np.maximum(a, b)).ravel()
+        keys.sort()
+        out.append(keys)
+    return out
+
+
+def _line_of(space: Space, tri) -> tuple | None:
+    """The line of ``space`` through the point triple, or None if the
+    triple is not colinear in it: ``line_through`` on the preimages,
+    mapped back through the permutation."""
+    inv = space.inverse()
+    a, b, c = (int(inv[x]) for x in tri)
+    line = space.geometry.line_through(a, b)
+    if c not in line:
+        return None
+    return tuple(sorted(int(space.perm[x]) for x in line))
+
+
 def _check_same_geometry(spaces):
     g = spaces[0].geometry
     for s in spaces[1:]:
@@ -161,6 +220,14 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
     if k <= 1:
         return naive_k_orthogoval_pair(s, t, k)
     n = g.point_count
+    keys = _singer_keys([s, t]) if k == 2 else None
+    if keys is not None:
+        common = np.intersect1d(*keys, assume_unique=True)
+        if len(common) == 0:
+            return Verdict(True)
+        tri = unpack_triple(common[0], n)
+        return Verdict(False, {"triple": tri, "line_a": _line_of(s, tri),
+                               "line_b": _line_of(t, tri)})
     ls, table = _line_index(s)
     lt = t.lines()
     pairs = list(itertools.combinations(range(lt.shape[1]), 2))
@@ -241,26 +308,27 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
 
 def _duplicate_owners(spaces: list[Space], g: Geometry):
     """The first two spaces holding the least triple colinear in two
-    spaces of the family, or None if there is no such triple."""
-    per_space = g.line_count * _c3(g.points_per_line)
-    total = per_space * len(spaces)
-    buf = np.empty(total, dtype=np.uint64)
-    for i, s in enumerate(spaces):
-        buf[i * per_space:(i + 1) * per_space] = s.triples()
+    spaces of the family, or None if there is no such triple.  Each
+    space's keys are packed once: the owners are found by testing the
+    triple against each space's lines directly."""
+    keys = _singer_keys(spaces)
+    if keys is None:
+        per_space = g.line_count * _c3(g.points_per_line)
+        keys = (s.triples() for s in spaces)
+    else:
+        per_space = len(keys[0])
+    buf = np.empty(per_space * len(spaces), dtype=np.uint64)
+    for i, arr in enumerate(keys):
+        buf[i * per_space:(i + 1) * per_space] = arr
+    del keys
     buf.sort()
     dup = _first_duplicate(buf)
     if dup is None:
         return None
     del buf
-    owners = []
-    for i, s in enumerate(spaces):
-        keys = s.triples()
-        pos = np.searchsorted(keys, dup)
-        if pos < len(keys) and keys[pos] == dup:
-            owners.append(i)
-            if len(owners) == 2:
-                return tuple(owners)
-    raise AssertionError("a duplicate key has fewer than two owners")  # pragma: no cover
+    tri = unpack_triple(dup, g.point_count)
+    owners = (i for i, s in enumerate(spaces) if _line_of(s, tri) is not None)
+    return next(owners), next(owners)
 
 
 def _c3(m: int) -> int:

@@ -68,6 +68,7 @@ class Geometry:
         self._coords = None
         self._index_of = None
         self._lines = None
+        self._lines0 = None
         self._flats = {}
 
     # -- counting -------------------------------------------------------
@@ -276,25 +277,36 @@ class Geometry:
         arr = np.array(rows, dtype=np.int32)
         return arr[np.lexsort(arr.T[::-1])]
 
+    def lines_through_origin(self) -> np.ndarray:
+        """The lines of a projective space through point 0, as sorted
+        rows {0, j, log(1 + s z^j)} over the nonzero scalars s, one per
+        line, in the order of their least nonzero point j.  The Singer
+        cycle x -> x+1 carries them onto every other line."""
+        if self._lines0 is None:
+            self._check_cap()
+            ext = self.labeling_field
+            N = self.point_count
+            scalars = [self.embed(c) for c in range(1, self.q)]
+            rows = []
+            for j in range(1, N):
+                zj = ext.antilog_table[j]
+                members = [0, j]
+                for s in scalars:
+                    members.append(ext.log_table[ext.add(1, ext.mul(s, zj))] % N)
+                if min(members[1:]) == j:
+                    rows.append(sorted(members))
+            self._lines0 = np.array(rows, dtype=np.int32)
+            self._lines0.flags.writeable = False
+        return self._lines0
+
     def _projective_lines(self) -> np.ndarray:
-        ext = self.labeling_field
-        base = self.field
         N = self.point_count
-        scalars = [self.embed(c) for c in range(1, base.order)]
-        lines0 = []
-        for j in range(1, N):
-            zj = ext.antilog_table[j]
-            members = [0, j]
-            for s in scalars:
-                members.append(ext.log_table[ext.add(1, ext.mul(s, zj))] % N)
-            if min(members[1:]) == j:
-                lines0.append(sorted(members))
-        A = np.array(lines0, dtype=np.int32)
+        A = self.lines_through_origin()
         shifts = np.arange(N, dtype=np.int32)
         T = (A[None, :, :] + shifts[:, None, None]) % np.int32(N)
         T = T.reshape(-1, self.points_per_line)
         T.sort(axis=1)
-        mask = T[:, 0] == np.repeat(shifts, len(lines0))
+        mask = T[:, 0] == np.repeat(shifts, len(A))
         arr = T[mask]
         return arr[np.lexsort(arr.T[::-1])]
 

@@ -69,6 +69,13 @@ def test_cycles_accepted_on_read(tmp_path):
     lambda d: d["spaces"][0].update(permutation=[0, 0, 2, 3, 4, 5, 6, 7, 8]),
     lambda d: d["spaces"][0].pop("permutation"),
     lambda d: d.update(provenance=[1, 2]),
+    lambda d: d["spaces"][0]["permutation"].__setitem__(3, 3.0),
+    lambda d: d["spaces"][0]["permutation"].__setitem__(3, "3"),
+    lambda d: d["spaces"][0]["permutation"].__setitem__(1, True),
+    lambda d: d["spaces"][0]["permutation"].__setitem__(3, 2 ** 70),
+    lambda d: d["spaces"].__setitem__(0, {"cycles": [[-1, 0]]}),
+    lambda d: d["spaces"].__setitem__(0, {"cycles": {"0": 1}}),
+    lambda d: d["spaces"].__setitem__(0, [0, 1, 2]),
 ])
 def test_malformed_bundles_rejected(mangle):
     g = geom.affine(2, 3)

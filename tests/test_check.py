@@ -1,11 +1,14 @@
 """Verification engines: fast triple-index checker vs the naive
-line-pair oracle, askew and half-dimension checks, determinism."""
+line-pair oracle, the Singer-reduced k=2 path vs the triple index,
+askew and half-dimension checks, determinism."""
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from orthokit import check, geom
-from orthokit.build import build_phi_map, phi_space
+from orthokit.build import BIG_SETS_TABLE, build_phi_family, build_phi_map, phi_space
 from orthokit.errors import GeometryMismatch, OddDimension
 
 
@@ -45,7 +48,8 @@ def triple_reference(s, t):
     with the lines found by scanning every line."""
     g = s.geometry
     common = np.intersect1d(check.packed_triples(g, s.lines()),
-                            check.packed_triples(g, t.lines()))
+                            check.packed_triples(g, t.lines()),
+                            assume_unique=True)
     if len(common) == 0:
         return None
     tri = check.unpack_triple(int(common[0]), g.point_count)
@@ -209,3 +213,153 @@ def test_triple_pack_roundtrip():
         a, b, c = check.unpack_triple(int(key), n)
         assert a < b < c
         assert set(g.line_through(a, b)) == {a, b, c}
+
+
+def test_failing_full_index_packs_each_space_once(monkeypatch):
+    g = geom.affine(2, 3)
+    rng = np.random.default_rng(1)
+    t = random_space(g, rng)
+    fam = [check.standard(g), t, random_space(g, rng),
+           check.from_map(g, t.perm, name="copy")]
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return pack(*args)
+
+    pack = check.packed_triples
+    monkeypatch.setattr(check, "_TRIPLE_CACHE_LIMIT", 0)
+    monkeypatch.setattr(check, "packed_triples", counting)
+    v = check.are_mutually_orthogoval(fam)
+    assert not v
+    assert (v.witness["space_a"], v.witness["space_b"]) == (1, 3)
+    assert len(calls) == len(fam)
+
+
+# ----------------------------------------------------------------------
+# Singer reduction: spaces x -> u*x + c (mod N) on projective points
+# ----------------------------------------------------------------------
+
+@contextlib.contextmanager
+def full_index_off():
+    """Make the full line enumeration and the triple packer raise: a
+    decider that returns inside took the reduced path."""
+    def boom(*args):
+        raise AssertionError("the reduced path used the full index")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geom.Geometry, "lines", boom)
+        m.setattr(check, "packed_triples", boom)
+        yield
+
+
+def family_reference(spaces, through_zero=False):
+    """k=2 family witness from the triple indexes built by
+    ``packed_triples``: the least key packed by two spaces, its first two
+    owners and ``triple_reference`` on them, or None.  With
+    ``through_zero`` each space packs only its lines through point 0,
+    found in the full line enumeration, and keeps the triples (0, b, c)."""
+    g = spaces[0].geometry
+    n = g.point_count
+    keys = []
+    for s in spaces:
+        if through_zero:
+            std = g.lines()
+            k = check.packed_triples(
+                g, s.perm[std[(std == s.inverse()[0]).any(axis=1)]])
+            keys.append(k[k < n * n])
+        else:
+            keys.append(check.packed_triples(g, s.lines()))
+    every = np.sort(np.concatenate(keys))
+    dup = every[1:][every[1:] == every[:-1]]
+    if len(dup) == 0:
+        return None
+    i, j = [i for i, k in enumerate(keys) if dup[0] in k][:2]
+    return dict(triple_reference(spaces[i], spaces[j]), space_a=i, space_b=j)
+
+
+def multiplier_space(g, rng):
+    n = g.point_count
+    u = int(rng.integers(1, n))
+    while np.gcd(u, n) != 1:
+        u = int(rng.integers(1, n))
+    c = int(rng.integers(0, n))
+    return check.from_map(g, (np.arange(n) * u + c) % n, name=f"{u}x+{c}")
+
+
+# Chains one step longer than their big-sets row: each family must fail.
+OVER_LONG_CHAINS = ((2, 5, 3, 6), (2, 7, 3, 18), (3, 5, 17, 10), (5, 5, 3, 7))
+BIG_SETS_FAMILIES = (
+    [pytest.param((q, r, w, n), True, id=f"row-{q},{r},{w},{n}")
+     for q, r, ws, n in BIG_SETS_TABLE for w in ws]
+    + [pytest.param(row, False, id="over-long-" + ",".join(map(str, row)))
+       for row in OVER_LONG_CHAINS])
+
+
+@pytest.mark.parametrize("row,holds", BIG_SETS_FAMILIES)
+def test_reduced_family_check_equals_triple_index_on_big_sets(row, holds):
+    fam = build_phi_family(*row)
+    g = fam[0].geometry
+    # the PG(6,3) and PG(6,4) rows pack 31M and 164M triples in all, so
+    # on those two only the triples through point 0 are compared
+    small = g.line_count * check._c3(g.points_per_line) * len(fam) <= 4_000_000
+    ref = family_reference(fam, through_zero=not small)
+    assert (ref is None) == holds
+    with full_index_off():
+        v = check.are_mutually_orthogoval(fam)
+    assert bool(v) == holds
+    assert v.witness == ref
+
+
+def test_reduced_checks_equal_triple_index_on_seeded_maps():
+    rng = np.random.default_rng(20261018)
+    outcomes = set()
+    for dim, q in ((1, 2), (1, 5), (2, 2), (2, 4), (3, 3), (4, 2), (4, 5)):
+        g = geom.projective(dim, q)
+        for _ in range(6):
+            s, t = multiplier_space(g, rng), multiplier_space(g, rng)
+            ref = triple_reference(s, t)
+            with full_index_off():
+                v = check.is_k_orthogoval_pair(s, t, 2)
+            assert bool(v) == (ref is None) and v.witness == ref, (g, s, t)
+            outcomes.add(bool(v))
+        for _ in range(3):
+            fam = [multiplier_space(g, rng) for _ in range(3)]
+            ref = family_reference(fam)
+            with full_index_off():
+                v = check.are_mutually_orthogoval(fam)
+            assert bool(v) == (ref is None) and v.witness == ref, (g, fam)
+            outcomes.add(bool(v))
+    # negative controls: the standard space against itself shifted
+    g = geom.projective(2, 4)
+    with full_index_off():
+        assert not check.is_k_orthogoval_pair(
+            check.standard(g), check.from_map(g, check.singer_shift(g, 5)), 2)
+    assert outcomes == {True, False}
+
+
+def test_near_multiplier_maps_fall_back_to_the_full_index():
+    g = geom.projective(4, 2)
+    for w in (3, 5, 11):
+        perm = build_phi_map(g, w)
+        for i, j in ((0, 1), (7, 19)):
+            bad = perm.copy()
+            bad[[i, j]] = bad[[j, i]]
+            t = check.from_map(g, bad)
+            assert check._singer_multiplier(t) is None
+            s = check.standard(g)
+            v = check.is_k_orthogoval_pair(s, t, 2)
+            ref = triple_reference(s, t)
+            assert bool(v) == (ref is None) and v.witness == ref
+            fam = [s, phi_space(g, 3), t]
+            v = check.are_mutually_orthogoval(fam)
+            ref = family_reference(fam)
+            assert bool(v) == (ref is None) and v.witness == ref
+
+
+def test_cycle_catalog_family_falls_back_and_verifies():
+    from orthokit.build import catalog_family
+    fam = catalog_family("PG3_F2_X7")
+    assert any(check._singer_multiplier(s) is None for s in fam)
+    assert check._singer_keys(fam) is None
+    assert check.are_mutually_orthogoval(fam)
+    assert family_reference(fam) is None

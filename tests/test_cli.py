@@ -1,8 +1,12 @@
 """CLI surface: subcommands, exit codes, and report stability."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orthokit import cli
 
@@ -210,3 +214,74 @@ def test_report_is_canonical_json(capsys):
     assert out1 == out2
     assert out1.endswith("\n")
     assert json.loads(out1)["tool_version"]
+
+
+# ----------------------------------------------------------------------
+# bundle fuzzing: any mutated bundle gives a verdict or exit 3
+# ----------------------------------------------------------------------
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(), st.text(max_size=4), st.lists(st.integers(-3, 40), max_size=6),
+    st.dictionaries(st.sampled_from(["p", "n", "modulus"]),
+                    st.integers(-3, 40), max_size=3))
+FUZZ_PATHS = [("format_version",), ("header",), ("header", "kind"),
+              ("header", "dim"), ("header", "q"), ("header", "field"),
+              ("header", "field", "p"), ("header", "field", "n"),
+              ("header", "field", "modulus"), ("header", "basis"),
+              ("header", "labeling"), ("header", "labeling", "modulus"),
+              ("spaces",), ("spaces", 0), ("spaces", 1, "permutation"),
+              ("spaces", 2, "name"), ("provenance",)]
+FUZZ_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(FUZZ_PATHS), FUZZ_VALUES),
+    st.tuples(st.just("del"), st.sampled_from(FUZZ_PATHS)),
+    st.builds(lambda i, j, v: ("set", ("spaces", i, "permutation", j), v),
+              st.integers(0, 5), st.integers(0, 30), FUZZ_VALUES),
+    st.tuples(st.just("swap"), st.integers(0, 5), st.integers(0, 30),
+              st.integers(0, 30))), min_size=1, max_size=3)
+
+
+def _mutate(doc, edit):
+    """Apply one edit; an edit whose path a previous edit broke is skipped."""
+    try:
+        if edit[0] == "swap":
+            perm = doc["spaces"][edit[1]]["permutation"]
+            perm[edit[2]], perm[edit[3]] = perm[edit[3]], perm[edit[2]]
+            return
+        *parents, last = edit[1]
+        obj = doc
+        for key in parents:
+            obj = obj[key]
+        if edit[0] == "del":
+            del obj[last]
+        else:
+            obj[last] = edit[2]
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def phi_bundle_doc():
+    from orthokit import bundle
+    from orthokit.build import build_phi_family
+    return bundle.bundle_dict(build_phi_family(2, 5, 3, 5),
+                              {"construction": "phi-family"})
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=FUZZ_EDITS)
+def test_mutated_bundle_gives_a_verdict_or_exit_3(phi_bundle_doc, tmp_path, edits):
+    doc = json.loads(json.dumps(phi_bundle_doc))
+    for edit in edits:
+        _mutate(doc, edit)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", str(path)])
+    if code == 3:
+        assert out.getvalue() == "" and "error [" in err.getvalue()
+    else:
+        assert code in (0, 1), (code, err.getvalue())
+        assert json.loads(out.getvalue())["verdicts"]["holds"] is (code == 0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from orthokit import check, cli, explore, geom
-from orthokit.build import build_phi_map
+from orthokit.build import BIG_SETS_TABLE, build_phi_map
 from orthokit.errors import BudgetExceeded, NotCoprime
 
 
@@ -40,6 +40,14 @@ def test_power_chain_values():
     assert explore.power_chain(2, 5, 3) == 5
     assert explore.power_chain(5, 5, 3) == 6
     assert explore.power_chain(5, 5, 9) == 6
+
+
+def test_power_chain_matches_every_big_sets_row():
+    # the pair decider against the family table: each row's chain stops
+    # exactly at its n
+    for q, r, ws, n in BIG_SETS_TABLE:
+        for w in ws:
+            assert explore.power_chain(q, r, w) == n, (q, r, w)
 
 
 def test_power_chain_rejects_non_coprime():
