@@ -362,6 +362,20 @@ def cmd_reproduce(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no less than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="orthokit",
@@ -428,12 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--w-list", required=True,
                    help="comma-separated exponents as clique candidates")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
     p = ss.add_parser("half-dim")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--max-certificates", type=int, default=1)
+    p.add_argument("--budget", type=_int_at_least(0), default=None)
+    p.add_argument("--max-certificates", type=_int_at_least(1), default=1)
     p.add_argument("--out", default=None,
                    help="write found certificates as a bundle")
     for p in ss.choices.values():
@@ -443,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reproduce", help="re-run a whole result table")
     r.add_argument("table", choices=("big-sets", "catalog", "bounds",
                                      "askew", "half-dim-nonexistence"))
-    r.add_argument("--budget", type=int, default=None,
+    r.add_argument("--budget", type=_int_at_least(0), default=None,
                    help="node budget for half-dim-nonexistence")
     r.add_argument("--rows", nargs="*", default=None,
                    help="restrict big-sets to q,r,w triples")

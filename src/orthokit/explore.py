@@ -4,9 +4,10 @@ Four task kinds: exponent scans for orthomorphism power maps, power
 chains, branch-and-bound clique search over candidate bijections, and
 the exhaustive search over affine structures used for the
 half-dimension nonexistence question, reduced by GL(d, q) through a
-closed-form test of lex-least prefixes.  All searches are
-deterministic: candidate orders are canonical and results never depend
-on timing.  Every certificate emitted here is re-verified through
+closed-form test of lex-least prefixes and pruned per node through a
+table of the spans of the standard k-flats' (k+1)-subsets.  All searches
+are deterministic: candidate orders are canonical and results never
+depend on timing.  Every certificate emitted here is re-verified through
 :mod:`orthokit.check` before it is reported.
 """
 
@@ -17,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,7 +32,12 @@ from .check import (
     is_orthomorphism,
     standard,
 )
-from .errors import BudgetExceeded, MalformedCheckpoint, NotCoprime
+from .errors import (
+    BudgetExceeded,
+    MalformedCheckpoint,
+    NotCoprime,
+    OddDimension,
+)
 from .geom import _gf_rank
 from .gf import prime_factors
 
@@ -219,7 +226,8 @@ def _gl_point_perms(g: geom.Geometry) -> list:
 
 
 def _flat_image_ok(g: geom.Geometry, image: list[int], k: int) -> bool:
-    """No k+2 of the image points may lie in a common k-flat."""
+    """No k+2 of the image points may lie in a common k-flat: the test
+    reference for the candidates of :func:`_half_dim_candidates`."""
     s = k + 2
     if len(image) == s:
         return g.rank_of(image) == s
@@ -227,6 +235,71 @@ def _flat_image_ok(g: geom.Geometry, image: list[int], k: int) -> bool:
         if g.rank_of(sub) != s:
             return False
     return True
+
+
+def _span_table(g: geom.Geometry, k: int) -> dict:
+    """Maps the bitmask of every (k+1)-subset of a k-flat to the bitmask
+    of that flat, its span.  A subset found in two k-flats lies in a
+    (k-1)-flat, so it is dependent and maps to None.  Every (k+1)-subset
+    of the points lies in some k-flat, so every one is a key."""
+    table = {}
+    for f in g.flats(k):
+        bits = [1 << p for p in f]
+        span = sum(bits)
+        for sub in itertools.combinations(bits, k + 1):
+            key = sum(sub)
+            table[key] = None if key in table else span
+    return table
+
+
+def _half_dim_candidates(g: geom.Geometry):
+    """The candidate generator of :func:`half_dim_exhaustive` on AG(d, q):
+    ``candidates(path)`` lists, ascending, the images the next point
+    ``len(path)`` may take after the images ``path``.
+
+    An image is admissible when it is unused, at most
+    :func:`_canonical_top`, and completes every standard k-flat whose
+    largest point is the next one to an image with no k+2 points in a
+    common k-flat.  For such a flat, with other images I, that holds
+    exactly when every (k+1)-subset S of I is independent, no other point
+    of I lies in span(S), and the new image avoids span(S).  So each flat
+    forbids its spans once per node, read off :func:`_span_table`,
+    instead of being tested for every image."""
+    k = g.dim // 2
+    n, q = g.point_count, g.q
+    table = _span_table(g, k)
+    # per point: each (k+1)-subset of the other points of each k-flat it
+    # is the largest point of, with those other points when there are
+    # more of them, as getters of their bits
+    by_max = [[] for _ in range(n)]
+    for f in g.flats(k):
+        others = f[:-1]
+        whole = itemgetter(*others) if len(others) > k + 1 else None
+        for sub in itertools.combinations(others, k + 1):
+            by_max[f[-1]].append((itemgetter(*sub), whole))
+    # the images at most _canonical_top, by the largest image so far
+    window = [(1 << min(_canonical_top([m], q) + 1, n)) - 1
+              for m in range(n)]
+
+    def candidates(path):
+        bits = [1 << v for v in path]
+        used = sum(bits)
+        forbidden = used
+        for sub, whole in by_max[len(path)]:
+            key = sum(sub(bits))
+            span = table[key]
+            if span is None or whole and span & sum(whole(bits)) != key:
+                return []
+            forbidden |= span
+        free = window[used.bit_length() - 1] & ~forbidden
+        out = []
+        while free:
+            low = free & -free
+            out.append(low.bit_length() - 1)
+            free ^= low
+        return out
+
+    return candidates
 
 
 def _canonical_top(path: list, q: int) -> int:
@@ -261,11 +334,12 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)
 
 
-def _load_checkpoint(cpath: str, task: dict, g: geom.Geometry, candidates):
+def _load_checkpoint(cpath: str, task: dict, std: Space, candidates):
     """The search state saved in ``cpath`` and its rebuilt candidate
-    stack.  Raises MalformedCheckpoint unless the file holds a state of
-    this task and search version that the search itself can reach, with
-    every stored certificate passing re-verification."""
+    stack; ``std`` is the standard space of the searched geometry.
+    Raises MalformedCheckpoint unless the file holds a state of this task
+    and search version that the search itself can reach, with every
+    stored certificate passing re-verification."""
     def bad(why):
         return MalformedCheckpoint(f"checkpoint {cpath}: {why}")
 
@@ -282,6 +356,7 @@ def _load_checkpoint(cpath: str, task: dict, g: geom.Geometry, candidates):
             and nodes >= 0 and isinstance(certs, list)
             and all(_int_list(c) for c in certs)):
         raise bad("path, idx, nodes or certificates has the wrong type")
+    g = std.geometry
     n = g.point_count
     cands = []
     if idx:
@@ -298,7 +373,6 @@ def _load_checkpoint(cpath: str, task: dict, g: geom.Geometry, candidates):
             raise bad(f"idx[-1] = {idx[-1]} is out of range")
     elif path != [0]:
         raise bad("a finished search must have path [0]")
-    std = standard(g)
     for c in certs:
         if sorted(c) != list(range(n)) or not is_half_dimension_orthogoval(
                 std, from_map(g, c)):
@@ -323,52 +397,33 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     images of a lex-least prefix is the index range [0, q^r), and its
     stabiliser moves any point outside that span to any other, so a
     prefix is lex-least exactly when each image is at most the least
-    power of q above every earlier one.
+    power of q above every earlier one.  The images a point may take are
+    read off a span table once per node (see
+    :func:`_half_dim_candidates`), so no rank is computed per image.
 
-    Raises BudgetExceeded (with the partial result attached) when the
-    node budget runs out.  A checkpoint file is written so the run can
-    resume; a finished checkpoint, or one already holding
-    ``max_certificates`` certificates, returns its stored result, and one
-    of another task or search version, or naming a position the search
-    cannot reach, raises MalformedCheckpoint.
+    Raises OddDimension for odd ``d``, ValueError when
+    ``max_certificates`` is below 1, and BudgetExceeded (with the partial
+    result attached) when the node budget runs out.  A checkpoint file
+    is written so the run can resume; a finished checkpoint, or one
+    already holding ``max_certificates`` certificates, returns its stored
+    result, and one of another task or search version, or naming a
+    position the search cannot reach, raises MalformedCheckpoint.
     """
     if d % 2:
-        raise ValueError("dimension must be even")
+        raise OddDimension(f"dimension {d} is odd")
+    if max_certificates < 1:
+        raise ValueError(f"max_certificates must be at least 1, "
+                         f"not {max_certificates}")
     g = geom.affine(d, q)
-    k = d // 2
     n = g.point_count
-    flats = [tuple(f) for f in g.flats(k)]
-    by_max = [[] for _ in range(n)]
-    for f in flats:
-        by_max[max(f)].append(f)
+    std = standard(g)
+    candidates = _half_dim_candidates(g)
     cpath = _checkpoint_path(d, q, checkpoint_path)
     task = {"kind": "HALF_DIM_EXHAUSTIVE", "d": d, "q": q,
             "version": _SEARCH_VERSION}
 
-    if q == 2 and k == 2:
-        # F_2 point indices are the coordinate bit-vectors, and a 4-point
-        # flat image is degenerate exactly when the indices xor to zero.
-        def flat_ok(image):
-            return image[0] ^ image[1] ^ image[2] ^ image[3] != 0
-    else:
-        def flat_ok(image):
-            return _flat_image_ok(g, image, k)
-
-    def candidates(path):
-        """Admissible images for the next point, ascending."""
-        depth = len(path)  # next point to assign is `depth`
-        used = set(path)
-        out = []
-        for v in range(min(_canonical_top(path, q) + 1, n)):
-            if v in used:
-                continue
-            trial = path + [v]
-            if all(flat_ok([trial[p] for p in f]) for f in by_max[depth]):
-                out.append(v)
-        return out
-
     if resume and cpath and os.path.exists(cpath):
-        state, cands = _load_checkpoint(cpath, task, g, candidates)
+        state, cands = _load_checkpoint(cpath, task, std, candidates)
         if not state.idx or (state.certificates and
                              len(state.certificates) >= max_certificates):
             return SearchResult(state.certificates, state.nodes, not state.idx)
@@ -420,7 +475,7 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
         if len(state.path) + 1 == n:
             perm = state.path + [v]
             state.idx[-1] += 1
-            if is_half_dimension_orthogoval(standard(g), from_map(g, perm)):
+            if is_half_dimension_orthogoval(std, from_map(g, perm)):
                 state.certificates.append(perm)
                 if len(state.certificates) >= max_certificates:
                     save_checkpoint()

@@ -159,6 +159,32 @@ def test_search_half_dim_writes_certificates(capsys, tmp_path):
     assert prov["construction"] == "half-dim-search"
 
 
+def test_search_half_dim_odd_dimension_exit_2(capsys):
+    code, stdout, err = run(capsys, "search", "half-dim", "--dim", "3",
+                            "--q", "2")
+    assert (code, stdout) == (2, "")
+    assert "ODD_DIMENSION" in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["search", "half-dim", "--dim", "2", "--q", "3", "--budget", "-1"],
+     "--budget"),
+    (["search", "half-dim", "--dim", "2", "--q", "3", "--budget", "1.5"],
+     "--budget"),
+    (["search", "clique", "--q", "2", "--r", "5", "--w-list", "3,5",
+      "--budget", "-1"], "--budget"),
+    (["reproduce", "half-dim-nonexistence", "--budget", "-5"], "--budget"),
+    (["search", "half-dim", "--dim", "2", "--q", "3",
+      "--max-certificates", "0"], "--max-certificates"),
+    (["search", "half-dim", "--dim", "2", "--q", "3",
+      "--max-certificates", "-1"], "--max-certificates"),
+])
+def test_impossible_search_limits_exit_2(capsys, argv, option):
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert option in err
+
+
 def test_reproduce_askew_and_catalog(capsys):
     code, stdout, _ = run(capsys, "reproduce", "askew")
     assert code == 0

@@ -11,7 +11,7 @@ import pytest
 
 from orthokit import check, cli, explore, geom
 from orthokit.build import BIG_SETS_TABLE, build_phi_map
-from orthokit.errors import BudgetExceeded, NotCoprime
+from orthokit.errors import BudgetExceeded, NotCoprime, OddDimension
 
 
 def test_exponent_scan_q5_r5():
@@ -129,6 +129,68 @@ def test_canonicity_rule_equals_gl_lex_min(d, q, longest):
     for length in range(1, longest + 1):
         assert (_rule_prefixes(g.point_count, q, length)
                 == _lex_least_prefixes(perms, g.point_count, length))
+
+
+def _reference_candidates(g, path):
+    """Oracle: the images up to the canonical top that leave every k-flat
+    completed by the next point with no k+2 images in a common k-flat,
+    each tested with `_flat_image_ok` (ranks from `Geometry.rank_of`)."""
+    k = g.dim // 2
+    flats = [f for f in g.flats(k) if f[-1] == len(path)]
+    top = min(explore._canonical_top(path, g.q) + 1, g.point_count)
+    return [v for v in range(top) if v not in path and all(
+        explore._flat_image_ok(g, [(path + [v])[p] for p in f], k)
+        for f in flats)]
+
+
+@pytest.mark.parametrize("d,q,budget", [
+    (2, 3, None), (2, 4, 2500), (4, 2, 800), (2, 5, 2000), (4, 3, 600)])
+def test_span_table_candidates_equal_flat_test(d, q, budget):
+    # walk the search tree depth first, in search order, comparing the
+    # candidates at every node (every node of AG(2,3); the first nodes
+    # elsewhere, which on AG(2,4) include the whole run to its first
+    # certificate)
+    g = geom.affine(d, q)
+    candidates = explore._half_dim_candidates(g)
+    stack, seen = [[0]], 0
+    while stack and seen != budget:
+        path = stack.pop()
+        got = candidates(path)
+        assert got == _reference_candidates(g, path), path
+        seen += 1
+        if len(path) + 1 < g.point_count:
+            stack.extend(path + [v] for v in reversed(got))
+    assert not stack if budget is None else seen == budget
+
+
+def test_span_table_negative_controls():
+    # AG(4,2): the plane {0, 1, 2, 3} completes at point 3; its image is
+    # degenerate exactly when the four images xor to 0, so after 0, 1, 2
+    # the image 3 is refused and only 4 (up to the canonical top) is left
+    g = geom.affine(4, 2)
+    assert not explore._flat_image_ok(g, [0, 1, 2, 0 ^ 1 ^ 2], 2)
+    assert explore._half_dim_candidates(g)([0, 1, 2]) == [4] == (
+        _reference_candidates(g, [0, 1, 2]))
+    # AG(2,4): the line {0, 1, 2, 3} completes at point 3, and its images
+    # 0, 1, 2 so far are collinear, so no image can complete it
+    g = geom.affine(2, 4)
+    assert g.line_through(0, 1) == (0, 1, 2, 3)
+    assert explore._half_dim_candidates(g)([0, 1, 2]) == [] == (
+        _reference_candidates(g, [0, 1, 2]))
+    # AG(4,3): the plane {0, ..., 8} completes at point 8, and its images
+    # 0, 1, 2 are collinear, a dependent triple of the span table
+    g = geom.affine(4, 3)
+    assert g.rank_of([0, 1, 2]) == 2
+    assert explore._half_dim_candidates(g)(list(range(8))) == [] == (
+        _reference_candidates(g, list(range(8))))
+
+
+def test_half_dim_rejects_odd_dimension_and_no_certificates():
+    with pytest.raises(OddDimension):
+        explore.half_dim_exhaustive(3, 2)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            explore.half_dim_exhaustive(2, 3, max_certificates=m)
 
 
 def test_half_dim_ag42_is_exhaustive_with_no_certificates():
