@@ -14,11 +14,19 @@ for a basis exponent list (b_1, ..., b_r).  Two built-in bases:
   * "desc": (z^{r-1}, ..., z^0)
 Changing basis relabels coordinates by a collineation; the index set,
 the line set and every incidence property are basis-independent.
+
+Flats are enumerated from reduced row-echelon bases, each exactly once:
+an affine j-flat is the row space W of a j x d echelon matrix plus a
+coset representative that is zero on W's pivot columns, and a projective
+j-flat is the set of normalised vectors in the row space of a
+(j+1) x (d+1) echelon matrix.  The cached line and flat lists are
+read-only.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,41 +107,8 @@ class Geometry:
         if self._ext is None:
             p, e = self.field.p, self.field.n
             self._ext = field_create(p, e * (self.dim + 1), self._labeling_modulus)
-            self._build_embedding()
+            self._embed = _embedding(self.field, self._ext)
         return self._ext
-
-    def _build_embedding(self):
-        """Embed the base field into the labelling field.
-
-        The embedding sends the residue of x in GF(q) to the least root
-        of the base modulus in the extension, extended F_p-linearly.
-        """
-        base, ext = self.field, self._ext
-        p, e = base.p, base.n
-        if e == 1:
-            root = None
-            table = list(range(p))
-        else:
-            root = None
-            for t in range(ext.order):
-                acc = 0
-                for c in reversed(base.modulus):
-                    acc = ext.add(ext.mul(acc, t), c % p)
-                if acc == 0:
-                    root = t
-                    break
-            if root is None:  # pragma: no cover
-                raise ValueError("base modulus has no root in the extension")
-            table = []
-            for code in range(base.order):
-                digs = base._digits(code)
-                acc, tp = 0, 1
-                for c in digs:
-                    acc = ext.add(acc, ext.mul(c, tp))
-                    tp = ext.mul(tp, root)
-                table.append(acc)
-        self._embed = table
-        self._unembed = {big: small for small, big in enumerate(table)}
 
     def embed(self, small_code: int) -> int:
         self.labeling_field
@@ -256,6 +231,7 @@ class Geometry:
             if len(self._lines) != expect:  # pragma: no cover
                 raise ValueError(
                     f"line enumeration produced {len(self._lines)}, expected {expect}")
+            self._lines.flags.writeable = False
         return self._lines
 
     def _affine_lines(self) -> np.ndarray:
@@ -381,33 +357,75 @@ class Geometry:
             out.add(self._index_of[tuple(vec)])
         return tuple(sorted(out))
 
-    def flats(self, j: int) -> list[tuple[int, ...]]:
-        """All j-dimensional flats as sorted point tuples."""
+    def flats(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """All j-dimensional flats as sorted point tuples in lexicographic
+        order, cached as a tuple.  For 0 < j < dim each flat comes from
+        exactly one reduced row-echelon basis (see the module docstring),
+        and the count is checked against the Gaussian binomial."""
         if j < 0 or j > self.dim:
             raise BadDimension(f"flat dimension {j} out of range 0..{self.dim}")
-        if j in self._flats:
-            return self._flats[j]
-        if j == 0:
-            result = [(i,) for i in range(self.point_count)]
-        elif j == 1:
-            result = [tuple(row) for row in self.lines().tolist()]
-        elif j == self.dim:
-            result = [tuple(range(self.point_count))]
+        if j not in self._flats:
+            q, d = self.q, self.dim
+            if j == 0:
+                result = tuple((i,) for i in range(self.point_count))
+            elif j == d:
+                result = (tuple(range(self.point_count)),)
+            else:
+                result = tuple(map(tuple, self._echelon_flats(j).tolist()))
+            if self.kind == AFFINE:
+                expect = q ** (d - j) * _gaussian_binomial(d, j, q)
+            else:
+                expect = _gaussian_binomial(d + 1, j + 1, q)
+            if len(result) != expect:  # pragma: no cover
+                raise ValueError(
+                    f"{j}-flat enumeration produced {len(result)}, expected {expect}")
+            self._flats[j] = result
+        return self._flats[j]
+
+    def _echelon_flats(self, j: int) -> np.ndarray:
+        """Sorted point rows of every j-flat, 0 < j < dim, lexsorted.
+
+        Per pivot set, every filling of the entries right of the pivots
+        gives one echelon basis.  Affine: its row space W is the q^j
+        coefficient combinations, shifted by the q^(d-j) vectors that are
+        zero on the pivots; a point's index is its base-q code.
+        Projective: the normalised coefficient vectors give normalised
+        points, mapped to Singer indices by one table over base-q codes."""
+        self._check_cap()
+        q, affine_ = self.q, self.kind == AFFINE
+        r, n = (j, self.dim) if affine_ else (j + 1, self.dim + 1)
+        add, mul = _field_tables(self.field)
+        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        if affine_:
+            coeffs = _all_vectors(q, r)
         else:
-            lower = self.flats(j - 1)
-            seen = set()
-            for flat in lower:
-                # a point of a span already found spans that flat again
-                done = set(flat)
-                for pnt in range(self.point_count):
-                    if pnt in done:
-                        continue
-                    new = self.span(flat + (pnt,))
-                    done.update(new)
-                    seen.add(new)
-            result = sorted(seen)
-        self._flats[j] = result
-        return result
+            coeffs = np.array(list(_normalized_directions(self.field, r)))
+            lookup = np.zeros(q ** n, dtype=np.int32)
+            lookup[np.array(self.points()) @ weights] = np.arange(self.point_count)
+        blocks = []
+        for piv in itertools.combinations(range(n), r):
+            free = [(i, c) for i, p in enumerate(piv)
+                    for c in range(p + 1, n) if c not in piv]
+            fill = _all_vectors(q, len(free))
+            basis = np.zeros((len(fill), r, n), dtype=np.int64)
+            basis[:, range(r), piv] = 1
+            if free:
+                rows, cols = zip(*free)
+                basis[:, rows, cols] = fill
+            pts = np.zeros((len(fill), len(coeffs), n), dtype=np.int64)
+            for i in range(r):
+                pts = add[pts, mul[coeffs[None, :, i, None], basis[:, None, i, :]]]
+            if affine_:
+                rest = [c for c in range(n) if c not in piv]
+                shifts = np.zeros((q ** len(rest), n), dtype=np.int64)
+                shifts[:, rest] = _all_vectors(q, len(rest))
+                pts = add[pts[:, None], shifts[None, :, None]]
+                blocks.append((pts @ weights).reshape(-1, len(coeffs)))
+            else:
+                blocks.append(lookup[pts @ weights])
+        arr = np.concatenate(blocks).astype(np.int32)
+        arr.sort(axis=1)
+        return arr[np.lexsort(arr.T[::-1])]
 
     # -- identity --------------------------------------------------------
 
@@ -458,6 +476,58 @@ def _split_prime_power(q: int) -> tuple[int, int]:
                 raise ValueError(f"{q} is not a prime power")
             return p, e
     raise ValueError(f"{q} is not a prime power")
+
+
+@lru_cache(maxsize=None)
+def _embedding(base: GF, ext: GF) -> tuple[int, ...]:
+    """Codes in ``ext`` of the elements of ``base``: the residue of x in
+    the base field goes to the least root of the base modulus in the
+    extension, extended F_p-linearly.  Cached per field pair; a GF is
+    immutable and hashed by p, n and its modulus."""
+    p, e = base.p, base.n
+    if e == 1:
+        return tuple(range(p))
+    root = None
+    for t in range(ext.order):
+        acc = 0
+        for c in reversed(base.modulus):
+            acc = ext.add(ext.mul(acc, t), c % p)
+        if acc == 0:
+            root = t
+            break
+    if root is None:  # pragma: no cover
+        raise ValueError("base modulus has no root in the extension")
+    table = []
+    for code in range(base.order):
+        acc, tp = 0, 1
+        for c in base._digits(code):
+            acc = ext.add(acc, ext.mul(c, tp))
+            tp = ext.mul(tp, root)
+        table.append(acc)
+    return tuple(table)
+
+
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _field_tables(field: GF) -> tuple[np.ndarray, np.ndarray]:
+    """q x q addition and multiplication tables of the field's codes."""
+    q = field.order
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    return add, mul
+
+
+def _all_vectors(q: int, m: int) -> np.ndarray:
+    """The q^m vectors of {0..q-1}^m as rows, in lexicographic order."""
+    return np.array(list(itertools.product(range(q), repeat=m)),
+                    dtype=np.int64).reshape(q ** m, m)
 
 
 def _normalized_directions(field: GF, d: int):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from orthokit import check, cli, explore, geom
-from orthokit.build import BIG_SETS_TABLE, build_phi_map
+from orthokit.build import BIG_SETS_TABLE, build_phi_map, phi_space
 from orthokit.errors import BudgetExceeded, NotCoprime, OddDimension
 
 
@@ -330,6 +330,32 @@ def test_phi_half_dim_probe():
     res = explore.phi_half_dim_probe([(2, 1), (2, 2)])
     assert res[0]["half_dimension_orthogoval"] is True
     assert res[1]["half_dimension_orthogoval"] is False
+
+
+@pytest.mark.parametrize("q,k", [(3, 2), (4, 2), (2, 3)],
+                         ids=["PG(4,3)", "PG(4,4)", "PG(6,2)"])
+def test_phi_half_dim_probe_fails_with_a_flat_witness(q, k):
+    res = explore.phi_half_dim_probe([(q, k)])
+    assert res == [{"q": q, "k": k, "half_dimension_orthogoval": False}]
+    g = geom.projective(2 * k, q)
+    s, t = check.standard(g), phi_space(g, -1)
+    verdict = check.is_half_dimension_orthogoval(s, t)
+    assert not verdict.ok
+    w = verdict.witness
+    shared = set(w["flat_a"]) & set(w["flat_b"])
+    assert len(shared) > k + 1 and shared == set(w["intersection"])
+    size = (q ** (k + 1) - 1) // (q - 1)
+    for space, flat in ((s, w["flat_a"]), (t, w["flat_b"])):
+        inv = space.inverse()
+        assert len(set(flat)) == size
+        assert g.rank_of([int(inv[x]) for x in flat]) == k + 1
+
+
+def test_half_dim_ag62_budget_is_exhausted():
+    with pytest.raises(BudgetExceeded) as exc:
+        explore.half_dim_exhaustive(6, 2, budget=300)
+    assert exc.value.result.nodes == 300
+    assert not exc.value.result.exhaustive
 
 
 def test_plane_structure_count():

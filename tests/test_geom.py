@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from orthokit import geom
+from orthokit import check, geom
+from orthokit.build import phi_space
 from orthokit.errors import BadDimension, EqualPoints, GeometryMismatch
 
 
@@ -117,6 +118,164 @@ def test_rank_of_colinear_vs_triangle():
     gp = geom.projective(2, 2)
     line = tuple(int(x) for x in gp.lines()[0])
     assert gp.rank_of(line) == 2
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def flat_count(g, j):
+    d, q = g.dim, g.q
+    if g.kind == "affine":
+        return q ** (d - j) * gaussian_binomial(d, j, q)
+    return gaussian_binomial(d + 1, j + 1, q)
+
+
+def span_closure_flats(g):
+    """The reference for ``Geometry.flats``: every flat by dimension,
+    each j-flat found as ``Geometry.span`` of a (j-1)-flat and a point
+    outside it, the points of a span already found being skipped.  Only
+    points above the (j-1)-flat's largest are tried: a j-flat X has a
+    (j-1)-flat avoiding max(X), and X is its span with max(X)."""
+    levels = [sorted({g.span([p]) for p in range(g.point_count)})]
+    for _ in range(g.dim):
+        seen = set()
+        for flat in levels[-1]:
+            done = set(flat)
+            for pnt in range(flat[-1] + 1, g.point_count):
+                if pnt not in done:
+                    new = g.span(flat + (pnt,))
+                    done.update(new)
+                    seen.add(new)
+        levels.append(sorted(seen))
+    return levels
+
+
+def flat_list_holds(g, j, flats):
+    """``flats`` is the list of j-flats: the Gaussian-binomial count,
+    distinct, and each one closed under span with rank j+1."""
+    return (len(flats) == flat_count(g, j) and len(set(flats)) == len(flats)
+            and all(g.span(f) == tuple(f) and g.rank_of(f) == j + 1
+                    for f in flats))
+
+
+ORACLE_GEOMETRIES = [
+    ("AG(2,3)", lambda: geom.affine(2, 3)),
+    ("AG(3,2)", lambda: geom.affine(3, 2)),
+    ("AG(3,4)", lambda: geom.affine(3, 4)),
+    ("AG(4,2)", lambda: geom.affine(4, 2)),
+    ("AG(4,3)", lambda: geom.affine(4, 3)),
+    ("PG(3,2)", lambda: geom.projective(3, 2)),
+    ("PG(3,3)", lambda: geom.projective(3, 3)),
+    ("PG(3,4)", lambda: geom.projective(3, 4)),
+    ("PG(4,2)", lambda: geom.projective(4, 2)),
+    ("PG(5,2)", lambda: geom.projective(5, 2)),
+    # Singer indices depend on the basis and on the labelling modulus
+    ("PG(3,3) desc", lambda: geom.projective(
+        3, 3, labeling_modulus=[2, 0, 0, 2, 1], basis="desc")),
+    ("PG(3,2) x^4+x^3+1", lambda: geom.projective(
+        3, 2, labeling_modulus=[1, 0, 0, 1, 1])),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_GEOMETRIES],
+                         ids=[name for name, _ in ORACLE_GEOMETRIES])
+def test_flats_equal_span_closure(make):
+    g = make()
+    reference = span_closure_flats(g)
+    for j in range(g.dim + 1):
+        flats = g.flats(j)
+        assert flats == tuple(reference[j])
+        assert len(flats) == flat_count(g, j)
+    assert g.flats(1) == tuple(map(tuple, g.lines().tolist()))
+
+
+@pytest.mark.parametrize("make,j,count", [
+    (lambda: geom.affine(6, 2), 3, 11_160),
+    (lambda: geom.projective(4, 4), 2, 5_797),
+    (lambda: geom.projective(6, 2), 3, 11_811),
+], ids=["AG(6,2)", "PG(4,4)", "PG(6,2)"])
+def test_flats_counts_at_half_dimension(make, j, count):
+    g = make()
+    flats = g.flats(j)
+    assert len(flats) == count == flat_count(g, j)
+    assert len(set(flats)) == count
+    size = len(flats[0])
+    assert all(len(f) == size and list(f) == sorted(f) for f in flats)
+    assert list(flats) == sorted(flats)
+    for f in flats[::97]:
+        assert g.rank_of(f) == j + 1
+
+
+def test_flat_list_check_negative_controls():
+    g = geom.projective(3, 3)
+    planes = list(g.flats(2))
+    assert flat_list_holds(g, 2, planes)
+    first = planes[0]
+    outside = next(p for p in range(g.point_count) if p not in first)
+    swapped = tuple(sorted(first[1:] + (outside,)))
+    assert g.span(swapped) != swapped and g.rank_of(swapped) == 4
+    assert not flat_list_holds(g, 2, [swapped] + planes[1:])
+    assert not flat_list_holds(g, 2, planes[1:])
+    assert not flat_list_holds(g, 2, planes[:-1] + [planes[0]])
+    ga = geom.affine(3, 3)
+    lines = list(ga.flats(1))
+    assert flat_list_holds(ga, 1, lines)
+    bent = (lines[0][0], lines[0][1], next(
+        p for p in range(ga.point_count) if p not in lines[0]))
+    assert ga.rank_of(bent) == 3
+    assert not flat_list_holds(ga, 1, [bent] + lines[1:])
+
+
+def test_cached_lines_and_flats_are_read_only():
+    g = geom.projective(4, 2)
+    s, t = check.standard(g), phi_space(g, -1)
+    before = check.is_half_dimension_orthogoval(s, t)
+    pair = check.is_k_orthogoval_pair(s, t, 2)
+    assert not before.ok
+    with pytest.raises(AttributeError):
+        g.flats(2).clear()
+    with pytest.raises(ValueError):
+        g.lines()[:] = 0
+    assert check.is_half_dimension_orthogoval(s, t) == before
+    assert check.is_k_orthogoval_pair(s, t, 2) == pair
+    assert len(g.flats(2)) == 155
+
+
+@pytest.mark.parametrize("make", [
+    lambda: geom.projective(2, 4),
+    lambda: geom.projective(3, 4),
+    lambda: geom.projective(2, 9),
+    lambda: geom.projective(2, 8),
+    lambda: geom.projective(2, 4, labeling_modulus=[1, 0, 0, 0, 0, 1, 1]),
+    lambda: geom.projective(3, 2, labeling_modulus=[1, 1, 0, 0, 1]),
+    lambda: geom.projective(3, 2, labeling_modulus=[1, 0, 0, 1, 1]),
+], ids=["PG(2,4)", "PG(3,4)", "PG(2,9)", "PG(2,8)", "PG(2,4) x^6+x^5+1",
+        "PG(3,2) x^4+x+1", "PG(3,2) x^4+x^3+1"])
+def test_cached_embedding_equals_fresh(make):
+    g = make()
+    ext = g.labeling_field
+    assert geom._embedding(g.field, ext) == geom._embedding.__wrapped__(g.field, ext)
+    again = make()
+    again.labeling_field
+    assert again._embed is g._embed
+
+
+def test_embedding_cache_is_keyed_by_labelling_field():
+    a = geom.projective(2, 4)
+    b = geom.projective(2, 4, labeling_modulus=[1, 0, 0, 0, 0, 1, 1])
+    assert a.labeling_field != b.labeling_field
+    assert a._embed != b._embed
+    # the two candidate moduli of the PG3_F2_X7 catalog entry: over F_2
+    # both embeddings are the identity, but the coordinates differ
+    g1 = geom.projective(3, 2, labeling_modulus=[1, 1, 0, 0, 1])
+    g2 = geom.projective(3, 2, labeling_modulus=[1, 0, 0, 1, 1])
+    assert g1.labeling_field != g2.labeling_field
+    assert g1.points() != g2.points()
 
 
 def test_flats_counts_pg42():
