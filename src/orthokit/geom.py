@@ -15,12 +15,14 @@ for a basis exponent list (b_1, ..., b_r).  Two built-in bases:
 Changing basis relabels coordinates by a collineation; the index set,
 the line set and every incidence property are basis-independent.
 
-Flats are enumerated from reduced row-echelon bases, each exactly once:
-an affine j-flat is the row space W of a j x d echelon matrix plus a
-coset representative that is zero on W's pivot columns, and a projective
-j-flat is the set of normalised vectors in the row space of a
-(j+1) x (d+1) echelon matrix.  The cached line and flat lists are
-read-only.
+Flats of dimension 1 < j < d, and affine lines, are enumerated from
+reduced row-echelon bases, each exactly once: an affine j-flat is the
+row space W of a j x d echelon matrix plus a coset representative that
+is zero on W's pivot columns, and a projective j-flat is the set of
+normalised vectors in the row space of a (j+1) x (d+1) echelon matrix.
+Projective lines are the Singer shifts of the lines through point 0.
+The cached line and flat lists are read-only, and flat lists of more
+than MAX_FLAT_INCIDENCES points in all are refused.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ AFFINE = "affine"
 PROJECTIVE = "projective"
 
 MAX_POINTS = 10_000
+# flats() refuses lists with more points in all: as tuples of Python ints,
+# and as the frozensets the deciders build from them, each point takes
+# tens of bytes, and deciding over millions of flats is out of reach
+MAX_FLAT_INCIDENCES = 1 << 22
+# coordinates per working array when flats are built from echelon bases
+_ECHELON_CHUNK = 1 << 18
 
 
 def _basis_exponents(basis, r: int) -> tuple[int, ...]:
@@ -220,11 +228,13 @@ class Geometry:
     # -- lines ----------------------------------------------------------
 
     def lines(self) -> np.ndarray:
-        """All lines as an array of sorted point-index rows, lexsorted."""
+        """All lines as an array of sorted point-index rows, lexsorted:
+        affine lines from echelon bases as in :meth:`flats`, projective
+        lines as the Singer shifts of :meth:`lines_through_origin`."""
         if self._lines is None:
             self._check_cap()
             if self.kind == AFFINE:
-                self._lines = self._affine_lines()
+                self._lines = self._echelon_flats(1)
             else:
                 self._lines = self._projective_lines()
             expect = self.line_count
@@ -233,25 +243,6 @@ class Geometry:
                     f"line enumeration produced {len(self._lines)}, expected {expect}")
             self._lines.flags.writeable = False
         return self._lines
-
-    def _affine_lines(self) -> np.ndarray:
-        base, q, d = self.field, self.q, self.dim
-        pts = self.points()
-        rows = []
-        for u in _normalized_directions(base, d):
-            seen = bytearray(self.point_count)
-            for i, pt in enumerate(pts):
-                if seen[i]:
-                    continue
-                line = []
-                for t in range(q):
-                    tp = tuple(base.add(pc, base.mul(t, uc)) for pc, uc in zip(pt, u))
-                    j = self._index_of[tp]
-                    seen[j] = 1
-                    line.append(j)
-                rows.append(sorted(line))
-        arr = np.array(rows, dtype=np.int32)
-        return arr[np.lexsort(arr.T[::-1])]
 
     def lines_through_origin(self) -> np.ndarray:
         """The lines of a projective space through point 0, as sorted
@@ -357,29 +348,37 @@ class Geometry:
             out.add(self._index_of[tuple(vec)])
         return tuple(sorted(out))
 
+    def _flat_shape(self, j: int) -> tuple[int, int]:
+        """Number of j-flats and number of points on each."""
+        q, d = self.q, self.dim
+        if self.kind == AFFINE:
+            return q ** (d - j) * _gaussian_binomial(d, j, q), q ** j
+        return (_gaussian_binomial(d + 1, j + 1, q),
+                (q ** (j + 1) - 1) // (q - 1))
+
     def flats(self, j: int) -> tuple[tuple[int, ...], ...]:
         """All j-dimensional flats as sorted point tuples in lexicographic
-        order, cached as a tuple.  For 0 < j < dim each flat comes from
-        exactly one reduced row-echelon basis (see the module docstring),
-        and the count is checked against the Gaussian binomial."""
+        order, cached as a tuple.  Lines are the rows of :meth:`lines`;
+        for 1 < j < dim each flat comes from exactly one reduced
+        row-echelon basis (see the module docstring).  Raises BadDimension
+        when the flats hold more than MAX_FLAT_INCIDENCES points in all."""
         if j < 0 or j > self.dim:
             raise BadDimension(f"flat dimension {j} out of range 0..{self.dim}")
         if j not in self._flats:
-            q, d = self.q, self.dim
+            count, size = self._flat_shape(j)
+            if count * size > MAX_FLAT_INCIDENCES:
+                raise BadDimension(
+                    f"{count} {j}-flats of {size} points exceed the flat "
+                    f"enumeration cap of {MAX_FLAT_INCIDENCES} incidences")
             if j == 0:
-                result = tuple((i,) for i in range(self.point_count))
-            elif j == d:
-                result = (tuple(range(self.point_count)),)
+                rows = [(i,) for i in range(self.point_count)]
+            elif j == self.dim:
+                rows = [tuple(range(self.point_count))]
+            elif j == 1:
+                rows = self.lines().tolist()
             else:
-                result = tuple(map(tuple, self._echelon_flats(j).tolist()))
-            if self.kind == AFFINE:
-                expect = q ** (d - j) * _gaussian_binomial(d, j, q)
-            else:
-                expect = _gaussian_binomial(d + 1, j + 1, q)
-            if len(result) != expect:  # pragma: no cover
-                raise ValueError(
-                    f"{j}-flat enumeration produced {len(result)}, expected {expect}")
-            self._flats[j] = result
+                rows = self._echelon_flats(j).tolist()
+            self._flats[j] = tuple(map(tuple, rows))
         return self._flats[j]
 
     def _echelon_flats(self, j: int) -> np.ndarray:
@@ -390,42 +389,54 @@ class Geometry:
         coefficient combinations, shifted by the q^(d-j) vectors that are
         zero on the pivots; a point's index is its base-q code.
         Projective: the normalised coefficient vectors give normalised
-        points, mapped to Singer indices by one table over base-q codes."""
+        points, mapped to Singer indices by one table over base-q codes.
+        Fillings are taken in chunks of about _ECHELON_CHUNK coordinates,
+        so working memory stays small beside the result."""
         self._check_cap()
         q, affine_ = self.q, self.kind == AFFINE
         r, n = (j, self.dim) if affine_ else (j + 1, self.dim + 1)
         add, mul = _field_tables(self.field)
-        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
         if affine_:
             coeffs = _all_vectors(q, r)
         else:
             coeffs = np.array(list(_normalized_directions(self.field, r)))
             lookup = np.zeros(q ** n, dtype=np.int32)
-            lookup[np.array(self.points()) @ weights] = np.arange(self.point_count)
-        blocks = []
+            lookup[_base_q_codes(np.array(self.points()), q)] = np.arange(
+                self.point_count)
+        coeffs = coeffs.astype(add.dtype)
+        count, size = self._flat_shape(j)
+        out = np.empty((count, size), dtype=np.int32)
+        at = 0
         for piv in itertools.combinations(range(n), r):
             free = [(i, c) for i, p in enumerate(piv)
                     for c in range(p + 1, n) if c not in piv]
-            fill = _all_vectors(q, len(free))
-            basis = np.zeros((len(fill), r, n), dtype=np.int64)
-            basis[:, range(r), piv] = 1
-            if free:
-                rows, cols = zip(*free)
-                basis[:, rows, cols] = fill
-            pts = np.zeros((len(fill), len(coeffs), n), dtype=np.int64)
-            for i in range(r):
-                pts = add[pts, mul[coeffs[None, :, i, None], basis[:, None, i, :]]]
+            rest = [c for c in range(n) if c not in piv]
+            shifts = np.zeros((q ** len(rest) if affine_ else 1, n), add.dtype)
             if affine_:
-                rest = [c for c in range(n) if c not in piv]
-                shifts = np.zeros((q ** len(rest), n), dtype=np.int64)
                 shifts[:, rest] = _all_vectors(q, len(rest))
-                pts = add[pts[:, None], shifts[None, :, None]]
-                blocks.append((pts @ weights).reshape(-1, len(coeffs)))
-            else:
-                blocks.append(lookup[pts @ weights])
-        arr = np.concatenate(blocks).astype(np.int32)
-        arr.sort(axis=1)
-        return arr[np.lexsort(arr.T[::-1])]
+            rows, cols = zip(*free) if free else ((), ())
+            fillings = q ** len(free)
+            step = max(1, _ECHELON_CHUNK // (len(shifts) * size * n))
+            for lo in range(0, fillings, step):
+                codes = np.arange(lo, min(lo + step, fillings), dtype=np.int64)
+                basis = np.zeros((len(codes), r, n), add.dtype)
+                basis[:, range(r), piv] = 1
+                basis[:, rows, cols] = _base_q_digits(codes, q, len(free))
+                pts = np.zeros((len(codes), size, n), add.dtype)
+                for i in range(r):
+                    pts = add[pts, mul[coeffs[None, :, i, None], basis[:, None, i, :]]]
+                if affine_:
+                    pts = add[pts[:, None], shifts[None, :, None]]
+                    block = _base_q_codes(pts, q).reshape(-1, size)
+                else:
+                    block = lookup[_base_q_codes(pts, q)]
+                out[at:at + len(block)] = block
+                at += len(block)
+        if at != count:  # pragma: no cover
+            raise ValueError(
+                f"{j}-flat enumeration produced {at}, expected {count}")
+        out.sort(axis=1)
+        return out[np.lexsort(out.T[::-1])]
 
     # -- identity --------------------------------------------------------
 
@@ -517,17 +528,32 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def _field_tables(field: GF) -> tuple[np.ndarray, np.ndarray]:
-    """q x q addition and multiplication tables of the field's codes."""
+    """q x q addition and multiplication tables of the field's codes, in
+    the smallest unsigned type that holds a code."""
     q = field.order
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    dtype = np.min_scalar_type(q - 1)
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype)
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype)
     return add, mul
+
+
+def _base_q_digits(codes: np.ndarray, q: int, m: int) -> np.ndarray:
+    """The m base-q digits of each code as a row, most significant first."""
+    return codes[:, None] // q ** np.arange(m - 1, -1, -1, dtype=np.int64) % q
+
+
+def _base_q_codes(vectors: np.ndarray, q: int) -> np.ndarray:
+    """Base-q code of each vector along the last axis, first coordinate
+    most significant, built one coordinate at a time."""
+    code = np.zeros(vectors.shape[:-1], dtype=np.int32)
+    for c in range(vectors.shape[-1]):
+        code = code * q + vectors[..., c]
+    return code
 
 
 def _all_vectors(q: int, m: int) -> np.ndarray:
     """The q^m vectors of {0..q-1}^m as rows, in lexicographic order."""
-    return np.array(list(itertools.product(range(q), repeat=m)),
-                    dtype=np.int64).reshape(q ** m, m)
+    return _base_q_digits(np.arange(q ** m, dtype=np.int64), q, m)
 
 
 def _normalized_directions(field: GF, d: int):

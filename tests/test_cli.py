@@ -60,6 +60,17 @@ def test_verify_duplicate_space_fails_with_witness(tmp_path, capsys):
     assert "triple" in rep["witnesses"]["witness"]
 
 
+def test_verify_half_dim_over_flat_cap_is_refused(tmp_path, capsys):
+    from orthokit import bundle, check, geom
+    g = geom.projective(6, 3)
+    path = str(tmp_path / "pg63.json")
+    bundle.write_bundle(path, [check.standard(g),
+                               check.from_map(g, check.singer_shift(g, 1))])
+    code, _, err = run(capsys, "verify", path, "--property", "half-dim")
+    assert code == 2
+    assert "BAD_DIMENSION" in err and "flat enumeration cap" in err
+
+
 def test_verify_malformed_bundle(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": 1}')

@@ -322,6 +322,40 @@ def test_size_cap_applies_to_enumeration_only():
         g.lines()
 
 
+def test_flat_incidence_cap_refuses_before_enumerating():
+    # PG(6,3) and PG(6,4) are under MAX_POINTS, but their 3-flats hold
+    # 37 million and 2 billion points in all
+    for g, j in ((geom.projective(6, 3), 3), (geom.projective(6, 4), 3),
+                 (geom.projective(4, 7), 2)):
+        count, size = g._flat_shape(j)
+        assert count * size > geom.MAX_FLAT_INCIDENCES
+        with pytest.raises(BadDimension, match="flat enumeration cap"):
+            g.flats(j)
+        assert g._coords is None and g._flats == {}
+    g = geom.projective(4, 5)  # 20,306 planes of 31 points: under the cap
+    assert len(g.flats(2)) == 20_306
+
+
+@pytest.mark.parametrize("make,j", [
+    (lambda: geom.affine(4, 3), 2),
+    (lambda: geom.affine(3, 4), 1),
+    (lambda: geom.projective(4, 2), 2),
+    (lambda: geom.projective(3, 3, labeling_modulus=[2, 0, 0, 2, 1],
+                             basis="desc"), 2),
+], ids=["AG(4,3)", "AG(3,4)", "PG(4,2)", "PG(3,3) desc"])
+def test_echelon_chunks_do_not_change_flats(monkeypatch, make, j):
+    whole = make()._echelon_flats(j)
+    monkeypatch.setattr(geom, "_ECHELON_CHUNK", 1)  # one filling a chunk
+    assert (make()._echelon_flats(j) == whole).all()
+
+
+def test_affine_lines_over_a_large_prime_field():
+    # codes above 255 need wider field tables than one byte
+    g = geom.affine(1, 257)
+    assert g.lines().tolist() == [list(range(257))]
+    assert g.flats(1) == (tuple(range(257)),)
+
+
 def test_same_as_and_mismatch():
     a = geom.affine(2, 3)
     assert a.same_as(geom.affine(2, 3))
