@@ -26,6 +26,20 @@ the verdicts and witnesses are those of the full index, from
 (N-1)(q-1)/2 keys per space.  The form is read from the permutation
 itself; any other family, and any k != 2, takes the paths above.
 
+Askew pairs run off one batched rank.  A line is in general position in
+the other space when every min(|line|, dim+1)-subset of its preimages,
+as homogeneous coordinates (affine points as (1, x)), has full rank
+over GF(q); all subsets of a chunk of lines go through one numpy
+Gaussian elimination on the field's tables.  The Singer reduction holds
+here too: when both spaces are x -> u*x + c, every line of one is a
+Singer shift of the image u*L + c of a standard line L through 0, and
+a shift moves the preimages in the other space by a Singer shift too,
+which keeps every rank.  So only the images of the (N-1)/q standard
+lines through 0 are tested.  A reduced run that fails, and any other
+pair, scans every line in ``lines()`` order, so the witness is the
+first failing line, first space before second, as in the per-line
+oracle ``naive_askew_pair``.
+
 All predicates are pure and deterministic.
 """
 
@@ -33,13 +47,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import GeometryMismatch, OddDimension
-from .geom import PROJECTIVE, Geometry
+from .geom import PROJECTIVE, Geometry, _field_tables
 
 _TRIPLE_CACHE_LIMIT = 2_000_000
+# matrix entries per working array of the askew decider
+_ASKEW_CHUNK = 1 << 20
 
 
 @dataclass
@@ -380,13 +397,99 @@ def in_general_position(space: Space, pts) -> bool:
 
 
 def is_askew_pair(s: Space, t: Space) -> Verdict:
-    """Every line of each space is in general linear position in the other."""
+    """Every line of each space is in general linear position in the
+    other, decided by batched GF(q) ranks (see the module docstring).
+    The witness is that of ``naive_askew_pair``: the first failing line
+    of the first space, else of the second."""
+    g = _check_same_geometry([s, t])
+    if _general_position_size(g) <= 2:
+        return Verdict(True)  # two distinct points always have rank 2
+    directions = (("first", s, t), ("second", t, s))
+    if _singer_multiplier(s) is not None and _singer_multiplier(t) is not None:
+        lines0 = g.lines_through_origin()
+        if all(_first_outside_general_position(src.perm[lines0], other) is None
+               for _, src, other in directions):
+            return Verdict(True)
+    for line_of, src, other in directions:
+        rows = src.lines()
+        bad = _first_outside_general_position(rows, other)
+        if bad is not None:
+            return Verdict(False, {"line_of": line_of,
+                                   "line": tuple(rows[bad].tolist())})
+    return Verdict(True)
+
+
+def naive_askew_pair(s: Space, t: Space) -> Verdict:
+    """Oracle path: test each line with ``in_general_position``."""
     _check_same_geometry([s, t])
     for line_of, src, other in (("first", s, t), ("second", t, s)):
         for row in src.lines().tolist():
             if not in_general_position(other, row):
                 return Verdict(False, {"line_of": line_of, "line": tuple(row)})
     return Verdict(True)
+
+
+def _general_position_size(g: Geometry) -> int:
+    """Size of the point subsets a line's general position is tested on."""
+    return min(g.points_per_line, g.dim + 1)
+
+
+def _first_outside_general_position(rows: np.ndarray, space: Space):
+    """Index of the first row of points that is not in general position
+    in the space, or None.  Every min(|row|, dim+1)-subset of the row's
+    preimages, as homogeneous coordinates (affine points as (1, x)), must
+    have full rank; rows are taken in chunks of about _ASKEW_CHUNK
+    matrix entries."""
+    g = space.geometry
+    coords = np.array(g.points(), dtype=np.min_scalar_type(g.q - 1))
+    if g.kind != PROJECTIVE:
+        coords = np.hstack([np.ones((len(coords), 1), coords.dtype), coords])
+    size = _general_position_size(g)
+    subsets = np.array(list(itertools.combinations(range(rows.shape[1]), size)))
+    step = max(1, _ASKEW_CHUNK // (len(subsets) * size * coords.shape[1]))
+    inv = space.inverse()
+    for lo in range(0, len(rows), step):
+        pre = inv[rows[lo:lo + step]][:, subsets]
+        ok = _full_rank(coords[pre].reshape(-1, size, coords.shape[1]), g.field)
+        ok = ok.reshape(len(pre), -1).all(axis=1)
+        if not ok.all():
+            return lo + int(np.argmin(ok))
+    return None
+
+
+@lru_cache(maxsize=16)
+def _rank_tables(base) -> tuple[np.ndarray, ...]:
+    """The field's add and mul tables, with negation and inversion read
+    off them (inv[0] = 0); cached, so read-only."""
+    add, mul = _field_tables(base)
+    neg = np.argmax(add == 0, axis=1).astype(add.dtype)
+    inv = np.argmax(mul == 1, axis=1).astype(mul.dtype)
+    tables = add, mul, neg, inv
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _full_rank(mats: np.ndarray, base) -> np.ndarray:
+    """Whether each m x r matrix of a stack of field codes has rank m.
+    Gaussian elimination by rows, batched with the field's tables: the
+    first nonzero entry of row i, scaled to 1, is cleared from the rows
+    below it, and a row left all zero is dependent."""
+    add, mul, neg, inv = _rank_tables(base)
+    m = np.array(mats, dtype=add.dtype)
+    ok = np.ones(len(m), dtype=bool)
+    each = np.arange(len(m))
+    for i in range(m.shape[1]):
+        row = m[:, i, :]
+        piv = np.argmax(row != 0, axis=1)
+        lead = row[each, piv]
+        ok &= lead != 0
+        if i + 1 < m.shape[1]:
+            row = mul[inv[lead][:, None], row]
+            below = m[:, i + 1:, :]
+            factor = neg[below[each, :, piv]]
+            m[:, i + 1:, :] = add[below, mul[factor[:, :, None], row[:, None, :]]]
+    return ok
 
 
 def is_half_dimension_orthogoval(s: Space, t: Space) -> Verdict:

@@ -314,7 +314,8 @@ def _reproduce_bounds(args):
 def _reproduce_askew(args):
     rows = []
     ok = True
-    for k, q in ((2, 2), (2, 3), (2, 5), (4, 2), (4, 3), (6, 2)):
+    for k, q in ((2, 2), (2, 3), (2, 5), (4, 2), (4, 3), (6, 2),
+                 (4, 4), (4, 5), (6, 3), (10, 2)):
         s, t = build_askew_pair(k, q)
         good = bool(is_askew_pair(s, t))
         ok = ok and good

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DivideByZero, LogOfZero, MixedFields, NotPrime, ReducibleModulus
 
 
@@ -193,16 +195,25 @@ class GF:
         raise ReducibleModulus("no primitive element")  # pragma: no cover
 
     def _build_tables(self):
-        q = self.order
-        self.antilog_table = [0] * (q - 1)
-        self.log_table = [-1] * q
-        v = 1
-        for i in range(q - 1):
-            self.antilog_table[i] = v
-            self.log_table[v] = i
-            v = self._mul_raw(v, self.primitive)
-        if v != 1:
+        """Antilog table by doubling, as rows of F_p digits: powers m..2m-1
+        of the primitive element g are powers 0..m-1 times the F_p matrix
+        of multiplication by g^m, which is squared at each step."""
+        p, n, q = self.p, self.n, self.order
+        # row j holds the digits of g * z^j, so digits(x) @ mat = digits(x*g)
+        mat = np.array([self._digits(self._mul_raw(self.primitive, p ** j))
+                        for j in range(n)], dtype=np.int64)
+        rows = np.zeros((1, n), dtype=np.int64)
+        rows[0, 0] = 1
+        while len(rows) < q - 1:
+            rows = np.concatenate([rows, rows @ mat % p])
+            mat = mat @ mat % p
+        codes = rows[:q - 1] @ p ** np.arange(n, dtype=np.int64)
+        log = np.full(q, -1, dtype=np.int64)
+        log[codes] = np.arange(q - 1)
+        if (log[1:] < 0).any():
             raise ReducibleModulus("primitive element order mismatch")  # pragma: no cover
+        self.antilog_table = codes.tolist()
+        self.log_table = log.tolist()
 
     # -- public integer-code arithmetic ---------------------------------
 

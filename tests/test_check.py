@@ -6,6 +6,7 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthokit import check, geom
 from orthokit.build import BIG_SETS_TABLE, build_phi_family, build_phi_map, phi_space
@@ -182,6 +183,85 @@ def test_askew_fails_for_identity():
     s = check.standard(g)
     t = check.from_map(g, np.arange(7))
     assert not check.is_askew_pair(s, t)
+
+
+# ----------------------------------------------------------------------
+# batched askew decider against the per-line oracle
+# ----------------------------------------------------------------------
+
+ASKEW_ROWS = [(2, 2), (2, 3), (2, 5), (4, 2), (4, 3), (6, 2)]
+# the inversion is not askew on these: k+1 is not prime
+ASKEW_NEGATIVE = [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
+
+
+def assert_askew_equals_naive(s, t):
+    fast, slow = check.is_askew_pair(s, t), check.naive_askew_pair(s, t)
+    assert (fast.ok, fast.witness) == (slow.ok, slow.witness)
+    return fast
+
+
+@pytest.mark.parametrize("k, q", ASKEW_ROWS)
+def test_askew_equals_naive_on_reproduce_pairs(k, q):
+    from orthokit.build import build_askew_pair
+    assert assert_askew_equals_naive(*build_askew_pair(k, q))
+
+
+@pytest.mark.parametrize("k, q", ASKEW_NEGATIVE)
+def test_askew_negative_controls_fail_with_the_oracle_witness(k, q):
+    g = geom.projective(k, q)
+    v = assert_askew_equals_naive(check.standard(g), phi_space(g, -1))
+    assert not v
+    assert v.witness["line_of"] == "first"
+
+
+ASKEW_SWEEP = [("projective", 2, 2), ("projective", 2, 3), ("projective", 2, 4),
+               ("projective", 3, 2), ("affine", 2, 3), ("affine", 2, 4),
+               ("affine", 3, 2)]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=st.sampled_from(ASKEW_SWEEP), seed=st.integers(0, 2 ** 32 - 1),
+       standard_first=st.booleans())
+def test_askew_equals_naive_on_random_bijections(case, seed, standard_first):
+    kind, d, q = case
+    g = geom.Geometry(kind, d, q)
+    rng = np.random.default_rng(seed)
+    s = check.standard(g) if standard_first else random_space(g, rng)
+    assert_askew_equals_naive(s, random_space(g, rng))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 8, 9]), rows=st.integers(1, 5),
+       cols=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_full_rank_equals_gf_rank(q, rows, cols, seed):
+    field = geom.projective(1, q).field
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(0, q, size=(8, rows, cols))
+    # sparse entries and repeated rows, so that zero pivots and dependent
+    # rows are common
+    mats[rng.random(mats.shape) < 0.4] = 0
+    mats[::2, -1] = mats[::2, 0]
+    got = check._full_rank(mats, field)
+    assert got.tolist() == [geom._gf_rank(m, field) == rows for m in mats.tolist()]
+
+
+@pytest.mark.parametrize("k, q", [(4, 3), (6, 2)])
+def test_singer_askew_path_makes_no_rank_call_and_no_line_scan(monkeypatch, k, q):
+    from orthokit.build import build_askew_pair
+    s, t = build_askew_pair(k, q)
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in ("rank_of", "lines"):
+        monkeypatch.setattr(geom.Geometry, name,
+                            counted(name, getattr(geom.Geometry, name)))
+    assert check.is_askew_pair(s, t)
+    assert calls == []
 
 
 def test_half_dim_known_pair_ag23():

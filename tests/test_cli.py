@@ -207,6 +207,17 @@ def test_reproduce_askew_and_catalog(capsys):
                                          "PG3_F2_X7", "PG3_F3_X2"}
 
 
+def test_reproduce_askew_rows_at_the_papers_scale(capsys):
+    from orthokit import check
+    from orthokit.build import build_askew_pair
+    code, stdout, _ = run(capsys, "reproduce", "askew")
+    assert code == 0
+    rows = json.loads(stdout)["verdicts"]["rows"]
+    assert [(r["k"], r["q"]) for r in rows[6:]] == [(4, 4), (4, 5), (6, 3), (10, 2)]
+    assert all(r["pass"] for r in rows)
+    assert check.naive_askew_pair(*build_askew_pair(4, 4))
+
+
 def test_reproduce_bounds_grid(capsys):
     code, stdout, _ = run(capsys, "reproduce", "bounds")
     assert code == 0

@@ -161,3 +161,32 @@ def test_element_wrappers():
 def test_field_identity_is_cached():
     assert gf.field_create(3, 2) is gf.field_create(3, 2)
     assert gf.field_create(2, 4) == gf.GF(2, 4)
+
+
+def sequential_tables(f):
+    """Antilog and log tables from one _mul_raw step per power."""
+    antilog, log = [], [-1] * f.order
+    v = 1
+    for i in range(f.order - 1):
+        antilog.append(v)
+        log[v] = i
+        v = f._mul_raw(v, f.primitive)
+    return antilog, log
+
+
+@pytest.mark.parametrize("p, n", [(2, n) for n in range(1, 15)]
+                         + [(3, n) for n in range(1, 8)] + [(5, 5)])
+def test_doubled_tables_match_sequential_walk(p, n):
+    f = gf.field_create(p, n)
+    assert (f.antilog_table, f.log_table) == sequential_tables(f)
+
+
+@pytest.mark.parametrize("p, n, modulus, primitive", [
+    (2, 4, (1, 1, 1, 1, 1), 3),         # x^4+x^3+x^2+x+1: z has order 5
+    (3, 2, (1, 0, 1), 4),               # x^2+1: z has order 4
+    (2, 6, (1, 0, 0, 1, 0, 0, 1), 3),   # x^6+x^3+1: z has order 9
+])
+def test_doubled_tables_with_a_primitive_other_than_z(p, n, modulus, primitive):
+    f = gf.field_create(p, n, modulus)
+    assert f.primitive == primitive != p
+    assert (f.antilog_table, f.log_table) == sequential_tables(f)
