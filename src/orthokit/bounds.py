@@ -8,7 +8,7 @@ the bound is refused rather than returned as infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .check import Space, are_mutually_orthogoval
 from .errors import AffineQ2Undefined, UnverifiedCertificate
@@ -52,14 +52,7 @@ class BoundReport:
     families: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "triple_bound": self.triple_bound,
-            "johnson_bound": self.johnson_bound,
-            "achieved": self.achieved,
-            "slack": self.slack,
-            "families": self.families,
-        }
+        return asdict(self)
 
 
 def bound_report(g: Geometry, certificates: list[list[Space]] = ()) -> BoundReport:

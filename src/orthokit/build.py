@@ -134,11 +134,10 @@ def phi_space(g: geom.Geometry, i: int) -> Space:
     return from_map(g, build_phi_map(g, i), name=f"power{i}")
 
 
-def build_phi_family(q: int, r: int, w: int, n: int,
-                     labeling_modulus=None) -> list[Space]:
+def build_phi_family(q: int, r: int, w: int, n: int) -> list[Space]:
     """Standard PG(r-1, q) plus its images under the w^i power maps,
     1 <= i <= n.  No property is claimed; verify separately."""
-    g = geom.projective(r - 1, q, labeling_modulus=labeling_modulus)
+    g = geom.projective(r - 1, q)
     spaces = [standard(g)]
     big = g.labeling_field.order - 1
     for i in range(1, n + 1):

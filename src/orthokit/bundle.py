@@ -103,8 +103,8 @@ def _geometry_from_header(header: dict) -> geom.Geometry:
                           basis=basis)
         g._check_cap()
         if kind == geom.PROJECTIVE:
-            # a basis that is not one only fails once coordinates are built
-            g._label_digits_to_coords()
+            # the label map refuses basis exponents that give no basis
+            g._basis_matrix()
     except (KeyError, OrthokitError, TypeError, ValueError) as exc:
         raise MalformedBundle(f"geometry header is malformed: {exc}")
     return g

@@ -29,7 +29,9 @@ from .build import (
     catalog_names,
 )
 from .check import (
+    Verdict,
     are_mutually_orthogoval,
+    from_map,
     is_askew_pair,
     is_half_dimension_orthogoval,
 )
@@ -64,10 +66,6 @@ def _emit(report: dict, fmt: str, table_lines: list[str]):
     else:
         for line in table_lines:
             print(line)
-
-
-def _geometry_inputs(g: geom.Geometry) -> dict:
-    return g.describe()
 
 
 def _jsonable(obj):
@@ -112,7 +110,7 @@ def cmd_construct(args) -> int:
     report = run_report(
         "construct",
         {"builder": args.builder, "out": args.out,
-         "geometry": _geometry_inputs(spaces[0].geometry)},
+         "geometry": spaces[0].geometry.describe()},
         {"spaces": len(spaces), "written": True})
     _emit(report, args.format,
           [f"wrote {len(spaces)} spaces to {args.out}"])
@@ -124,9 +122,10 @@ def cmd_construct(args) -> int:
 # ----------------------------------------------------------------------
 
 def _verify_family(spaces, prop, k):
+    if len(spaces) < 2:
+        raise ValueError("need at least 2 spaces")
     if prop == "k-orthogoval":
         return are_mutually_orthogoval(spaces, k=k)
-    verdicts = []
     for i in range(len(spaces)):
         for j in range(i + 1, len(spaces)):
             if prop == "askew":
@@ -136,8 +135,7 @@ def _verify_family(spaces, prop, k):
             if not v:
                 v.witness = dict(v.witness, pair=[i, j])
                 return v
-            verdicts.append(v)
-    return verdicts[0] if verdicts else are_mutually_orthogoval(spaces[:1])
+    return Verdict(True)
 
 
 def cmd_verify(args) -> int:
@@ -147,7 +145,7 @@ def cmd_verify(args) -> int:
     report = run_report(
         "verify",
         {"bundle": args.bundle, "property": args.property, "k": args.k,
-         "spaces": len(spaces), "geometry": _geometry_inputs(g),
+         "spaces": len(spaces), "geometry": g.describe(),
          "provenance": prov},
         {"holds": bool(verdict)},
         {"witness": _jsonable(verdict.witness)} if not verdict else {})
@@ -236,7 +234,6 @@ def cmd_search(args) -> int:
         code = EXIT_BUDGET
     if args.out and res.certificates:
         g = geom.affine(args.dim, args.q)
-        from .check import from_map
         spaces = [from_map(g, p, name=f"found[{i}]")
                   for i, p in enumerate(res.certificates)]
         bundle.write_bundle(args.out, spaces,

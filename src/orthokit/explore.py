@@ -384,8 +384,7 @@ def _load_checkpoint(cpath: str, task: dict, std: Space, candidates):
 def half_dim_exhaustive(d: int, q: int, budget: int = None,
                         checkpoint_path: str = None,
                         checkpoint_every: int = 250_000,
-                        max_certificates: int = 1,
-                        resume: bool = True) -> SearchResult:
+                        max_certificates: int = 1) -> SearchResult:
     """Search all affine structures on the AG(d, q) point set for one
     forming a half-dimension-orthogoval pair with the standard space.
 
@@ -422,7 +421,7 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     task = {"kind": "HALF_DIM_EXHAUSTIVE", "d": d, "q": q,
             "version": _SEARCH_VERSION}
 
-    if resume and cpath and os.path.exists(cpath):
+    if cpath and os.path.exists(cpath):
         state, cands = _load_checkpoint(cpath, task, std, candidates)
         if not state.idx or (state.certificates and
                              len(state.certificates) >= max_certificates):

@@ -14,6 +14,10 @@ for a basis exponent list (b_1, ..., b_r).  Two built-in bases:
   * "desc": (z^{r-1}, ..., z^0)
 Changing basis relabels coordinates by a collineation; the index set,
 the line set and every incidence property are basis-independent.
+Coordinates come from this forward map alone: the F_p digits of every
+normalised vector (first nonzero coordinate 1), times one F_p matrix,
+are the digits of its label, and the log of the label mod N is its
+index.  Exponents that give no basis of GF(q^r) over GF(q) are refused.
 
 Flats of dimension 1 < j < d, and affine lines, are enumerated from
 reduced row-echelon bases, each exactly once: an affine j-flat is the
@@ -82,6 +86,7 @@ class Geometry:
         self._ext = None
         self._embed = None
         self._coords = None
+        self._labels = None
         self._index_of = None
         self._lines = None
         self._lines0 = None
@@ -122,60 +127,21 @@ class Geometry:
         self.labeling_field
         return self._embed[small_code]
 
-    def _label_digits_to_coords(self) -> np.ndarray:
-        """Inverse over F_p of the basis matrix, whose columns are the
-        F_p digits of root^i z^{b_j}: it maps the digits of a label to
-        the F_p digits of its coordinates.  Raises ValueError ("singular
-        matrix mod p") when the basis exponents do not give a basis."""
+    def _basis_matrix(self) -> np.ndarray:
+        """The label map over F_p: row (j, i) holds the F_p digits of
+        root^i z^{b_j}, root the embedded generator of GF(q) over F_p, so
+        the F_p digits of a vector x times this matrix are the digits of
+        its label sum_j x_j z^{b_j}.  Raises ValueError when the basis
+        exponents do not give a basis."""
         ext = self.labeling_field
-        p, e, r = self.field.p, self.field.n, self.dim + 1
-        basis_elems = [ext.antilog(b) for b in self.basis]
-        # powers of the embedding root, for assembling small digits
-        root_pows = [1]
-        if e > 1:
-            root = self._embed[p]  # embed of x
-            for _ in range(e - 1):
-                root_pows.append(ext.mul(root_pows[-1], root))
-        cols = []
-        for j in range(r):
-            for i in range(e):
-                u = ext.mul(root_pows[i], basis_elems[j])
-                cols.append(ext._digits(u))
-        A = np.array(cols, dtype=np.int64).T % p  # m x m
-        return _mat_inv_mod_p(A, p)
-
-    def _build_coords(self):
-        """Coordinates of every projective point, normalized."""
-        ext = self.labeling_field
-        base = self.field
-        p, e, r = base.p, base.n, self.dim + 1
-        Ainv = self._label_digits_to_coords()
-        N = self.point_count
-        labels = np.array([ext._digits(ext.antilog_table[i]) for i in range(N)],
-                          dtype=np.int64)
-        Y = (labels @ Ainv.T) % p  # N x m, F_p coords per (j, i)
-        coords = []
-        index_of = {}
-        pmul = [p ** i for i in range(e)]
-        for idx in range(N):
-            x = []
-            for j in range(r):
-                cval = 0
-                for i in range(e):
-                    cval += int(Y[idx, j * e + i]) * pmul[i]
-                x.append(cval)
-            # normalize: first nonzero coordinate becomes 1
-            for v in x:
-                if v:
-                    s = base.inv(v)
-                    x = tuple(base.mul(v2, s) for v2 in x)
-                    break
-            coords.append(x)
-            index_of[x] = idx
-        if len(index_of) != N:  # pragma: no cover
-            raise ValueError("labelling is not a bijection on points")
-        self._coords = coords
-        self._index_of = index_of
+        p, e = self.field.p, self.field.n
+        rows = [ext._digits(ext.mul(self.embed(p ** i), ext.antilog(b)))
+                for b in self.basis for i in range(e)]
+        if _gf_rank(rows, field_create(p, 1)) < len(rows):
+            raise ValueError(
+                f"basis exponents {list(self.basis)} do not give a basis "
+                f"of GF({ext.order}) over GF({self.q})")
+        return np.array(rows, dtype=np.int64)
 
     # -- points ---------------------------------------------------------
 
@@ -187,16 +153,26 @@ class Geometry:
                 f"enumeration cap is {MAX_POINTS}")
 
     def points(self) -> list[tuple[int, ...]]:
-        """Coordinate tuples in canonical index order."""
+        """Coordinate tuples in canonical index order.  Projective points
+        are the normalised vectors, placed by the label map of
+        :meth:`_basis_matrix`."""
         if self._coords is None:
             self._check_cap()
             if self.kind == AFFINE:
-                q, d = self.q, self.dim
-                coords = list(itertools.product(range(q), repeat=d))
-                self._coords = coords
-                self._index_of = {c: i for i, c in enumerate(coords)}
+                coords = list(itertools.product(range(self.q), repeat=self.dim))
             else:
-                self._build_coords()
+                ext, p, e = self.labeling_field, self.field.p, self.field.n
+                vecs = np.array(list(
+                    _normalized_directions(self.field, self.dim + 1)))
+                digits = (vecs[:, :, None] // p ** np.arange(e) % p).reshape(
+                    len(vecs), -1) @ self._basis_matrix() % p
+                labels = digits @ p ** np.arange(digits.shape[1])
+                N = self.point_count
+                order = np.argsort([ext.log_table[c] % N for c in labels.tolist()])
+                coords = list(map(tuple, vecs[order].tolist()))
+                self._labels = labels[order].tolist()
+            self._coords = coords
+            self._index_of = {c: i for i, c in enumerate(coords)}
         return self._coords
 
     def point_index(self, coords) -> int:
@@ -214,16 +190,8 @@ class Geometry:
     def singer_label(self, idx: int) -> FieldElement:
         """Label of the normalized representative of a projective point."""
         ext = self.labeling_field
-        x = self.points()[idx]
-        acc = 0
-        for xj, b in zip(x, self.basis):
-            acc = ext.add(acc, ext.mul(self.embed(xj), ext.antilog(b)))
-        return FieldElement(ext, acc)
-
-    def label_to_point(self, label) -> int:
-        ext = self.labeling_field
-        code = label.code if isinstance(label, FieldElement) else int(label)
-        return ext.log(code) % self.point_count
+        self.points()
+        return FieldElement(ext, self._labels[idx])
 
     # -- lines ----------------------------------------------------------
 
@@ -586,23 +554,3 @@ def _gf_row_basis(rows, field: GF):
 def _gf_rank(rows, field: GF) -> int:
     return len(_gf_row_basis(rows, field))
 
-
-def _mat_inv_mod_p(A: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over F_p by Gauss-Jordan."""
-    n = A.shape[0]
-    M = np.concatenate([A % p, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix mod p")
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-        M[col] = (M[col] * pow(int(M[col, col]), -1, p)) % p
-        for r in range(n):
-            if r != col and M[r, col]:
-                M[r] = (M[r] - M[r, col] * M[col]) % p
-    return M[:, n:]

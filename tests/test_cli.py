@@ -71,6 +71,17 @@ def test_verify_half_dim_over_flat_cap_is_refused(tmp_path, capsys):
     assert "BAD_DIMENSION" in err and "flat enumeration cap" in err
 
 
+@pytest.mark.parametrize("prop", ["k-orthogoval", "askew", "half-dim"])
+def test_verify_one_space_is_a_usage_error(tmp_path, capsys, prop):
+    from orthokit import bundle, geom
+    from orthokit.check import standard
+    path = str(tmp_path / "one.json")
+    bundle.write_bundle(path, [standard(geom.projective(2, 2))])
+    code, stdout, err = run(capsys, "verify", path, "--property", prop)
+    assert (code, stdout) == (2, "")
+    assert "need at least 2 spaces" in err
+
+
 def test_verify_malformed_bundle(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": 1}')

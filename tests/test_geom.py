@@ -98,6 +98,52 @@ def test_projective_singer_labels():
     assert g.points()[5] == (1, 0, 1, 1)
 
 
+def reference_label(g, x):
+    """sum_j embed(x_j) z^{b_j}, one scalar GF operation at a time."""
+    ext = g.labeling_field
+    acc = 0
+    for xj, b in zip(x, g.basis):
+        acc = ext.add(acc, ext.mul(g.embed(xj), ext.antilog(b)))
+    return acc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: geom.projective(2, 4),
+    lambda: geom.projective(3, 4),
+    lambda: geom.projective(2, 8),
+    lambda: geom.projective(2, 9),
+    lambda: geom.projective(2, 25),
+    lambda: geom.projective(2, 27),
+    lambda: geom.projective(3, 3, basis="desc"),
+    lambda: geom.projective(3, 3, labeling_modulus=[2, 0, 0, 2, 1], basis="desc"),
+    lambda: geom.projective(3, 2, labeling_modulus=[1, 0, 0, 1, 1]),
+    lambda: geom.projective(1, 4),
+    lambda: geom.projective(1, 27),
+    lambda: geom.projective(2, 9, basis=[5, 0, 2]),
+], ids=["PG(2,4)", "PG(3,4)", "PG(2,8)", "PG(2,9)", "PG(2,25)", "PG(2,27)",
+        "PG(3,3) desc", "PG(3,3) desc x^4+2x^3+2", "PG(3,2) x^4+x^3+1",
+        "PG(1,4)", "PG(1,27)", "PG(2,9) [5,0,2]"])
+def test_coordinates_are_the_label_map(make):
+    g = make()
+    ext, base, N = g.labeling_field, g.field, g.point_count
+    pts = g.points()
+    assert len(pts) == N and len(set(pts)) == N
+    for i, x in enumerate(pts):
+        assert next(v for v in x if v) == 1
+        label = reference_label(g, x)
+        assert ext.log(label) % N == i
+        assert g.singer_label(i).code == label
+        assert g.point_index(x) == i
+        c = base.antilog(i)
+        assert g.point_index(tuple(base.mul(c, v) for v in x)) == i
+
+
+@pytest.mark.parametrize("d,q,basis", [(2, 2, [1, 1, 1]), (3, 4, [0, 2, 5, 7])])
+def test_non_basis_exponents_are_refused(d, q, basis):
+    with pytest.raises(ValueError, match="do not give a basis"):
+        geom.projective(d, q, basis=basis).points()
+
+
 def test_line_through_symmetry_and_membership():
     for g in (geom.affine(2, 5), geom.projective(2, 4)):
         n = g.point_count
