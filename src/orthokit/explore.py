@@ -5,7 +5,8 @@ chains, branch-and-bound clique search over candidate bijections, and
 the exhaustive search over affine structures used for the
 half-dimension nonexistence question, reduced by GL(d, q) through a
 closed-form test of lex-least prefixes and pruned per node through a
-table of the spans of the standard k-flats' (k+1)-subsets.  All searches
+table of the spans of the standard k-flats' (k+1)-subsets, whose unions
+over a common path prefix are kept between nodes.  All searches
 are deterministic: candidate orders are canonical and results never
 depend on timing.  Every certificate emitted here is re-verified through
 :mod:`orthokit.check` before it is reported.
@@ -17,6 +18,7 @@ import itertools
 import json
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
@@ -237,21 +239,6 @@ def _flat_image_ok(g: geom.Geometry, image: list[int], k: int) -> bool:
     return True
 
 
-def _span_table(g: geom.Geometry, k: int) -> dict:
-    """Maps the bitmask of every (k+1)-subset of a k-flat to the bitmask
-    of that flat, its span.  A subset found in two k-flats lies in a
-    (k-1)-flat, so it is dependent and maps to None.  Every (k+1)-subset
-    of the points lies in some k-flat, so every one is a key."""
-    table = {}
-    for f in g.flats(k):
-        bits = [1 << p for p in f]
-        span = sum(bits)
-        for sub in itertools.combinations(bits, k + 1):
-            key = sum(sub)
-            table[key] = None if key in table else span
-    return table
-
-
 def _half_dim_candidates(g: geom.Geometry):
     """The candidate generator of :func:`half_dim_exhaustive` on AG(d, q):
     ``candidates(path)`` lists, ascending, the images the next point
@@ -262,36 +249,103 @@ def _half_dim_candidates(g: geom.Geometry):
     largest point is the next one to an image with no k+2 points in a
     common k-flat.  For such a flat, with other images I, that holds
     exactly when every (k+1)-subset S of I is independent, no other point
-    of I lies in span(S), and the new image avoids span(S).  So each flat
-    forbids its spans once per node, read off :func:`_span_table`,
-    instead of being tested for every image."""
+    of I lies in span(S), and the new image avoids span(S).  A span table,
+    built once, maps the bitmask of every (k+1)-subset of a k-flat to the
+    bitmask of that flat, or to None when the subset lies in two k-flats
+    and so is dependent; every (k+1)-subset of the points lies in some
+    k-flat, so every one is a key.  So each flat forbids its spans with no
+    test per image.
+
+    A flat's part in that depends only on the images up to its
+    second-largest point s.  The flats whose largest point is L are grouped
+    by s, and per L the generator keeps rows: row j is the union of the
+    spans of L's first j groups, or None once one of them fails.  The rows
+    of L remember the path they were made for.  A call for point L keeps
+    the rows of the groups whose s comes before the first position at
+    which its path differs from that one, comparing the whole prefix, and
+    folds in only the later groups.  So siblings in the depth-first search
+    share every group but the last.  The rows live only as long as the
+    generator."""
     k = g.dim // 2
     n, q = g.point_count, g.q
-    table = _span_table(g, k)
-    # per point: each (k+1)-subset of the other points of each k-flat it
-    # is the largest point of, with those other points when there are
-    # more of them, as getters of their bits
-    by_max = [[] for _ in range(n)]
+    rest = q ** k - 1  # the other points of a k-flat
+    # A key is the OR of the images of four points: a (k+1)-subset is
+    # padded with point n, whose image stays 0.  The flat cap of
+    # Geometry.flats keeps k at most 3, so four always suffice.
+    pad = (n,) * (3 - k)
+    table = {}
+    by_last = [{} for _ in range(n)]  # L -> s -> the flats' other points
     for f in g.flats(k):
-        others = f[:-1]
-        whole = itemgetter(*others) if len(others) > k + 1 else None
-        for sub in itertools.combinations(others, k + 1):
-            by_max[f[-1]].append((itemgetter(*sub), whole))
+        fbits = [1 << p for p in f]
+        span = sum(fbits)
+        for key in map(sum, itertools.combinations(fbits, k + 1)):
+            table[key] = None if key in table else span
+        others = f[:-1] + pad if rest == k + 1 else itemgetter(*f[:-1], n)
+        by_last[f[-1]].setdefault(f[-2], []).append(others)
+    # per L: its groups by ascending s, and below[L][m], how many of them
+    # have s < m
+    groups, below = [], []
+    for L, by_s in enumerate(by_last):
+        order = sorted(by_s)
+        groups.append([tuple(by_s[s]) for s in order])
+        below.append([bisect_left(order, m) for m in range(L + 1)])
     # the images at most _canonical_top, by the largest image so far
     window = [(1 << min(_canonical_top([m], q) + 1, n)) - 1
               for m in range(n)]
 
+    # per point L: the path its rows were made for, that path's image bits
+    # (and 0 for the pad point n), their prefix unions, and the rows
+    made = [[-1] * L for L in range(n)]
+    bits = [[0] * (n + 1) for _ in range(n)]
+    used = [[0] * (L + 1) for L in range(n)]
+    rows = [[0] for _ in range(n)]
+
+    if rest == k + 1:
+        # a flat's other points are its only (k+1)-subset, so no other
+        # image can lie in its span
+        def fold(acc, group, bits):
+            for a, b, c, d in group:
+                span = table[bits[a] | bits[b] | bits[c] | bits[d]]
+                if span is None:
+                    return None
+                acc |= span
+            return acc
+    else:
+        # each (k+1)-subset of a flat's other points, as positions among
+        # them, padded with position rest, the pad point's 0
+        subsets = [c + (rest,) * (3 - k)
+                   for c in itertools.combinations(range(rest), k + 1)]
+
+        def fold(acc, group, bits):
+            for get in group:
+                imgs = get(bits)
+                whole = sum(imgs)
+                for a, b, c, d in subsets:
+                    key = imgs[a] | imgs[b] | imgs[c] | imgs[d]
+                    span = table[key]
+                    if span is None or span & whole != key:
+                        return None
+                    acc |= span
+            return acc
+
     def candidates(path):
-        bits = [1 << v for v in path]
-        used = sum(bits)
-        forbidden = used
-        for sub, whole in by_max[len(path)]:
-            key = sum(sub(bits))
-            span = table[key]
-            if span is None or whole and span & sum(whole(bits)) != key:
-                return []
-            forbidden |= span
-        free = window[used.bit_length() - 1] & ~forbidden
+        m = len(path)
+        b, u, row = bits[m], used[m], rows[m]
+        p = _adopt(made[m], path)
+        for i in range(p, m):
+            b[i] = 1 << path[i]
+            u[i + 1] = u[i] | b[i]
+        del row[below[m][p] + 1:]
+        acc = row[-1]
+        if acc is not None:
+            for group in groups[m][len(row) - 1:]:
+                acc = fold(acc, group, b)
+                row.append(acc)
+                if acc is None:
+                    break
+        if acc is None:
+            return []
+        free = window[u[m].bit_length() - 1] & ~(u[m] | acc)
         out = []
         while free:
             low = free & -free
@@ -300,6 +354,21 @@ def _half_dim_candidates(g: geom.Geometry):
         return out
 
     return candidates
+
+
+def _adopt(old: list, new: list) -> int:
+    """Make ``old`` equal to ``new``, a list of the same length, and return
+    the first position at which they differed."""
+    if old == new:
+        return len(new)
+    old[-1] = new[-1]
+    if old == new:
+        return len(new) - 1
+    p = 0
+    while old[p] == new[p]:
+        p += 1
+    old[p:] = new[p:]
+    return p
 
 
 def _canonical_top(path: list, q: int) -> int:
@@ -314,6 +383,7 @@ def _canonical_top(path: list, q: int) -> int:
 
 @dataclass
 class _HalfDimState:
+    """A search position as a checkpoint records it."""
     path: list
     idx: list
     nodes: int
@@ -397,8 +467,10 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     stabiliser moves any point outside that span to any other, so a
     prefix is lex-least exactly when each image is at most the least
     power of q above every earlier one.  The images a point may take are
-    read off a span table once per node (see
-    :func:`_half_dim_candidates`), so no rank is computed per image.
+    read off a span table, and a node reuses the spans its path prefix
+    shares with the node before it (see :func:`_half_dim_candidates`),
+    so no rank is computed per image.  The search stacks are locals; a
+    save writes them out as a :class:`_HalfDimState`.
 
     Raises OddDimension for odd ``d``, ValueError when
     ``max_certificates`` is below 1, and BudgetExceeded (with the partial
@@ -426,20 +498,17 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
         if not state.idx or (state.certificates and
                              len(state.certificates) >= max_certificates):
             return SearchResult(state.certificates, state.nodes, not state.idx)
+        path, idx, nodes, certificates = (state.path, state.idx, state.nodes,
+                                          state.certificates)
     else:
-        state = _HalfDimState(path=[0], idx=[0], nodes=0)
-        cands = [candidates(state.path)]
+        path, idx, nodes, certificates = [0], [0], 0, []
+        cands = [candidates(path)]
 
-    def save_checkpoint():
+    def save_checkpoint(nodes):
         if not cpath:
             return
-        payload = {
-            "task": task,
-            "path": state.path,
-            "idx": state.idx,
-            "nodes": state.nodes,
-            "certificates": state.certificates,
-        }
+        state = _HalfDimState(path, idx, nodes, certificates)
+        payload = {"task": task, **vars(state)}
         tmp = cpath + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(payload, fh)
@@ -451,38 +520,38 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     # is the next node to visit.
     while True:
         cur = cands[-1]
-        pos = state.idx[-1]
+        pos = idx[-1]
         if pos >= len(cur):
             # backtrack
             cands.pop()
-            state.idx.pop()
-            if not state.idx:
-                save_checkpoint()
-                return SearchResult(state.certificates, state.nodes, True)
-            state.path.pop()
-            state.idx[-1] += 1
+            idx.pop()
+            if not idx:
+                save_checkpoint(nodes)
+                return SearchResult(certificates, nodes, True)
+            path.pop()
+            idx[-1] += 1
             continue
-        if budget is not None and state.nodes >= budget:
-            save_checkpoint()
+        if budget is not None and nodes >= budget:
+            save_checkpoint(nodes)
             raise BudgetExceeded(
                 f"node budget {budget} exhausted",
-                SearchResult(state.certificates, state.nodes, False))
-        if cpath and state.nodes and state.nodes % checkpoint_every == 0:
-            save_checkpoint()
-        state.nodes += 1
+                SearchResult(certificates, nodes, False))
+        if cpath and nodes and nodes % checkpoint_every == 0:
+            save_checkpoint(nodes)
+        nodes += 1
         v = cur[pos]
-        if len(state.path) + 1 == n:
-            perm = state.path + [v]
-            state.idx[-1] += 1
+        if len(path) + 1 == n:
+            perm = path + [v]
+            idx[-1] += 1
             if is_half_dimension_orthogoval(std, from_map(g, perm)):
-                state.certificates.append(perm)
-                if len(state.certificates) >= max_certificates:
-                    save_checkpoint()
-                    return SearchResult(state.certificates, state.nodes, False)
+                certificates.append(perm)
+                if len(certificates) >= max_certificates:
+                    save_checkpoint(nodes)
+                    return SearchResult(certificates, nodes, False)
             continue
-        state.path.append(v)
-        cands.append(candidates(state.path))
-        state.idx.append(0)
+        path.append(v)
+        cands.append(candidates(path))
+        idx.append(0)
 
 
 def phi_half_dim_probe(cases: list) -> list[dict]:

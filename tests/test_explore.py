@@ -5,6 +5,7 @@ plane-structure partition search."""
 import itertools
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -185,6 +186,64 @@ def test_span_table_negative_controls():
         _reference_candidates(g, list(range(8))))
 
 
+def _walk(g, start, budget):
+    """The first `budget` nodes of the depth-first search below `start`,
+    in search order, each with the candidates that one generator, asked in
+    that order, gives for it."""
+    candidates = explore._half_dim_candidates(g)
+    walk, stack = [], [start]
+    while stack and len(walk) < budget:
+        path = stack.pop()
+        got = candidates(path)
+        walk.append((path, got))
+        if len(path) + 1 < g.point_count:
+            stack.extend(path + [v] for v in reversed(got))
+    return walk
+
+
+@pytest.mark.parametrize("d,q,start,budget", [
+    (4, 2, [0], 3000),
+    # AG(4,3)'s search stays below depth 9 for its first 170k nodes, so
+    # this walk starts at a node of depth 9
+    (4, 3, [0, 1, 3, 9, 13, 27, 41, 69, 77], 1500),
+    # rows never fail on AG(4,2), where three points are never dependent,
+    # nor with a live sibling in the AG(4,3) walk; on AG(2,5) they do
+    (2, 5, [0], 2000)])
+def test_candidates_do_not_depend_on_call_order(d, q, start, budget):
+    # the generator keeps the rows of each point between calls; asked for
+    # the walk's prefixes out of order, it must answer as the walk did
+    g = geom.affine(d, q)
+    fresh = explore._half_dim_candidates(g)
+    assert all(start[i] in fresh(start[:i]) for i in range(1, len(start)))
+    walk = _walk(g, start, budget)
+    want = {tuple(path): got for path, got in walk}
+    paths = [path for path, _ in walk]
+    rng = random.Random(1)
+    order = paths[:]
+    rng.shuffle(order)
+    # pairs that share their last image but not the images before it
+    by_tail, by_parent = {}, {}
+    for path in paths:
+        by_tail.setdefault((len(path), path[-1]), []).append(path)
+        by_parent.setdefault(tuple(path[:-1]), []).append(path)
+    tails = [(a, b) for same in by_tail.values() for a, b in zip(same, same[1:])
+             if a[:-1] != b[:-1]]
+    # a path left with no candidates, then its sibling, those with
+    # candidates first
+    dead = [(a, b) for kin in by_parent.values() for a in kin
+            if not want[tuple(a)] for b in kin if b != a]
+    dead.sort(key=lambda pair: not want[tuple(pair[1])])
+    assert len(tails) >= 200 and len(dead) >= 200
+    for a, b in tails[:200] + dead[:200]:
+        order += [a, b]
+    order += [path for path in paths[::7] for _ in range(2)]  # asked twice
+    candidates = explore._half_dim_candidates(g)
+    for path in order:
+        assert candidates(path) == want[tuple(path)], path
+    for path in rng.sample(paths, 30):
+        assert want[tuple(path)] == _reference_candidates(g, path), path
+
+
 def test_half_dim_rejects_odd_dimension_and_no_certificates():
     with pytest.raises(OddDimension):
         explore.half_dim_exhaustive(3, 2)
@@ -231,6 +290,19 @@ def test_half_dim_checkpoint_env_var(tmp_path, monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         explore.half_dim_exhaustive(4, 2, budget=700)
     assert exc.value.result.nodes == 700
+
+
+def test_half_dim_ag42_resumes_through_budget_legs(tmp_path):
+    # each leg resumes the previous one's checkpoint and stops at its own
+    # budget, until a leg finishes the straight run's search
+    cp = str(tmp_path / "cp.json")
+    for budget in (60_000, 120_000):
+        with pytest.raises(BudgetExceeded) as exc:
+            explore.half_dim_exhaustive(4, 2, budget=budget, checkpoint_path=cp)
+        assert exc.value.result.nodes == budget
+        assert not exc.value.result.exhaustive
+    res = explore.half_dim_exhaustive(4, 2, budget=180_000, checkpoint_path=cp)
+    assert (res.exhaustive, res.certificates, res.nodes) == (True, [], 168_439)
 
 
 def _search_cli(capsys, *extra):
