@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .check import Space, are_mutually_orthogoval
-from .errors import AffineQ2Undefined, UnverifiedCertificate
+from .errors import AffineQ2Undefined, GeometryMismatch, UnverifiedCertificate
 from .geom import AFFINE, Geometry
 
 
@@ -59,11 +59,17 @@ def bound_report(g: Geometry, certificates: list[list[Space]] = ()) -> BoundRepo
     """Compare verified families against both bounds.
 
     Every certificate family is re-verified here; an invalid one is a
-    hard error, not a silent drop."""
+    hard error, not a silent drop.  So is a family of another kind,
+    dimension or q than ``g``; basis and labelling leave bounds alone."""
     tb, jb = triple_bound(g), johnson_bound(g)
     achieved = 1  # the standard space alone
     sizes = []
     for fam in certificates:
+        for s in fam:
+            h = s.geometry
+            if (h.kind, h.dim, h.q) != (g.kind, g.dim, g.q):
+                raise GeometryMismatch(
+                    f"certificate family lives on {h!r}, not on {g!r}")
         if len(fam) >= 2 and not are_mutually_orthogoval(fam):
             raise UnverifiedCertificate(
                 f"certificate family of size {len(fam)} fails verification")

@@ -24,7 +24,7 @@ from .errors import (
     UnknownName,
     UnverifiedCertificate,
 )
-from .gf import GF, FieldElement, is_prime
+from .gf import GF, is_prime
 
 BIG_SETS_TABLE = [
     # (q, r, admissible w values, chain length n); family size is n+1
@@ -42,14 +42,15 @@ BIG_SETS_TABLE = [
 # coefficient search and characteristic-p pairs
 # ----------------------------------------------------------------------
 
-def find_no_root_coeffs(field: GF, poly) -> tuple[FieldElement, FieldElement]:
+def find_no_root_coeffs(field: GF, poly) -> tuple[int, int]:
     """Least (a, b) such that poly(x) + a*x + b has no root in the field.
 
-    poly is a coefficient list (constant term first).  Existence is
-    guaranteed; the scan is exhaustive in code order for determinism.
+    poly is a list of integer coefficients (constant term first), each
+    read mod p.  Existence is guaranteed; the scan is exhaustive in code
+    order for determinism.
     """
     q = field.order
-    codes = [c.code if isinstance(c, FieldElement) else c % field.p for c in poly]
+    codes = [c % field.p for c in poly]
     values = []
     for x in range(q):
         acc = 0
@@ -60,7 +61,7 @@ def find_no_root_coeffs(field: GF, poly) -> tuple[FieldElement, FieldElement]:
         ax = [field.mul(a, x) for x in range(q)]
         for b in range(q):
             if all(field.add(field.add(values[x], ax[x]), b) != 0 for x in range(q)):
-                return field.element(a), field.element(b)
+                return a, b
     raise AssertionError("no rootless shift found; field arithmetic is broken")
 
 
@@ -79,8 +80,7 @@ def build_char_p_pair(p: int, n: int, k: int) -> tuple[Space, Space, np.ndarray]
     g = geom.affine(k, p ** n)
     f = g.field
     m = (p ** k - 1) // (p - 1)
-    a, b = find_no_root_coeffs(f, _monomial(m))
-    A, B = a.code, b.code
+    A, B = find_no_root_coeffs(f, _monomial(m))
     perm = np.empty(g.point_count, dtype=np.int64)
     for idx, x in enumerate(g.points()):
         y = [f.sub(f.frobenius(x[i]), x[i + 1]) for i in range(k - 1)]

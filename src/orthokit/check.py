@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import GeometryMismatch, OddDimension
-from .geom import PROJECTIVE, Geometry, _field_tables
+from .geom import PROJECTIVE, Geometry
 
 _TRIPLE_CACHE_LIMIT = 2_000_000
 # matrix entries per working array of the askew decider
@@ -73,7 +72,7 @@ class Space:
         self.perm = np.array(self.perm, dtype=np.int64)
         self.perm.flags.writeable = False
         n = self.geometry.point_count
-        if len(self.perm) != n or len(np.unique(self.perm)) != n:
+        if not np.array_equal(np.sort(self.perm), np.arange(n)):
             raise ValueError("map is not a permutation of the point indices")
 
     @property
@@ -457,25 +456,12 @@ def _first_outside_general_position(rows: np.ndarray, space: Space):
     return None
 
 
-@lru_cache(maxsize=16)
-def _rank_tables(base) -> tuple[np.ndarray, ...]:
-    """The field's add and mul tables, with negation and inversion read
-    off them (inv[0] = 0); cached, so read-only."""
-    add, mul = _field_tables(base)
-    neg = np.argmax(add == 0, axis=1).astype(add.dtype)
-    inv = np.argmax(mul == 1, axis=1).astype(mul.dtype)
-    tables = add, mul, neg, inv
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _full_rank(mats: np.ndarray, base) -> np.ndarray:
     """Whether each m x r matrix of a stack of field codes has rank m.
     Gaussian elimination by rows, batched with the field's tables: the
     first nonzero entry of row i, scaled to 1, is cleared from the rows
     below it, and a row left all zero is dependent."""
-    add, mul, neg, inv = _rank_tables(base)
+    add, mul, neg, inv = base.tables()
     m = np.array(mats, dtype=add.dtype)
     ok = np.ones(len(m), dtype=bool)
     each = np.arange(len(m))

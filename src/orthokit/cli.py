@@ -261,6 +261,11 @@ def _reproduce_big_sets(args):
     table = BIG_SETS_TABLE
     if args.rows:
         want = {tuple(int(x) for x in r.split(",")) for r in args.rows}
+        unknown = want - {(q, r, w) for q, r, ws, _ in table for w in ws}
+        if unknown:
+            raise ValueError(
+                "--rows names q,r,w triples not in the big-sets table: "
+                + " ".join(",".join(map(str, t)) for t in sorted(unknown)))
         table = [(q, r, tuple(w for w in ws if (q, r, w) in want), n)
                  for q, r, ws, n in table]
         table = [row for row in table if row[2]]
@@ -341,6 +346,8 @@ def cmd_reproduce(args) -> int:
         "askew": _reproduce_askew,
         "half-dim-nonexistence": _reproduce_half_dim,
     }
+    if args.rows is not None and args.table != "big-sets":
+        raise ValueError(f"--rows applies to big-sets only, not to {args.table}")
     ok, rows = runners[args.table](args)
     report = run_report("reproduce",
                         {"table": args.table, "budget": args.budget,

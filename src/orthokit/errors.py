@@ -17,10 +17,6 @@ class ReducibleModulus(OrthokitError):
     code = "REDUCIBLE_MODULUS"
 
 
-class MixedFields(OrthokitError):
-    code = "MIXED_FIELDS"
-
-
 class DivideByZero(OrthokitError):
     code = "DIVIDE_BY_ZERO"
 

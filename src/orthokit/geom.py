@@ -41,7 +41,7 @@ from .errors import (
     EmptySet,
     EqualPoints,
 )
-from .gf import GF, FieldElement, field_create
+from .gf import GF, field_create
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -187,11 +187,11 @@ class Geometry:
                 break
         return self._index_of[x]
 
-    def singer_label(self, idx: int) -> FieldElement:
-        """Label of the normalized representative of a projective point."""
-        ext = self.labeling_field
+    def singer_label(self, idx: int) -> int:
+        """Code in :attr:`labeling_field` of the label of the normalized
+        representative of a projective point."""
         self.points()
-        return FieldElement(ext, self._labels[idx])
+        return self._labels[idx]
 
     # -- lines ----------------------------------------------------------
 
@@ -363,7 +363,7 @@ class Geometry:
         self._check_cap()
         q, affine_ = self.q, self.kind == AFFINE
         r, n = (j, self.dim) if affine_ else (j + 1, self.dim + 1)
-        add, mul = _field_tables(self.field)
+        add, mul, _, _ = self.field.tables()
         if affine_:
             coeffs = _all_vectors(q, r)
         else:
@@ -493,16 +493,6 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
-
-
-def _field_tables(field: GF) -> tuple[np.ndarray, np.ndarray]:
-    """q x q addition and multiplication tables of the field's codes, in
-    the smallest unsigned type that holds a code."""
-    q = field.order
-    dtype = np.min_scalar_type(q - 1)
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)], dtype)
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)], dtype)
-    return add, mul
 
 
 def _base_q_digits(codes: np.ndarray, q: int, m: int) -> np.ndarray:

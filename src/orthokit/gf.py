@@ -1,9 +1,11 @@
 """Arithmetic in GF(p^n) with an explicit irreducible modulus.
 
-Field elements are integer codes in ``[0, p^n)``: the base-p digits of a
-code are the coefficients of z^0 .. z^{n-1}.  Multiplication and
-inversion go through discrete log / antilog tables built at construction
-time, so a field object is immutable and cheap to share.
+Field elements are integer codes in ``[0, p^n)``, and a ``GF`` owns all
+arithmetic on them: the base-p digits of a code are the coefficients of
+z^0 .. z^{n-1}.  Scalar multiplication and inversion go through discrete
+log / antilog tables built at construction time; ``tables()`` gives
+read-only numpy add, mul, neg and inv tables for batched work.  A field
+object is immutable and cheap to share.
 
 Conventions (all deterministic, recorded in serialized output):
   * AUTO modulus = the monic primitive polynomial of degree n with the
@@ -14,12 +16,11 @@ Conventions (all deterministic, recorded in serialized output):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivideByZero, LogOfZero, MixedFields, NotPrime, ReducibleModulus
+from .errors import DivideByZero, LogOfZero, NotPrime, ReducibleModulus
 
 
 def is_prime(m: int) -> bool:
@@ -116,6 +117,7 @@ class GF:
         self._q1_factors = prime_factors(q1) if q1 > 1 else []
         self.primitive = self._find_primitive()
         self._build_tables()
+        self._tables = None
 
     # -- bootstrap arithmetic (digit based, used before tables exist) --
 
@@ -273,32 +275,28 @@ class GF:
     def antilog(self, e: int) -> int:
         return self.antilog_table[e % (self.order - 1)]
 
-    # -- element interface ---------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        """Wrap an integer code or coefficient sequence."""
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise MixedFields("element from a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.order)
-        return FieldElement(self, self._encode(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def z(self) -> "FieldElement":
-        return FieldElement(self, self.primitive)
-
-    def elements(self):
-        return (FieldElement(self, a) for a in range(self.order))
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """(add, mul, neg, inv) over all codes, in the smallest unsigned
+        type that holds a code: add[a, b] = a + b, mul[a, b] = a * b,
+        neg[a] = -a, and inv[a] = 1 / a with inv[0] = 0.  Built once per
+        field and read-only, so every caller shares them."""
+        if self._tables is None:
+            p, q = self.p, self.order
+            add = np.zeros((q, q), dtype=np.int64)
+            for w in p ** np.arange(self.n, dtype=np.int64):
+                digit = np.arange(q) // w % p
+                add += (digit[:, None] + digit) % p * w
+            # log[0] is -1; the zero row and column are cleared after
+            log, antilog = np.array(self.log_table), np.array(self.antilog_table)
+            mul = antilog[(log[:, None] + log) % (q - 1)]
+            mul[0, :] = mul[:, 0] = 0
+            # row 0 of mul holds no 1, so inv[0] = 0
+            neg, inv = np.argmax(add == 0, axis=1), np.argmax(mul == 1, axis=1)
+            dtype = np.min_scalar_type(q - 1)
+            self._tables = tuple(t.astype(dtype) for t in (add, mul, neg, inv))
+            for table in self._tables:
+                table.flags.writeable = False
+        return self._tables
 
     def describe(self) -> dict:
         return {
@@ -323,65 +321,8 @@ class GF:
         return hash((self.p, self.n, self.modulus))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    field: GF
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.field._digits(self.code))
-
-    def _check(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            other = self.field.element(other)
-        if other.field != self.field:
-            raise MixedFields("operands from different fields")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.code, self.field.inv(other.code)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.element(other)
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __repr__(self):
-        return f"<{self.code} in GF({self.field.p}^{self.field.n})>"
-
-
 # ----------------------------------------------------------------------
-# Flat functional API mirroring the field operation contracts.
+# Cached construction: one GF object per (p, n, modulus).
 # ----------------------------------------------------------------------
 
 AUTO = None
@@ -395,31 +336,3 @@ def _cached_field(p: int, n: int, modulus) -> GF:
 def field_create(p: int, n: int, modulus=AUTO) -> GF:
     key = tuple(c % p for c in modulus) if modulus is not None else None
     return _cached_field(p, n, key)
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return FieldElement(a.field, a.field.inv(a.code))
-
-
-def field_pow(a: FieldElement, e: int) -> FieldElement:
-    return a ** e
-
-
-def frobenius(a: FieldElement) -> FieldElement:
-    return FieldElement(a.field, a.field.frobenius(a.code))
-
-
-def discrete_log(a: FieldElement) -> int:
-    return a.field.log(a.code)

@@ -21,10 +21,10 @@ def test_find_no_root_coeffs_is_rootless_and_least():
     a, b = build.find_no_root_coeffs(f, [0, 0, 0, 1])
     for x in range(4):
         x3 = f.pow(x, 3)
-        assert f.add(f.add(x3, f.mul(a.code, x)), b.code) != 0
+        assert f.add(f.add(x3, f.mul(a, x)), b) != 0
     # least pair: nothing lexicographically smaller works
-    for aa in range(a.code + 1):
-        for bb in range(b.code if aa == a.code else 4):
+    for aa in range(a + 1):
+        for bb in range(b if aa == a else 4):
             assert any(
                 f.add(f.add(f.pow(x, 3), f.mul(aa, x)), bb) == 0
                 for x in range(4))

@@ -145,6 +145,14 @@ def test_space_perm_is_a_read_only_copy():
         s.perm[0] = 1
 
 
+@pytest.mark.parametrize("perm", [np.arange(9) - 1, np.arange(1, 10)],
+                         ids=["-1..7", "1..9"])
+def test_space_rejects_values_outside_the_point_range(perm):
+    # distinct values of the right count, but not the indices 0..8
+    with pytest.raises(ValueError):
+        check.from_map(geom.affine(2, 3), perm)
+
+
 def test_translations_and_singer_shifts_are_collineations():
     g = geom.affine(3, 3)
     perm = check.translation_map(g, (1, 2, 0))
@@ -231,7 +239,7 @@ def test_askew_equals_naive_on_random_bijections(case, seed, standard_first):
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(q=st.sampled_from([2, 3, 4, 8, 9]), rows=st.integers(1, 5),
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256]), rows=st.integers(1, 5),
        cols=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_full_rank_equals_gf_rank(q, rows, cols, seed):
     field = geom.projective(1, q).field

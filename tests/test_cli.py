@@ -147,6 +147,27 @@ def test_bound_with_certificate(tmp_path, capsys):
     assert rep["verdicts"]["slack"] == 0
 
 
+def test_bound_rejects_a_family_from_another_geometry(tmp_path, capsys):
+    out = str(tmp_path / "pg42.json")
+    assert run(capsys, "construct", "phi-family", "--q", "2", "--r", "5",
+               "--w", "3", "--n", "5", "--out", out)[0] == 0
+    code, stdout, err = run(capsys, "bound", "--kind", "affine",
+                            "--dim", "2", "--q", "3", out)
+    assert (code, stdout) == (2, "")
+    assert "GEOMETRY_MISMATCH" in err
+
+
+def test_bound_accepts_another_basis_and_labelling(tmp_path, capsys):
+    # PG3_F3_X2 uses the desc basis and labelling modulus [2, 0, 0, 2, 1]
+    out = str(tmp_path / "pg33.json")
+    assert run(capsys, "construct", "catalog", "--name", "PG3_F3_X2",
+               "--out", out)[0] == 0
+    code, stdout, _ = run(capsys, "bound", "--kind", "projective",
+                          "--dim", "3", "--q", "3", out)
+    assert code == 0
+    assert json.loads(stdout)["verdicts"]["achieved"] == 2
+
+
 def test_search_commands(capsys):
     code, stdout, _ = run(capsys, "search", "exponent-scan", "--q", "5",
                           "--r", "5", "--w-max", "6")
@@ -245,6 +266,18 @@ def test_reproduce_big_sets_single_row(capsys):
     rows = json.loads(stdout)["verdicts"]["rows"]
     assert [(r["q"], r["r"], r["w"]) for r in rows] == [(2, 5, 3), (2, 5, 11)]
     assert all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (("big-sets", "--rows", "2,5,3", "2,5,99"), "2,5,99"),
+    (("big-sets", "--rows", "2,5"), "2,5"),
+    (("catalog", "--rows", "2,5,3"), "big-sets only"),
+    (("askew", "--rows"), "big-sets only"),
+])
+def test_reproduce_rows_outside_the_big_sets_table_exit_2(capsys, argv, problem):
+    code, stdout, err = run(capsys, "reproduce", *argv)
+    assert (code, stdout) == (2, "")
+    assert "--rows" in err and problem in err
 
 
 def test_reproduce_half_dim_budget(capsys, tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
 """Field arithmetic against independent oracles and algebraic laws."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthokit import gf
-from orthokit.errors import DivideByZero, LogOfZero, MixedFields, NotPrime, ReducibleModulus
+from orthokit.errors import DivideByZero, LogOfZero, NotPrime, ReducibleModulus
 
 import sympy
 
@@ -67,13 +68,6 @@ def test_zero_division_and_log():
         f.inv(0)
     with pytest.raises(LogOfZero):
         f.log(0)
-
-
-def test_mixed_fields_rejected():
-    a = gf.field_create(2, 2).element(1)
-    b = gf.field_create(3, 1).element(1)
-    with pytest.raises(MixedFields):
-        gf.field_add(a, b)
 
 
 def test_log_antilog_roundtrip():
@@ -147,15 +141,21 @@ def test_log_is_homomorphism(pn, data):
     assert f.log(f.mul(a, b)) == (f.log(a) + f.log(b)) % (f.order - 1)
 
 
-def test_element_wrappers():
-    f = gf.field_create(5, 1)
-    a, b = f.element(2), f.element(4)
-    assert (a + b).code == 1
-    assert (a * b).code == 3
-    assert (-a).code == 3
-    assert gf.field_inv(a).code == 3
-    assert gf.field_pow(a, 3).code == 3
-    assert gf.discrete_log(f.element(f.primitive)) == 1
+@pytest.mark.parametrize("p, n", SMALL_FIELDS)
+def test_tables_equal_the_scalar_methods(p, n):
+    f = gf.field_create(p, n)
+    add, mul, neg, inv = tables = f.tables()
+    codes = range(f.order)
+    assert add.tolist() == [[f.add(a, b) for b in codes] for a in codes]
+    assert mul.tolist() == [[f.mul(a, b) for b in codes] for a in codes]
+    assert neg.tolist() == [f.neg(a) for a in codes]
+    assert inv.tolist() == [0] + [f.inv(a) for a in codes if a]
+    for table in tables:
+        assert table.dtype == np.min_scalar_type(f.order - 1)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+    assert all(a is b for a, b in zip(f.tables(), tables))
 
 
 def test_field_identity_is_cached():
