@@ -35,10 +35,12 @@ here too: when both spaces are x -> u*x + c, every line of one is a
 Singer shift of the image u*L + c of a standard line L through 0, and
 a shift moves the preimages in the other space by a Singer shift too,
 which keeps every rank.  So only the images of the (N-1)/q standard
-lines through 0 are tested.  A reduced run that fails, and any other
-pair, scans every line in ``lines()`` order, so the witness is the
-first failing line, first space before second, as in the per-line
-oracle ``naive_askew_pair``.
+lines through 0 are tested, and a failing pair needs no more: those
+lines are the first rows of ``lines()``, and a failing line's shift
+through 0 fails too, so the first failing line through 0 is the first
+failing line of all.  Any other pair scans every line in ``lines()``
+order.  Either way the witness is the first failing line, first space
+before second, as in the per-line oracle ``naive_askew_pair``.
 
 All predicates are pure and deterministic.
 """
@@ -403,14 +405,14 @@ def is_askew_pair(s: Space, t: Space) -> Verdict:
     g = _check_same_geometry([s, t])
     if _general_position_size(g) <= 2:
         return Verdict(True)  # two distinct points always have rank 2
-    directions = (("first", s, t), ("second", t, s))
-    if _singer_multiplier(s) is not None and _singer_multiplier(t) is not None:
-        lines0 = g.lines_through_origin()
-        if all(_first_outside_general_position(src.perm[lines0], other) is None
-               for _, src, other in directions):
-            return Verdict(True)
-    for line_of, src, other in directions:
-        rows = src.lines()
+    singer = (_singer_multiplier(s) is not None
+              and _singer_multiplier(t) is not None)
+    for line_of, src, other in (("first", s, t), ("second", t, s)):
+        if singer:
+            # the first rows of src.lines(), sorted as it sorts them
+            rows = np.sort(src.perm[g.lines_through_origin()], axis=1)
+        else:
+            rows = src.lines()
         bad = _first_outside_general_position(rows, other)
         if bad is not None:
             return Verdict(False, {"line_of": line_of,

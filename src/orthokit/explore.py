@@ -4,9 +4,11 @@ Four task kinds: exponent scans for orthomorphism power maps, power
 chains, branch-and-bound clique search over candidate bijections, and
 the exhaustive search over affine structures used for the
 half-dimension nonexistence question, reduced by GL(d, q) through a
-closed-form test of lex-least prefixes and pruned per node through a
-table of the spans of the standard k-flats' (k+1)-subsets, whose unions
-over a common path prefix are kept between nodes.  All searches
+closed-form test of lex-least prefixes, reduced on the domain side by
+the affine maps of each subspace [0, q^r) a prefix completes, and pruned
+per node through a table of the spans of the standard k-flats'
+(k+1)-subsets, whose unions over a common path prefix are kept between
+nodes.  All searches
 are deterministic: candidate orders are canonical and results never
 depend on timing.  Every certificate emitted here is re-verified through
 :mod:`orthokit.check` before it is reported.
@@ -201,7 +203,7 @@ def clique_search(candidates: list, g: geom.Geometry,
 # Identifies the search tree a checkpoint belongs to.  Bump it whenever a
 # change to the candidate order or the pruning changes the tree, so that
 # an old checkpoint is refused instead of resumed into the wrong tree.
-_SEARCH_VERSION = 2
+_SEARCH_VERSION = 3
 
 
 def _gl_point_perms(g: geom.Geometry) -> list:
@@ -371,6 +373,88 @@ def _adopt(old: list, new: list) -> int:
     return p
 
 
+def _vector_tables(g: geom.Geometry) -> tuple[list, list, list]:
+    """(add, mul, neg) on the points of AG(d, q) as vectors of F_q^d:
+    add[a][b] = a + b, mul[c][a] = c * a for a field code c, and
+    neg[a] = -a, read off the field's tables digit by digit."""
+    q, d = g.q, g.dim
+    fadd, fmul, fneg, _ = g.field.tables()
+    digits = geom._base_q_digits(np.arange(g.point_count), q, d)
+    weights = q ** np.arange(d - 1, -1, -1)
+    return ((fadd[digits[:, None], digits[None, :]] @ weights).tolist(),
+            (fmul[np.arange(q)[:, None, None], digits] @ weights).tolist(),
+            (fneg[digits] @ weights).tolist())
+
+
+def _least_at_level(tables: tuple, p: list) -> bool:
+    """Whether the left-canonical prefix ``p`` of length q^r is least among
+    the left-canonical images of p . s over the affine maps s of the
+    domain subspace D_r = [0, q^r); ``tables`` are :func:`_vector_tables`.
+
+    The left-canonical image of a sequence translates its first entry to
+    0, then writes the j-th entry that leaves the span of those before it
+    as q^j and every other entry as its coordinates c in the basis so
+    far, sum c_j q^j: the closed form of :func:`_canonical_top`.  A map s
+    is set by its frame, the images of 0, 1, q, ..., q^(r-1), and the
+    entries of positions [q^j, q^(j+1)) follow from the first j+1 of
+    them.  The frames are walked depth first; a branch stops as soon as
+    an entry exceeds that of p, and the test as soon as one is smaller.
+    The span of a branch's entries is kept as its points, listed by
+    entry, so no rank is computed and AGL(r, q) is never listed."""
+    add, mul, neg = tables
+    q, m = len(mul), len(p)
+
+    def walk(dom, pts, ent):
+        # dom: the images under s of positions [0, w); pts and ent: the
+        # span of their images in p, as points by entry and back
+        w = len(dom)
+        if w == m:
+            return True
+        seen = set(dom)
+        na, no = neg[dom[0]], neg[pts[0]]
+        for f in range(m):
+            if f in seen:
+                continue
+            u = add[f][na]
+            more = [add[x][mul[c][u]] for c in range(1, q) for x in dom]
+            span, index = pts, ent
+            for i, s in enumerate(more, w):
+                z, top = p[s], len(span)
+                e = index.get(z, top)
+                if e != p[i]:
+                    if e < p[i]:
+                        return False
+                    break
+                if e == top:
+                    dz = add[z][no]
+                    span = span + [add[y][mul[c][dz]]
+                                   for c in range(1, q) for y in span]
+                    index = {y: j for j, y in enumerate(span)}
+            else:
+                if not walk(dom + more, span, index):
+                    return False
+        return True
+
+    return all(walk([a], [p[a]], {p[a]: 0}) for a in range(m))
+
+
+def _level_filters(g: geom.Geometry) -> list:
+    """The domain-side reduction of :func:`half_dim_exhaustive`, per path
+    length L: None, or where point L completes a domain subspace
+    D_r = [0, q^r) with 1 <= r < d, a function of a path and its
+    candidate images that keeps those whose completed prefix
+    :func:`_least_at_level` accepts.  The search applies it to non-empty
+    candidate lists only: on AG(4, 3) nearly every list for point 8 is
+    empty, and a wrapper around the generator would cost a call each."""
+    tables = _vector_tables(g)
+
+    def keep(path, images):
+        return [v for v in images if _least_at_level(tables, path + [v])]
+
+    levels = {g.q ** r - 1 for r in range(1, g.dim)}
+    return [keep if L in levels else None for L in range(g.point_count)]
+
+
 def _canonical_top(path: list, q: int) -> int:
     """The least power of q above every image in ``path``: appending an
     image keeps the prefix lex-least under GL(d, q) exactly when the
@@ -469,8 +553,24 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     power of q above every earlier one.  The images a point may take are
     read off a span table, and a node reuses the spans its path prefix
     shares with the node before it (see :func:`_half_dim_candidates`),
-    so no rank is computed per image.  The search stacks are locals; a
-    save writes them out as a :class:`_HalfDimState`.
+    so no rank is computed per image.
+
+    Composing with an affine map s on the domain side gives the very
+    same space, since s permutes the standard flats.  So where point
+    q^r - 1 completes the domain subspace D_r = [0, q^r), 1 <= r < d, an
+    image is dropped unless the completed prefix is least among its
+    left-canonical images under the affine maps of D_r (see
+    :func:`_least_at_level`).  That is sound: the lex-least
+    left-canonical bijection pi of a class (bijections that differ by
+    affine maps on either side) is never dropped.  Each map of D_r
+    extends to an affine map of AG(d, q) that keeps D_r, so pi . s has a
+    left-canonical image in the class, never below pi, and left-canonical
+    images of prefixes are the prefixes of left-canonical images.  A run
+    with no certificate still proves nonexistence, and the first
+    certificate, the least of all, is unchanged.  The full AG(4, 2) run
+    visits 1,071 nodes in about 0.05 s on a 2-core box (168,439 nodes and
+    about 1.3 s without the domain-side levels).  The search stacks are
+    locals; a save writes them out as a :class:`_HalfDimState`.
 
     Raises OddDimension for odd ``d``, ValueError when
     ``max_certificates`` is below 1, and BudgetExceeded (with the partial
@@ -488,7 +588,15 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     g = geom.affine(d, q)
     n = g.point_count
     std = standard(g)
-    candidates = _half_dim_candidates(g)
+    generate = _half_dim_candidates(g)
+    keep = _level_filters(g)
+
+    def candidates(path):
+        out = generate(path)
+        if out and keep[len(path)]:
+            out = keep[len(path)](path, out)
+        return out
+
     cpath = _checkpoint_path(d, q, checkpoint_path)
     task = {"kind": "HALF_DIM_EXHAUSTIVE", "d": d, "q": q,
             "version": _SEARCH_VERSION}
@@ -540,7 +648,8 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
             save_checkpoint(nodes)
         nodes += 1
         v = cur[pos]
-        if len(path) + 1 == n:
+        depth = len(path) + 1
+        if depth == n:
             perm = path + [v]
             idx[-1] += 1
             if is_half_dimension_orthogoval(std, from_map(g, perm)):
@@ -550,7 +659,11 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
                     return SearchResult(certificates, nodes, False)
             continue
         path.append(v)
-        cands.append(candidates(path))
+        # candidates(path), inlined to spare a call per node
+        nxt = generate(path)
+        if nxt and keep[depth]:
+            nxt = keep[depth](path, nxt)
+        cands.append(nxt)
         idx.append(0)
 
 

@@ -222,6 +222,44 @@ def test_askew_negative_controls_fail_with_the_oracle_witness(k, q):
     assert v.witness["line_of"] == "first"
 
 
+def _refuse_line_list(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Geometry.lines called")
+
+    monkeypatch.setattr(geom.Geometry, "lines", refuse)
+
+
+@pytest.mark.parametrize("k, q, u", [(k, q, -1) for k, q in ASKEW_NEGATIVE]
+                         + [(2, 4, 2), (3, 4, 2), (2, 9, 3)])
+@pytest.mark.parametrize("power_first", [False, True])
+def test_failing_singer_askew_pair_reports_from_lines_through_0(
+        monkeypatch, k, q, u, power_first):
+    # lines through 0 come first in lines(), and failing is kept by Singer
+    # shifts, so the oracle's witness is found without the line list
+    g = geom.projective(k, q)
+    s, t = check.standard(g), phi_space(g, u)
+    if power_first:
+        s, t = t, s
+    slow = check.naive_askew_pair(s, t)
+    assert not slow
+    _refuse_line_list(monkeypatch)
+    fast = check.is_askew_pair(s, t)
+    assert (fast.ok, fast.witness) == (slow.ok, slow.witness)
+
+
+def test_failing_multiplier_pair_pg49_needs_no_line_list(monkeypatch):
+    # u = 2 on PG(4, 9), whose 605,242 lines the per-line oracle would scan
+    g = geom.projective(4, 9)
+    s = check.standard(g)
+    t = check.from_map(g, 2 * np.arange(g.point_count) % g.point_count)
+    _refuse_line_list(monkeypatch)
+    v = check.is_askew_pair(s, t)
+    assert not v and v.witness["line_of"] == "first"
+    line = v.witness["line"]
+    assert line[0] == 0 and list(line) == sorted(line)
+    assert g.rank_of(line) == 2 and not check.in_general_position(t, line)
+
+
 ASKEW_SWEEP = [("projective", 2, 2), ("projective", 2, 3), ("projective", 2, 4),
                ("projective", 3, 2), ("affine", 2, 3), ("affine", 2, 4),
                ("affine", 3, 2)]

@@ -78,9 +78,11 @@ def test_clique_budget():
 
 
 def test_half_dim_small_case_finds_pair():
-    for q, nodes in ((3, 14), (4, 232)):
+    for q, nodes, first in (
+            (3, 14, [0, 1, 3, 2, 4, 7, 6, 8, 5]),
+            (4, 232, [0, 1, 4, 5, 2, 3, 6, 7, 9, 8, 13, 12, 11, 10, 15, 14])):
         res = explore.half_dim_exhaustive(2, q)
-        assert len(res.certificates) == 1 and res.nodes == nodes
+        assert res.certificates == [first] and res.nodes == nodes
         perm = res.certificates[0]
         g = geom.affine(2, q)
         v = check.is_half_dimension_orthogoval(check.standard(g),
@@ -244,6 +246,133 @@ def test_candidates_do_not_depend_on_call_order(d, q, start, budget):
         assert want[tuple(path)] == _reference_candidates(g, path), path
 
 
+def _domain_maps(g, r):
+    """Oracle: every affine map of the domain subspace D_r = [0, q^r) of
+    AG(d, q), as the list of its images of 0, 1, ..., q^r - 1, from
+    coordinates and field arithmetic (AGL(r, q) in full)."""
+    q, d, field = g.q, g.dim, g.field
+    m = q ** r
+    vec = [g.points()[i][d - r:] for i in range(m)]  # the last r coordinates
+    index = {v: i for i, v in enumerate(vec)}
+
+    def combine(base, coeffs, dirs):
+        out = base
+        for c, u in zip(coeffs, dirs):
+            out = tuple(field.add(x, field.mul(c, y)) for x, y in zip(out, u))
+        return out
+
+    def bases(chosen):
+        if len(chosen) == r:
+            yield chosen
+            return
+        span = {combine(vec[0], cs, chosen)
+                for cs in itertools.product(range(q), repeat=len(chosen))}
+        for v in vec:
+            if v not in span:
+                yield from bases(chosen + [v])
+
+    # position i has base-q digits i_j, the coefficients of the frame
+    digits = [[i // q ** j % q for j in range(r)] for i in range(m)]
+    return [[index[combine(a, ds, dirs)] for ds in digits]
+            for dirs in bases([]) for a in vec]
+
+
+def _left_canonical(g, seq):
+    """Oracle: translate the first point to 0, then write each point as
+    q^j if it is the j-th to leave the span of those before it, else as
+    its coordinates c in that basis, sum c_j q^j; spans are listed from
+    coordinates and field arithmetic."""
+    field, pts = g.field, g.points()
+    origin = pts[seq[0]]
+    span = {(0,) * g.dim: 0}
+    out = []
+    for y in seq:
+        v = tuple(field.sub(a, b) for a, b in zip(pts[y], origin))
+        if v not in span:
+            top = len(span)
+            span.update({tuple(field.add(a, field.mul(c, b))
+                               for a, b in zip(w, v)): e + c * top
+                         for w, e in list(span.items()) for c in range(1, g.q)})
+        out.append(span[v])
+    return out
+
+
+def _level_prefixes(g, m):
+    """Every prefix of length m = q^r the generator offers below a node
+    the reduced search reaches (the smaller levels filtered)."""
+    generate = explore._half_dim_candidates(g)
+    keep = explore._level_filters(g)
+    out, stack = [], [[0]]
+    while stack:
+        path = stack.pop()
+        got = generate(path)
+        if len(path) + 1 == m:
+            out.extend(path + [v] for v in got)
+        else:
+            if got and keep[len(path)]:
+                got = keep[len(path)](path, got)
+            stack.extend(path + [v] for v in reversed(got))
+    return out
+
+
+@pytest.mark.parametrize("d,q,r,count,kept", [
+    (4, 2, 3, 464, 4), (2, 4, 1, 7, 2), (2, 5, 1, 66, 6)])
+def test_level_test_equals_brute_force_over_agl(d, q, r, count, kept):
+    g = geom.affine(d, q)
+    tables = explore._vector_tables(g)
+    maps = _domain_maps(g, r)
+    prefixes = _level_prefixes(g, q ** r)
+    assert len(prefixes) == count
+    least = []
+    for p in prefixes:
+        assert _left_canonical(g, p) == p
+        want = all(_left_canonical(g, [p[s] for s in sigma]) >= p
+                   for sigma in maps)
+        assert explore._least_at_level(tables, p) == want, p
+        if want:
+            least.append(p)
+    assert len(least) == kept
+    # the kept prefixes' orbits cover every level prefix
+    orbits = {tuple(_left_canonical(g, [p[s] for s in sigma]))
+              for p in least for sigma in maps}
+    assert {tuple(p) for p in prefixes} <= orbits
+    # negative control: an image that differs from a kept prefix is larger,
+    # so it is dropped
+    images = ((p, _left_canonical(g, [p[s] for s in sigma]))
+              for p in least for sigma in maps)
+    p, other = next((p, x) for p, x in images if x != p)
+    assert other > p and not explore._least_at_level(tables, other)
+
+
+@pytest.mark.parametrize("d,q,count", [(4, 3, 12), (4, 4, 1)])
+def test_level_test_equals_brute_force_on_random_orbits(d, q, count):
+    # two-frame walks with q > 2, on left-canonical injective sequences of
+    # length q^2 that need not be search prefixes: each sequence, its
+    # orbit's least member (kept) and another member (dropped)
+    g = geom.affine(d, q)
+    tables = explore._vector_tables(g)
+    maps = _domain_maps(g, 2)
+    rng = random.Random(q)
+    for _ in range(count):
+        seq = [0]
+        while len(seq) < q * q:
+            top = min(explore._canonical_top(seq, q), g.point_count - 1)
+            seq.append(rng.choice([v for v in range(top + 1) if v not in seq]))
+        orbit = sorted({tuple(_left_canonical(g, [seq[s] for s in sigma]))
+                        for sigma in maps})
+        assert explore._least_at_level(tables, seq) == (tuple(seq) == orbit[0])
+        assert explore._least_at_level(tables, list(orbit[0]))
+        if len(orbit) > 1:
+            assert not explore._least_at_level(tables, list(orbit[-1]))
+
+
+def test_level_filters_sit_at_subspace_completions():
+    keep = explore._level_filters(geom.affine(4, 2))
+    assert [L for L, f in enumerate(keep) if f] == [1, 3, 7]
+    keep = explore._level_filters(geom.affine(2, 5))
+    assert [L for L, f in enumerate(keep) if f] == [4]
+
+
 def test_half_dim_rejects_odd_dimension_and_no_certificates():
     with pytest.raises(OddDimension):
         explore.half_dim_exhaustive(3, 2)
@@ -254,14 +383,14 @@ def test_half_dim_rejects_odd_dimension_and_no_certificates():
 
 def test_half_dim_ag42_is_exhaustive_with_no_certificates():
     res = explore.half_dim_exhaustive(4, 2)
-    assert (res.exhaustive, res.certificates, res.nodes) == (True, [], 168_439)
+    assert (res.exhaustive, res.certificates, res.nodes) == (True, [], 1_071)
 
 
 def test_half_dim_budget_and_partial_result():
     with pytest.raises(BudgetExceeded) as exc:
-        explore.half_dim_exhaustive(4, 2, budget=2000)
+        explore.half_dim_exhaustive(4, 2, budget=1000)
     res = exc.value.result
-    assert res.nodes == 2000
+    assert res.nodes == 1000
     assert not res.exhaustive
     assert res.certificates == []
 
@@ -296,13 +425,13 @@ def test_half_dim_ag42_resumes_through_budget_legs(tmp_path):
     # each leg resumes the previous one's checkpoint and stops at its own
     # budget, until a leg finishes the straight run's search
     cp = str(tmp_path / "cp.json")
-    for budget in (60_000, 120_000):
+    for budget in (350, 700):
         with pytest.raises(BudgetExceeded) as exc:
             explore.half_dim_exhaustive(4, 2, budget=budget, checkpoint_path=cp)
         assert exc.value.result.nodes == budget
         assert not exc.value.result.exhaustive
-    res = explore.half_dim_exhaustive(4, 2, budget=180_000, checkpoint_path=cp)
-    assert (res.exhaustive, res.certificates, res.nodes) == (True, [], 168_439)
+    res = explore.half_dim_exhaustive(4, 2, budget=1_100, checkpoint_path=cp)
+    assert (res.exhaustive, res.certificates, res.nodes) == (True, [], 1_071)
 
 
 def _search_cli(capsys, *extra):
@@ -396,6 +525,23 @@ def test_half_dim_bad_checkpoint_exits_3(tmp_path, monkeypatch, capsys, edit):
         path.write_text(json.dumps(doc))
     code, err = _search_cli(capsys)
     assert code == 3 and "MALFORMED_CHECKPOINT" in err
+
+
+def test_half_dim_version_2_checkpoint_exits_3(tmp_path, monkeypatch, capsys):
+    # a checkpoint of the tree before the level reduction names positions
+    # of another tree, so it is refused, not resumed
+    assert explore._SEARCH_VERSION == 3
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
+    argv = ["search", "half-dim", "--dim", "4", "--q", "2"]
+    assert cli.main(argv + ["--budget", "300"]) == 4
+    path = tmp_path / "half-dim-4-2.json"
+    doc = json.loads(path.read_text())
+    doc["task"]["version"] = 2
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "MALFORMED_CHECKPOINT" in err and "Traceback" not in err
 
 
 def test_phi_half_dim_probe():
