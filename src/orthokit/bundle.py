@@ -162,9 +162,9 @@ def load_bundle(data) -> tuple[list[Space], dict]:
 
 
 def read_bundle(path: str) -> tuple[list[Space], dict]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise MalformedBundle(f"not valid JSON: {exc}")
     return load_bundle(data)

@@ -308,15 +308,10 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if len(spaces) < 2:
         raise ValueError("need at least 2 spaces")
     g = _check_same_geometry(spaces)
-    pairs = itertools.combinations(range(len(spaces)), 2)
     if k == 2:
-        # the triple index names the failing pair, if any; the pair
-        # decider's least shared triple is then the least duplicate key
-        owners = _duplicate_owners(spaces, g)
-        if owners is None:
-            return Verdict(True)
-        pairs = [owners]
-    for i, j in pairs:
+        witness = _least_shared_triple(spaces, g)
+        return Verdict(witness is None, witness)
+    for i, j in itertools.combinations(range(len(spaces)), 2):
         v = is_k_orthogoval_pair(spaces[i], spaces[j], k)
         if not v:
             v.witness = dict(v.witness, space_a=i, space_b=j)
@@ -324,11 +319,13 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     return Verdict(True)
 
 
-def _duplicate_owners(spaces: list[Space], g: Geometry):
-    """The first two spaces holding the least triple colinear in two
-    spaces of the family, or None if there is no such triple.  Each
-    space's keys are packed once: the owners are found by testing the
-    triple against each space's lines directly."""
+def _least_shared_triple(spaces: list[Space], g: Geometry):
+    """The least triple colinear in two spaces of the family, with the
+    first two such spaces and their lines through it, or None if there is
+    no such triple.  No lesser triple is shared by those two, so this is
+    also their pair decider's witness.  Each space's keys are packed
+    once: the owners are found by testing the triple against each space's
+    lines directly."""
     keys = _singer_keys(spaces)
     if keys is None:
         per_space = g.line_count * _c3(g.points_per_line)
@@ -345,8 +342,11 @@ def _duplicate_owners(spaces: list[Space], g: Geometry):
         return None
     del buf
     tri = unpack_triple(dup, g.point_count)
-    owners = (i for i, s in enumerate(spaces) if _line_of(s, tri) is not None)
-    return next(owners), next(owners)
+    lines = ((i, _line_of(s, tri)) for i, s in enumerate(spaces))
+    (i, line_a), (j, line_b) = itertools.islice(
+        ((i, line) for i, line in lines if line is not None), 2)
+    return {"triple": tri, "line_a": line_a, "line_b": line_b,
+            "space_a": i, "space_b": j}
 
 
 def _c3(m: int) -> int:

@@ -7,7 +7,8 @@ with --format table.  ``--workers`` is still accepted and ignored: every
 check runs in one thread.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage
-error, 3 malformed input, 4 budget exceeded.
+error, 3 malformed input or a file that cannot be read or written, 4
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -486,7 +487,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except (OrthokitError, ValueError) as exc:

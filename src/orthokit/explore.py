@@ -7,11 +7,10 @@ half-dimension nonexistence question, reduced by GL(d, q) through a
 closed-form test of lex-least prefixes, reduced on the domain side by
 the affine maps of each subspace [0, q^r) a prefix completes, and pruned
 per node through a table of the spans of the standard k-flats'
-(k+1)-subsets, whose unions over a common path prefix are kept between
-nodes.  All searches
-are deterministic: candidate orders are canonical and results never
-depend on timing.  Every certificate emitted here is re-verified through
-:mod:`orthokit.check` before it is reported.
+(k+1)-subsets.  All searches are deterministic: candidate orders are
+canonical and results never depend on timing.  Every certificate
+emitted here is re-verified through :mod:`orthokit.check` before it is
+reported.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import itertools
 import json
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
@@ -59,19 +57,18 @@ class SearchResult:
 
 def sufficient_exponents(q: int, r: int, w_max: int) -> list[int]:
     """Exponents w in [2, w_max] meeting the sufficient conditions:
-    coprime to q^r - 1, not a power of char p, and r coprime to w!."""
+    coprime to q^r - 1, not a power of char p, and r coprime to w!, that
+    is, w below every prime factor of r."""
     p = prime_factors(q)[0]
     big = q ** r - 1
     out = []
-    for w in range(2, w_max + 1):
+    for w in range(2, min([w_max + 1] + prime_factors(r))):
         if math.gcd(w, big) != 1:
             continue
         x = w
         while x % p == 0:
             x //= p
         if x == 1:
-            continue
-        if any(r % pr == 0 for pr in prime_factors(math.factorial(w))):
             continue
         out.append(w)
     return out
@@ -256,57 +253,33 @@ def _half_dim_candidates(g: geom.Geometry):
     bitmask of that flat, or to None when the subset lies in two k-flats
     and so is dependent; every (k+1)-subset of the points lies in some
     k-flat, so every one is a key.  So each flat forbids its spans with no
-    test per image.
-
-    A flat's part in that depends only on the images up to its
-    second-largest point s.  The flats whose largest point is L are grouped
-    by s, and per L the generator keeps rows: row j is the union of the
-    spans of L's first j groups, or None once one of them fails.  The rows
-    of L remember the path they were made for.  A call for point L keeps
-    the rows of the groups whose s comes before the first position at
-    which its path differs from that one, comparing the whole prefix, and
-    folds in only the later groups.  So siblings in the depth-first search
-    share every group but the last.  The rows live only as long as the
-    generator."""
+    test per image."""
     k = g.dim // 2
     n, q = g.point_count, g.q
     rest = q ** k - 1  # the other points of a k-flat
     # A key is the OR of the images of four points: a (k+1)-subset is
-    # padded with point n, whose image stays 0.  The flat cap of
-    # Geometry.flats keeps k at most 3, so four always suffice.
-    pad = (n,) * (3 - k)
+    # padded with position -1, where a 0 is appended to the image bits.
+    # The flat cap of Geometry.flats keeps k at most 3, so four always
+    # suffice.
+    pad = (-1,) * (3 - k)
     table = {}
-    by_last = [{} for _ in range(n)]  # L -> s -> the flats' other points
+    by_last = [[] for _ in range(n)]  # L -> the other points of its flats
     for f in g.flats(k):
         fbits = [1 << p for p in f]
         span = sum(fbits)
         for key in map(sum, itertools.combinations(fbits, k + 1)):
             table[key] = None if key in table else span
-        others = f[:-1] + pad if rest == k + 1 else itemgetter(*f[:-1], n)
-        by_last[f[-1]].setdefault(f[-2], []).append(others)
-    # per L: its groups by ascending s, and below[L][m], how many of them
-    # have s < m
-    groups, below = [], []
-    for L, by_s in enumerate(by_last):
-        order = sorted(by_s)
-        groups.append([tuple(by_s[s]) for s in order])
-        below.append([bisect_left(order, m) for m in range(L + 1)])
+        others = f[:-1] + pad if rest == k + 1 else itemgetter(*f[:-1], -1)
+        by_last[f[-1]].append(others)
     # the images at most _canonical_top, by the largest image so far
     window = [(1 << min(_canonical_top([m], q) + 1, n)) - 1
               for m in range(n)]
 
-    # per point L: the path its rows were made for, that path's image bits
-    # (and 0 for the pad point n), their prefix unions, and the rows
-    made = [[-1] * L for L in range(n)]
-    bits = [[0] * (n + 1) for _ in range(n)]
-    used = [[0] * (L + 1) for L in range(n)]
-    rows = [[0] for _ in range(n)]
-
     if rest == k + 1:
         # a flat's other points are its only (k+1)-subset, so no other
         # image can lie in its span
-        def fold(acc, group, bits):
-            for a, b, c, d in group:
+        def fold(acc, flats, bits):
+            for a, b, c, d in flats:
                 span = table[bits[a] | bits[b] | bits[c] | bits[d]]
                 if span is None:
                     return None
@@ -314,12 +287,12 @@ def _half_dim_candidates(g: geom.Geometry):
             return acc
     else:
         # each (k+1)-subset of a flat's other points, as positions among
-        # them, padded with position rest, the pad point's 0
+        # them, padded with position rest, the appended 0
         subsets = [c + (rest,) * (3 - k)
                    for c in itertools.combinations(range(rest), k + 1)]
 
-        def fold(acc, group, bits):
-            for get in group:
+        def fold(acc, flats, bits):
+            for get in flats:
                 imgs = get(bits)
                 whole = sum(imgs)
                 for a, b, c, d in subsets:
@@ -331,23 +304,13 @@ def _half_dim_candidates(g: geom.Geometry):
             return acc
 
     def candidates(path):
-        m = len(path)
-        b, u, row = bits[m], used[m], rows[m]
-        p = _adopt(made[m], path)
-        for i in range(p, m):
-            b[i] = 1 << path[i]
-            u[i + 1] = u[i] | b[i]
-        del row[below[m][p] + 1:]
-        acc = row[-1]
-        if acc is not None:
-            for group in groups[m][len(row) - 1:]:
-                acc = fold(acc, group, b)
-                row.append(acc)
-                if acc is None:
-                    break
+        bits = [1 << v for v in path]
+        used = sum(bits)
+        bits.append(0)
+        acc = fold(used, by_last[len(path)], bits)
         if acc is None:
             return []
-        free = window[u[m].bit_length() - 1] & ~(u[m] | acc)
+        free = window[used.bit_length() - 1] & ~acc
         out = []
         while free:
             low = free & -free
@@ -356,21 +319,6 @@ def _half_dim_candidates(g: geom.Geometry):
         return out
 
     return candidates
-
-
-def _adopt(old: list, new: list) -> int:
-    """Make ``old`` equal to ``new``, a list of the same length, and return
-    the first position at which they differed."""
-    if old == new:
-        return len(new)
-    old[-1] = new[-1]
-    if old == new:
-        return len(new) - 1
-    p = 0
-    while old[p] == new[p]:
-        p += 1
-    old[p:] = new[p:]
-    return p
 
 
 def _vector_tables(g: geom.Geometry) -> tuple[list, list, list]:
@@ -551,9 +499,8 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     stabiliser moves any point outside that span to any other, so a
     prefix is lex-least exactly when each image is at most the least
     power of q above every earlier one.  The images a point may take are
-    read off a span table, and a node reuses the spans its path prefix
-    shares with the node before it (see :func:`_half_dim_candidates`),
-    so no rank is computed per image.
+    read off a span table (see :func:`_half_dim_candidates`), so no rank
+    is computed per image.
 
     Composing with an affine map s on the domain side gives the very
     same space, since s permutes the standard flats.  So where point
@@ -568,9 +515,9 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     images of prefixes are the prefixes of left-canonical images.  A run
     with no certificate still proves nonexistence, and the first
     certificate, the least of all, is unchanged.  The full AG(4, 2) run
-    visits 1,071 nodes in about 0.05 s on a 2-core box (168,439 nodes and
-    about 1.3 s without the domain-side levels).  The search stacks are
-    locals; a save writes them out as a :class:`_HalfDimState`.
+    visits 1,071 nodes in about 0.05 s on a 2-core box (168,439 nodes
+    without the domain-side levels).  The search stacks are locals; a
+    save writes them out as a :class:`_HalfDimState`.
 
     Raises OddDimension for odd ``d``, ValueError when
     ``max_certificates`` is below 1, and BudgetExceeded (with the partial

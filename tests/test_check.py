@@ -489,3 +489,20 @@ def test_cycle_catalog_family_falls_back_and_verifies():
     assert check._singer_keys(fam) is None
     assert check.are_mutually_orthogoval(fam)
     assert family_reference(fam) is None
+
+
+def test_failing_non_singer_family_builds_no_line_table(monkeypatch):
+    # the witness comes from the least duplicate key and its owners, so no
+    # pair decider runs and no n*n line table is built
+    g = geom.projective(4, 2)
+    swapped = np.arange(g.point_count)
+    swapped[[0, 1]] = swapped[[1, 0]]
+    fam = [phi_space(g, 3), check.from_map(g, swapped), check.standard(g)]
+    assert check._singer_multiplier(fam[1]) is None
+    ref = family_reference(fam)
+
+    def boom(*args):
+        raise AssertionError("the family check built a line table")
+    monkeypatch.setattr(check, "_line_index", boom)
+    v = check.are_mutually_orthogoval(fam)
+    assert not v and v.witness == ref

@@ -92,6 +92,39 @@ def test_verify_malformed_bundle(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 3
 
 
+def test_verify_non_utf8_bundle_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format_version": 1, "name": "\xe9"}')
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert (code, stdout) == (3, "")
+    assert "MALFORMED_BUNDLE" in err
+
+
+def test_verify_a_directory_exits_3(tmp_path, capsys):
+    code, stdout, err = run(capsys, "verify", str(tmp_path))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_checkpoint_dir_naming_a_file_exits_3(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(taken))
+    code, stdout, err = run(capsys, "search", "half-dim", "--dim", "2",
+                            "--q", "3")
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and str(taken) in err
+
+
+def test_construct_out_below_a_file_exits_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, stdout, err = run(capsys, "construct", "catalog", "--name",
+                            "PG3_F3_X2", "--out", str(taken / "x.json"))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and str(taken) in err
+
+
 @pytest.mark.parametrize("kind,key,value", [
     ("projective", "dim", "4"),
     ("projective", "dim", 0),

@@ -4,6 +4,7 @@ plane-structure partition search."""
 
 import itertools
 import json
+import math
 import os
 import random
 
@@ -35,6 +36,16 @@ def test_sufficient_exponents_are_orthomorphisms():
     for q, r in ((2, 5), (3, 5), (5, 5)):
         res = explore.exponent_scan(q, r, 8)
         assert set(res["sufficient_conditions"]) <= set(res["orthomorphisms"])
+
+
+def test_sufficient_exponents_equal_the_factorial_definition():
+    for q, p in ((2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3)):
+        powers = {p ** e for e in range(1, 6)}
+        for r in range(1, 13):
+            want = [w for w in range(2, 41)
+                    if math.gcd(w, q ** r - 1) == 1 and w not in powers
+                    and math.gcd(r, math.factorial(w)) == 1]
+            assert explore.sufficient_exponents(q, r, 40) == want, (q, r)
 
 
 def test_power_chain_values():
@@ -147,12 +158,14 @@ def _reference_candidates(g, path):
 
 
 @pytest.mark.parametrize("d,q,budget", [
-    (2, 3, None), (2, 4, 2500), (4, 2, 800), (2, 5, 2000), (4, 3, 600)])
+    (2, 3, None), (2, 4, 2500), (4, 2, 800), (2, 5, 2000), (4, 3, 600),
+    (6, 2, 500)])
 def test_span_table_candidates_equal_flat_test(d, q, budget):
     # walk the search tree depth first, in search order, comparing the
     # candidates at every node (every node of AG(2,3); the first nodes
     # elsewhere, which on AG(2,4) include the whole run to its first
-    # certificate)
+    # certificate).  AG(4,2) and AG(2,3) take the generator's 4-tuple
+    # fold, the others its generic one; AG(6,2), with k = 3, pads nothing
     g = geom.affine(d, q)
     candidates = explore._half_dim_candidates(g)
     stack, seen = [[0]], 0
@@ -208,12 +221,14 @@ def _walk(g, start, budget):
     # AG(4,3)'s search stays below depth 9 for its first 170k nodes, so
     # this walk starts at a node of depth 9
     (4, 3, [0, 1, 3, 9, 13, 27, 41, 69, 77], 1500),
-    # rows never fail on AG(4,2), where three points are never dependent,
-    # nor with a live sibling in the AG(4,3) walk; on AG(2,5) they do
+    # a fold never fails on AG(4,2), where three points are never
+    # dependent, nor with a live sibling in the AG(4,3) walk; on AG(2,5)
+    # it does
     (2, 5, [0], 2000)])
 def test_candidates_do_not_depend_on_call_order(d, q, start, budget):
-    # the generator keeps the rows of each point between calls; asked for
-    # the walk's prefixes out of order, it must answer as the walk did
+    # the candidates are a function of the path alone; asked for the
+    # walk's prefixes out of order, the generator must answer as the walk
+    # did
     g = geom.affine(d, q)
     fresh = explore._half_dim_candidates(g)
     assert all(start[i] in fresh(start[:i]) for i in range(1, len(start)))
