@@ -111,9 +111,11 @@ def _geometry_from_header(header: dict) -> geom.Geometry:
 
 
 def _point_list(value, n: int, what: str) -> list[int]:
-    """A JSON list of point indices: integers in [0, n)."""
-    if not isinstance(value, list) or not all(
-            type(x) is int and 0 <= x < n for x in value):
+    """A JSON list of point indices: integers in [0, n).  Types, then
+    the range, are checked by builtins over the whole list; a bool is
+    not an int here."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int} or (
+            value and not 0 <= min(value) <= max(value) < n):
         raise MalformedBundle(f"{what} must be a list of integers in [0, {n})")
     return value
 
@@ -134,10 +136,11 @@ def _space_perm(item, n: int, i: int) -> np.ndarray:
                 perm[a] = b
     else:
         raise MalformedBundle(f"space {i} has neither permutation nor cycles")
-    if sorted(perm) != list(range(n)):
+    perm = np.asarray(perm, dtype=np.int64)
+    if len(perm) != n or (np.bincount(perm, minlength=n) != 1).any():
         raise MalformedBundle(
             f"space {i}: permutation is not a bijection on {n} points")
-    return np.asarray(perm, dtype=np.int64)
+    return perm
 
 
 def load_bundle(data) -> tuple[list[Space], dict]:

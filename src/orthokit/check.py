@@ -105,6 +105,7 @@ class Space:
 
 
 def standard(g: Geometry, name: str = "standard") -> Space:
+    g._check_cap()  # before the identity map over every point
     return Space(g, np.arange(g.point_count), name=name)
 
 

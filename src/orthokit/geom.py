@@ -24,7 +24,9 @@ reduced row-echelon bases, each exactly once: an affine j-flat is the
 row space W of a j x d echelon matrix plus a coset representative that
 is zero on W's pivot columns, and a projective j-flat is the set of
 normalised vectors in the row space of a (j+1) x (d+1) echelon matrix.
-Projective lines are the Singer shifts of the lines through point 0.
+Projective lines through point 0 come from one numpy pass over the
+labelling field's log tables, and every other line is one of their
+Singer shifts x -> x + m that does not wrap past N, with least point m.
 The cached line and flat lists are read-only, and flat lists of more
 than MAX_FLAT_INCIDENCES points in all are refused.
 """
@@ -32,6 +34,7 @@ than MAX_FLAT_INCIDENCES points in all are refused.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -118,6 +121,8 @@ class Geometry:
         if self.kind != PROJECTIVE:
             raise BadDimension("labeling field is a projective-only notion")
         if self._ext is None:
+            # the field has q^(dim+1) elements: refuse before building it
+            self._check_cap()
             p, e = self.field.p, self.field.n
             self._ext = field_create(p, e * (self.dim + 1), self._labeling_modulus)
             self._embed = _embedding(self.field, self._ext)
@@ -168,7 +173,7 @@ class Geometry:
                     len(vecs), -1) @ self._basis_matrix() % p
                 labels = digits @ p ** np.arange(digits.shape[1])
                 N = self.point_count
-                order = np.argsort([ext.log_table[c] % N for c in labels.tolist()])
+                order = np.argsort(ext.log_array[labels] % N)
                 coords = list(map(tuple, vecs[order].tolist()))
                 self._labels = labels[order].tolist()
             self._coords = coords
@@ -198,7 +203,8 @@ class Geometry:
     def lines(self) -> np.ndarray:
         """All lines as an array of sorted point-index rows, lexsorted:
         affine lines from echelon bases as in :meth:`flats`, projective
-        lines as the Singer shifts of :meth:`lines_through_origin`."""
+        lines as the Singer shifts of :meth:`lines_through_origin` that
+        do not wrap (:meth:`_projective_lines`)."""
         if self._lines is None:
             self._check_cap()
             if self.kind == AFFINE:
@@ -214,36 +220,42 @@ class Geometry:
 
     def lines_through_origin(self) -> np.ndarray:
         """The lines of a projective space through point 0, as sorted
-        rows {0, j, log(1 + s z^j)} over the nonzero scalars s, one per
-        line, in the order of their least nonzero point j.  The Singer
-        cycle x -> x+1 carries them onto every other line."""
+        rows {0, j, log(1 + c z^j) mod N} over the nonzero scalars c, one
+        per line, in the order of their least nonzero point j.  The
+        Singer cycle x -> x+1 carries them onto every other line.
+
+        One numpy pass over the labelling field's log tables: the nonzero
+        scalars are the powers z^(N t), and adding 1 to a code steps only
+        its z^0 digit mod p.  Row j is kept when no other member is below
+        j."""
         if self._lines0 is None:
             self._check_cap()
             ext = self.labeling_field
-            N = self.point_count
-            scalars = [self.embed(c) for c in range(1, self.q)]
-            rows = []
-            for j in range(1, N):
-                zj = ext.antilog_table[j]
-                members = [0, j]
-                for s in scalars:
-                    members.append(ext.log_table[ext.add(1, ext.mul(s, zj))] % N)
-                if min(members[1:]) == j:
-                    rows.append(sorted(members))
-            self._lines0 = np.array(rows, dtype=np.int32)
+            N, p = self.point_count, ext.p
+            j = np.arange(1, N)
+            # c z^j for c = z^(N t): exponents stay below q^(dim+1) - 1
+            cz = ext.antilog_array[np.arange(0, ext.order - 1, N)[:, None] + j]
+            # 1 + c z^j is never 0, as c z^j = -1 would put z^j in GF(q)
+            logs = ext.log_array[cz + np.where(cz % p == p - 1, 1 - p, 1)] % N
+            keep = logs.min(axis=0) >= j
+            rows = np.column_stack([np.zeros(keep.sum(), dtype=np.int64),
+                                    j[keep], logs[:, keep].T])
+            rows.sort(axis=1)
+            self._lines0 = rows.astype(np.int32)
             self._lines0.flags.writeable = False
         return self._lines0
 
     def _projective_lines(self) -> np.ndarray:
+        """Every line as A_i + m, A the lines through 0, over the pairs
+        with m + max(A_i) < N: a shift that does not wrap has least point
+        m, so each line comes exactly once.  The rows of A start 0, j with
+        j rising, so pairs in (m, i) order give the lines lexsorted."""
         N = self.point_count
         A = self.lines_through_origin()
-        shifts = np.arange(N, dtype=np.int32)
-        T = (A[None, :, :] + shifts[:, None, None]) % np.int32(N)
-        T = T.reshape(-1, self.points_per_line)
-        T.sort(axis=1)
-        mask = T[:, 0] == np.repeat(shifts, len(A))
-        arr = T[mask]
-        return arr[np.lexsort(arr.T[::-1])]
+        m, i = np.nonzero(np.arange(N)[:, None] < N - A[:, -1])
+        out = A[i]
+        out += m.astype(np.int32)[:, None]
+        return out
 
     def line_through(self, a: int, b: int) -> tuple[int, ...]:
         if a == b:
@@ -444,17 +456,18 @@ def projective(dim: int, q: int, labeling_modulus=None, basis="phi") -> Geometry
 # ----------------------------------------------------------------------
 
 def _split_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    """(p, e) with q = p^e.  The least divisor of q is found by trial
+    division up to sqrt(q); with none there, q is prime."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,10 @@
 Field elements are integer codes in ``[0, p^n)``, and a ``GF`` owns all
 arithmetic on them: the base-p digits of a code are the coefficients of
 z^0 .. z^{n-1}.  Scalar multiplication and inversion go through discrete
-log / antilog tables built at construction time; ``tables()`` gives
-read-only numpy add, mul, neg and inv tables for batched work.  A field
-object is immutable and cheap to share.
+log / antilog tables built at construction time, kept both as lists and
+as read-only numpy arrays; ``tables()`` gives read-only numpy add, mul,
+neg and inv tables for batched work.  A field object is immutable and
+cheap to share.
 
 Conventions (all deterministic, recorded in serialized output):
   * AUTO modulus = the monic primitive polynomial of degree n with the
@@ -209,11 +210,16 @@ class GF:
         while len(rows) < q - 1:
             rows = np.concatenate([rows, rows @ mat % p])
             mat = mat @ mat % p
-        codes = rows[:q - 1] @ p ** np.arange(n, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
+        # the smallest signed type that holds a code, as log[0] is -1;
+        # sums of logs need a wider type
+        dtype = np.min_scalar_type(-q)
+        codes = (rows[:q - 1] @ p ** np.arange(n, dtype=np.int64)).astype(dtype)
+        log = np.full(q, -1, dtype=dtype)
         log[codes] = np.arange(q - 1)
         if (log[1:] < 0).any():
             raise ReducibleModulus("primitive element order mismatch")  # pragma: no cover
+        codes.flags.writeable = log.flags.writeable = False
+        self.antilog_array, self.log_array = codes, log
         self.antilog_table = codes.tolist()
         self.log_table = log.tolist()
 
@@ -287,7 +293,8 @@ class GF:
                 digit = np.arange(q) // w % p
                 add += (digit[:, None] + digit) % p * w
             # log[0] is -1; the zero row and column are cleared after
-            log, antilog = np.array(self.log_table), np.array(self.antilog_table)
+            log = self.log_array.astype(np.int64)
+            antilog = self.antilog_array
             mul = antilog[(log[:, None] + log) % (q - 1)]
             mul[0, :] = mul[:, 0] = 0
             # row 0 of mul holds no 1, so inv[0] = 0

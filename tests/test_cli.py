@@ -410,3 +410,36 @@ def test_mutated_bundle_gives_a_verdict_or_exit_3(phi_bundle_doc, tmp_path, edit
     else:
         assert code in (0, 1), (code, err.getvalue())
         assert json.loads(out.getvalue())["verdicts"]["holds"] is (code == 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "exponent-scan", "--q", "2", "--r", "30", "--w-max", "3"),
+    ("bound", "--kind", "projective", "--dim", "29", "--q", "2"),
+    ("construct", "askew", "--k", "30", "--q", "2", "--out", "never.json"),
+], ids=["exponent-scan", "bound", "construct askew"])
+def test_oversize_projective_input_exits_2_before_its_labelling_field(
+        capsys, monkeypatch, tmp_path, argv):
+    # GF(2^30), or a map over its 2^30 points, would take gigabytes: a
+    # field or an arange that large fails the test instead
+    import numpy as np
+    from orthokit import geom
+    real_field, real_arange = geom.field_create, np.arange
+
+    def small_fields_only(p, n, modulus=None):
+        if p ** n > 10 ** 7:
+            raise AssertionError(f"GF({p}^{n}) built for an oversize input")
+        return real_field(p, n, modulus)
+
+    def small_aranges_only(*args, **kwargs):
+        if max(map(abs, args[:2]), default=0) > 10 ** 7:
+            raise AssertionError(f"arange{args} for an oversize input")
+        return real_arange(*args, **kwargs)
+
+    monkeypatch.setattr(geom, "field_create", small_fields_only)
+    monkeypatch.setattr(np, "arange", small_aranges_only)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert "BAD_DIMENSION" in err and "enumeration cap" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "never.json").exists()

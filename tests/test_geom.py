@@ -144,6 +144,88 @@ def test_non_basis_exponents_are_refused(d, q, basis):
         geom.projective(d, q, basis=basis).points()
 
 
+def loop_lines_through_origin(g):
+    """Reference for ``Geometry.lines_through_origin``: one scalar field
+    operation at a time, a line kept at its least nonzero point j."""
+    ext = g.labeling_field
+    N = g.point_count
+    scalars = [g.embed(c) for c in range(1, g.q)]
+    rows = []
+    for j in range(1, N):
+        zj = ext.antilog_table[j]
+        members = [0, j]
+        for s in scalars:
+            members.append(ext.log_table[ext.add(1, ext.mul(s, zj))] % N)
+        if min(members[1:]) == j:
+            rows.append(sorted(members))
+    return np.array(rows, dtype=np.int32)
+
+
+def shift_sort_dedupe_lines(g):
+    """Reference for projective ``Geometry.lines``: all N Singer shifts of
+    every line through 0, mod N, each row sorted, a shifted line kept
+    where its least point is the shift, then lexsorted."""
+    N = g.point_count
+    A = g.lines_through_origin()
+    shifts = np.arange(N, dtype=np.int32)
+    T = (A[None, :, :] + shifts[:, None, None]) % np.int32(N)
+    T = T.reshape(-1, g.points_per_line)
+    T.sort(axis=1)
+    mask = T[:, 0] == np.repeat(shifts, len(A))
+    arr = T[mask]
+    return arr[np.lexsort(arr.T[::-1])]
+
+
+LINE_ORACLE_GEOMETRIES = [
+    ("PG(1,3)", lambda: geom.projective(1, 3)),
+    ("PG(1,27)", lambda: geom.projective(1, 27)),
+    ("PG(2,9)", lambda: geom.projective(2, 9)),
+    ("PG(2,25)", lambda: geom.projective(2, 25)),
+    ("PG(2,27)", lambda: geom.projective(2, 27)),
+    ("PG(3,3) desc", lambda: geom.projective(
+        3, 3, labeling_modulus=[2, 0, 0, 2, 1], basis="desc")),
+    ("PG(3,2) x^4+x^3+1", lambda: geom.projective(
+        3, 2, labeling_modulus=[1, 0, 0, 1, 1])),
+    ("PG(4,5)", lambda: geom.projective(4, 5)),
+    ("PG(6,3)", lambda: geom.projective(6, 3)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in LINE_ORACLE_GEOMETRIES],
+                         ids=[name for name, _ in LINE_ORACLE_GEOMETRIES])
+def test_lines_through_origin_equal_line_through(make):
+    g = make()
+    A = g.lines_through_origin()
+    assert A.dtype == np.int32 and not A.flags.writeable
+    through = sorted({g.line_through(0, j) for j in range(1, g.point_count)},
+                     key=lambda line: line[1])
+    assert A.tolist() == [list(line) for line in through]
+    ref = loop_lines_through_origin(g)
+    assert A.dtype == ref.dtype and A.shape == ref.shape and (A == ref).all()
+
+
+@pytest.mark.parametrize("make", [m for _, m in LINE_ORACLE_GEOMETRIES],
+                         ids=[name for name, _ in LINE_ORACLE_GEOMETRIES])
+def test_projective_lines_equal_shift_sort_dedupe(make):
+    g = make()
+    lines = g.lines()
+    assert lines.dtype == np.int32 and not lines.flags.writeable
+    ref = shift_sort_dedupe_lines(g)
+    assert lines.dtype == ref.dtype and lines.shape == ref.shape
+    assert (lines == ref).all()
+
+
+def test_split_prime_power_by_trial_division_to_the_square_root():
+    # the Mersenne prime 2^31 - 1 needs only 46,340 trial divisors
+    assert geom._split_prime_power(2 ** 31 - 1) == (2 ** 31 - 1, 1)
+    assert geom._split_prime_power(2) == (2, 1)
+    assert geom._split_prime_power(3 ** 7) == (3, 7)
+    assert geom._split_prime_power(65_537 ** 2) == (65_537, 2)
+    for bad in (0, 1, 6, 12, 2 * 65_537):
+        with pytest.raises(ValueError, match="not a prime power"):
+            geom._split_prime_power(bad)
+
+
 def test_line_through_symmetry_and_membership():
     for g in (geom.affine(2, 5), geom.projective(2, 4)):
         n = g.point_count

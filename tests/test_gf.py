@@ -179,6 +179,20 @@ def sequential_tables(f):
 def test_doubled_tables_match_sequential_walk(p, n):
     f = gf.field_create(p, n)
     assert (f.antilog_table, f.log_table) == sequential_tables(f)
+    assert f.antilog_array.tolist() == f.antilog_table
+    assert f.log_array.tolist() == f.log_table
+
+
+@pytest.mark.parametrize("p, n, dtype", [
+    (2, 7, np.int8), (2, 8, np.int16), (3, 9, np.int16), (2, 16, np.int32)])
+def test_table_arrays_are_read_only_in_the_least_signed_type(p, n, dtype):
+    f = gf.field_create(p, n)
+    for table, array in ((f.antilog_table, f.antilog_array),
+                         (f.log_table, f.log_array)):
+        assert array.dtype == dtype and not array.flags.writeable
+        assert array.tolist() == table
+    assert f.log_array[0] == -1
+    assert f.antilog_array.max() == f.order - 1
 
 
 @pytest.mark.parametrize("p, n, modulus, primitive", [
