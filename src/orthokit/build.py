@@ -15,7 +15,14 @@ from importlib import resources
 import numpy as np
 
 from . import geom
-from .check import Space, are_mutually_orthogoval, compose, from_map, standard
+from .check import (
+    Space,
+    are_mutually_orthogoval,
+    compose,
+    from_map,
+    perm_from_cycles,
+    standard,
+)
 from .errors import (
     FieldMismatch,
     KPlus1NotPrime,
@@ -186,14 +193,6 @@ def catalog_entry(name: str) -> dict:
     return _CATALOG[name]
 
 
-def _perm_from_cycles(n: int, cycles) -> np.ndarray:
-    perm = np.arange(n, dtype=np.int64)
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            perm[a] = b
-    return perm
-
-
 def _resolve_modulus(entry: dict):
     """The entry's labelling modulus.  Entries with several admissible
     moduli are resolved by checking the family under each candidate and
@@ -232,7 +231,7 @@ def _entry_spaces(g: geom.Geometry, entry: dict) -> list[Space]:
     if "perms" in entry:
         return [from_map(g, p, name=f"{entry['name']}[{i}]")
                 for i, p in enumerate(entry["perms"])]
-    gen = _perm_from_cycles(g.point_count, entry["cycles"])
+    gen = perm_from_cycles(g.point_count, entry["cycles"])
     spaces = [standard(g)]
     perm = np.arange(g.point_count, dtype=np.int64)
     for i in range(1, entry["powers"]):

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from . import geom
-from .check import Space, from_map
+from .check import Space, from_map, perm_from_cycles
 from .errors import MalformedBundle, OrthokitError
 from .gf import GF
 
@@ -129,11 +129,9 @@ def _space_perm(item, n: int, i: int) -> np.ndarray:
         cycles = item["cycles"]
         if not isinstance(cycles, list):
             raise MalformedBundle(f"space {i}: cycles must be a list")
-        perm = list(range(n))
         for cyc in cycles:
-            cyc = _point_list(cyc, n, f"space {i}: cycle")
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                perm[a] = b
+            _point_list(cyc, n, f"space {i}: cycle")
+        perm = perm_from_cycles(n, cycles)
     else:
         raise MalformedBundle(f"space {i} has neither permutation nor cycles")
     perm = np.asarray(perm, dtype=np.int64)

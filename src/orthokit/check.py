@@ -6,7 +6,10 @@ holding the line of ``s`` through it.  Gathering those ids for every
 point pair of a line of ``t`` counts, for each line of ``s``, the pairs
 the two lines share: a line of ``t`` meets a line of ``s`` in c >= 2
 points exactly when that line's id repeats C(c, 2) times in its row.
-One sort per row thus decides k-orthogovality for every k >= 2.
+One sort per row thus decides k-orthogovality for every k >= 2.  A
+failing pair at k=2 reads its witness off the same ids: sorted stably,
+a hit's first two point pairs are (p0, p1) and (p0, p2), the least
+triple the two lines share.
 
 Family checks at k=2 run off a triple index: one packed 64-bit key per
 colinear point triple, sorted globally so that a triple colinear in two
@@ -249,10 +252,8 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
                                "line_b": _line_of(t, tri)})
     ls, table = _line_index(s)
     lt = t.lines()
-    pairs = list(itertools.combinations(range(lt.shape[1]), 2))
-    ids = np.empty((len(lt), len(pairs)), dtype=np.int32)
-    for c, (i, j) in enumerate(pairs):
-        ids[:, c] = table[lt[:, i] * n + lt[:, j]]
+    pairs = np.array(list(itertools.combinations(range(lt.shape[1]), 2)))
+    ids = _pair_ids(table, lt, pairs, n)
     ids.sort(axis=1)
     # lines meeting in more than k points share more than C(k, 2) point
     # pairs, so some id equals the one C(k, 2) places further on
@@ -264,7 +265,19 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
         return Verdict(True)
     sids = ids[rows, cols]
     if k == 2:
-        return Verdict(False, _least_triple_witness(ls[sids], lt[rows], n))
+        # a hit starts a run of one line's id; sorted stably, the run's
+        # point pairs keep their combinations order, so it starts with
+        # (p0, p1), (p0, p2): the least triple the two lines share
+        hit_rows, at = np.unique(rows, return_inverse=True)
+        order = np.argsort(_pair_ids(table, lt[hit_rows], pairs, n),
+                           axis=1, kind="stable")
+        pos = np.column_stack([pairs[order[at, cols]],
+                               pairs[order[at, cols + 1], 1]])
+        tri = lt[rows[:, None], pos]
+        first = np.argmin((tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2])
+        return Verdict(False, {"triple": tuple(tri[first].tolist()),
+                               "line_a": tuple(ls[sids[first]].tolist()),
+                               "line_b": tuple(lt[rows[first]].tolist())})
     # the naive oracle's witness: least line of s, then least line of t
     first = np.lexsort((rows, sids))[0]
     a, b = ls[sids[first]].tolist(), lt[rows[first]].tolist()
@@ -275,19 +288,13 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
     })
 
 
-def _least_triple_witness(lines_a: np.ndarray, lines_b: np.ndarray,
-                          n: int) -> dict:
-    """The least triple shared by a row pair of two sorted line arrays
-    whose paired rows share at least 3 points, with its two lines."""
-    shared = (lines_a[:, :, None] == lines_b[:, None, :]).any(axis=2)
-    first3 = np.argsort(~shared, axis=1, kind="stable")[:, :3]
-    tri = np.take_along_axis(lines_a, first3, axis=1)
-    best = np.argmin((tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2])
-    return {
-        "triple": tuple(tri[best].tolist()),
-        "line_a": tuple(lines_a[best].tolist()),
-        "line_b": tuple(lines_b[best].tolist()),
-    }
+def _pair_ids(table, lines, pairs, n: int) -> np.ndarray:
+    """Per row of ``lines``, the line ids in ``table`` (see
+    :func:`_line_index`) of its point pairs at the positions ``pairs``."""
+    ids = np.empty((len(lines), len(pairs)), dtype=np.int32)
+    for c, (i, j) in enumerate(pairs):
+        ids[:, c] = table[lines[:, i] * n + lines[:, j]]
+    return ids
 
 
 def naive_k_orthogoval_pair(s: Space, t: Space, k: int) -> Verdict:
@@ -443,9 +450,7 @@ def _first_outside_general_position(rows: np.ndarray, space: Space):
     have full rank; rows are taken in chunks of about _ASKEW_CHUNK
     matrix entries."""
     g = space.geometry
-    coords = np.array(g.points(), dtype=np.min_scalar_type(g.q - 1))
-    if g.kind != PROJECTIVE:
-        coords = np.hstack([np.ones((len(coords), 1), coords.dtype), coords])
+    coords = g.homogeneous()
     size = _general_position_size(g)
     subsets = np.array(list(itertools.combinations(range(rows.shape[1]), size)))
     step = max(1, _ASKEW_CHUNK // (len(subsets) * size * coords.shape[1]))
@@ -520,3 +525,13 @@ def singer_shift(g: Geometry, c: int) -> np.ndarray:
 def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Permutation composition: (outer . inner)(x) = outer[inner[x]]."""
     return np.asarray(outer)[np.asarray(inner)]
+
+
+def perm_from_cycles(n: int, cycles) -> np.ndarray:
+    """The map of n points sending each entry of each cycle (a list) to
+    the next, the last to the first, and every other point to itself."""
+    perm = np.arange(n, dtype=np.int64)
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            perm[a] = b
+    return perm

@@ -349,6 +349,9 @@ def cmd_reproduce(args) -> int:
     }
     if args.rows is not None and args.table != "big-sets":
         raise ValueError(f"--rows applies to big-sets only, not to {args.table}")
+    if args.budget is not None and args.table != "half-dim-nonexistence":
+        raise ValueError(f"--budget applies to half-dim-nonexistence only, "
+                         f"not to {args.table}")
     ok, rows = runners[args.table](args)
     report = run_report("reproduce",
                         {"table": args.table, "budget": args.budget,

@@ -7,10 +7,11 @@ half-dimension nonexistence question, reduced by GL(d, q) through a
 closed-form test of lex-least prefixes, reduced on the domain side by
 the affine maps of each subspace [0, q^r) a prefix completes, and pruned
 per node through a table of the spans of the standard k-flats'
-(k+1)-subsets.  All searches are deterministic: candidate orders are
-canonical and results never depend on timing.  Every certificate
-emitted here is re-verified through :mod:`orthokit.check` before it is
-reported.
+(k+1)-subsets; and one exact-cover routine, which finds the 840 line
+structures of AG(2, F_3) and their partition into seven.  All searches
+are deterministic: candidate orders are canonical and results never
+depend on timing.  Every certificate emitted here is re-verified
+through :mod:`orthokit.check` before it is reported.
 """
 
 from __future__ import annotations
@@ -629,68 +630,48 @@ def phi_half_dim_probe(cases: list) -> list[dict]:
 # the seven-space affine plane family over F_3
 # ----------------------------------------------------------------------
 
-def plane_structures_f3() -> list[tuple]:
-    """All line structures on 9 points isomorphic to AG(2, F_3):
-    every pair of points covered by exactly one 3-point line."""
-    pairs = list(itertools.combinations(range(9), 2))
-    pair_id = {p: i for i, p in enumerate(pairs)}
-    results = []
+def _exact_covers(columns: list, rows: list):
+    """Knuth's Algorithm X: each exact cover of ``columns`` by ``rows``
+    (iterables of columns), as the row indices in the order chosen.  The
+    first uncovered column is covered next, by its rows in index order,
+    so covers come in lexicographic order, the lex-least first."""
+    through = {c: [] for c in columns}
+    for i, row in enumerate(rows):
+        for c in row:
+            through[c].append(i)
 
-    def backtrack(covered, chosen):
-        if len(chosen) == 12:
-            results.append(tuple(sorted(chosen)))
+    def search(at, covered, chosen):
+        while at < len(columns) and columns[at] in covered:
+            at += 1
+        if at == len(columns):
+            yield chosen
             return
-        first = next(p for p in pairs if pair_id[p] not in covered)
-        a, b = first
-        for c in range(9):
-            if c == a or c == b:
-                continue
-            pa = pair_id[tuple(sorted((a, c)))]
-            pb = pair_id[tuple(sorted((b, c)))]
-            if pa in covered or pb in covered:
-                continue
-            tri = tuple(sorted((a, b, c)))
-            newcov = covered | {pair_id[first], pa, pb}
-            backtrack(newcov, chosen + [tri])
+        for i in through[columns[at]]:
+            if covered.isdisjoint(rows[i]):
+                yield from search(at + 1, covered.union(rows[i]), chosen + [i])
 
-    backtrack(frozenset(), [])
-    return sorted(results)
+    return search(0, frozenset(), [])
+
+
+def plane_structures_f3() -> list[tuple]:
+    """All line structures on 9 points isomorphic to AG(2, F_3): the
+    exact covers of the 36 point pairs by point triples, sorted."""
+    triples = list(itertools.combinations(range(9), 3))
+    covers = _exact_covers(list(itertools.combinations(range(9), 2)),
+                           [list(itertools.combinations(t, 2)) for t in triples])
+    return sorted(tuple(triples[i] for i in cover) for cover in covers)
 
 
 def partition_plane_structures() -> list[tuple]:
     """Partition of all 84 point triples of a 9-set into 7 plane
-    structures (each triple colinear in exactly one), found by exact
-    cover over the full structure list; first solution in canonical
-    order."""
+    structures (each triple colinear in exactly one): the first exact
+    cover of the triples by the structure list, in canonical order."""
     structures = plane_structures_f3()
-    triples = list(itertools.combinations(range(9), 3))
-    by_triple = {}
-    for si, s in enumerate(structures):
-        for t in s:
-            by_triple.setdefault(t, []).append(si)
-
-    used = set()
-    chosen = []
-
-    def backtrack():
-        if len(chosen) == 7:
-            return True
-        first = next(t for t in triples if t not in used)
-        for si in by_triple[first]:
-            s = structures[si]
-            if any(t in used for t in s):
-                continue
-            chosen.append(s)
-            used.update(s)
-            if backtrack():
-                return True
-            chosen.pop()
-            used.difference_update(s)
-        return False
-
-    if not backtrack():  # pragma: no cover
+    cover = next(_exact_covers(list(itertools.combinations(range(9), 3)),
+                               structures), None)
+    if cover is None:  # pragma: no cover
         raise AssertionError("no partition found; structure enumeration is broken")
-    return list(chosen)
+    return [structures[i] for i in cover]
 
 
 def structure_bijection(g: geom.Geometry, target_lines) -> np.ndarray:

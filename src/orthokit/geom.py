@@ -18,6 +18,8 @@ Coordinates come from this forward map alone: the F_p digits of every
 normalised vector (first nonzero coordinate 1), times one F_p matrix,
 are the digits of its label, and the log of the label mod N is its
 index.  Exponents that give no basis of GF(q^r) over GF(q) are refused.
+Ranks and spans are taken on one array of homogeneous coordinates: a
+projective point's normalised vector, and an affine point x as (1, x).
 
 Flats of dimension 1 < j < d, and affine lines, are enumerated from
 reduced row-echelon bases, each exactly once: an affine j-flat is the
@@ -34,7 +36,6 @@ than MAX_FLAT_INCIDENCES points in all are refused.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +45,7 @@ from .errors import (
     EmptySet,
     EqualPoints,
 )
-from .gf import GF, field_create
+from .gf import GF, field_create, prime_factors
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -78,6 +79,12 @@ class Geometry:
         if field is None:
             if q is None:
                 raise ValueError("need q or an explicit base field")
+            if q > MAX_POINTS:
+                # every geometry over GF(q) has at least q points: refuse
+                # before the field's tables are built
+                raise BadDimension(
+                    f"q = {q} exceeds the enumeration cap of {MAX_POINTS} "
+                    f"points")
             p, e = _split_prime_power(q)
             field = field_create(p, e)
         self.kind = kind
@@ -89,6 +96,7 @@ class Geometry:
         self._ext = None
         self._embed = None
         self._coords = None
+        self._homogeneous = None
         self._labels = None
         self._index_of = None
         self._lines = None
@@ -179,6 +187,19 @@ class Geometry:
             self._coords = coords
             self._index_of = {c: i for i, c in enumerate(coords)}
         return self._coords
+
+    def homogeneous(self) -> np.ndarray:
+        """Homogeneous coordinates of every point, one row per point
+        index: a projective point's normalised vector, an affine point x
+        as (1, x).  Built once, read-only, in the least unsigned type
+        that holds a field code."""
+        if self._homogeneous is None:
+            coords = np.array(self.points(), dtype=np.min_scalar_type(self.q - 1))
+            if self.kind == AFFINE:
+                coords = np.hstack([np.ones((len(coords), 1), coords.dtype), coords])
+            coords.flags.writeable = False
+            self._homogeneous = coords
+        return self._homogeneous
 
     def point_index(self, coords) -> int:
         self.points()
@@ -280,52 +301,36 @@ class Geometry:
     # -- rank and flats --------------------------------------------------
 
     def rank_of(self, point_set) -> int:
-        """Rank over GF(q): projective homogeneous rank, or affine
-        1 + rank of difference vectors from a base point."""
+        """Rank over GF(q) of the points' homogeneous coordinates: one
+        more than the dimension of the flat they span."""
         pts = sorted(set(point_set))
         if not pts:
             raise EmptySet("rank of empty point set")
-        coords = self.points()
-        if self.kind == PROJECTIVE:
-            rows = [list(coords[i]) for i in pts]
-            return _gf_rank(rows, self.field)
-        base = coords[pts[0]]
-        rows = [
-            [self.field.sub(x, y) for x, y in zip(coords[i], base)]
-            for i in pts[1:]
-        ]
-        return 1 + _gf_rank(rows, self.field)
+        return _gf_rank(self.homogeneous()[pts].tolist(), self.field)
 
     def span(self, point_set) -> tuple[int, ...]:
-        """All points of the flat spanned by the given points."""
+        """All points of the flat spanned by the given points: the
+        normalised vectors of the row space of their homogeneous
+        coordinates, for an affine space those with a nonzero first
+        entry, (1, x) for the point x."""
         pts = sorted(set(point_set))
         if not pts:
             raise EmptySet("span of empty point set")
         base = self.field
-        coords = self.points()
-        if self.kind == PROJECTIVE:
-            basis = _gf_row_basis([list(coords[i]) for i in pts], base)
-            out = set()
-            for combo in _normalized_directions(base, len(basis)):
-                vec = [0] * (self.dim + 1)
-                for c, bv in zip(combo, basis):
-                    for t in range(self.dim + 1):
-                        vec[t] = base.add(vec[t], base.mul(c, bv[t]))
-                out.add(self.point_index(vec))
-            return tuple(sorted(out))
-        origin = coords[pts[0]]
-        diffs = [
-            [base.sub(x, y) for x, y in zip(coords[i], origin)]
-            for i in pts[1:]
-        ]
-        basis = _gf_row_basis(diffs, base)
-        out = set()
-        for combo in itertools.product(range(self.q), repeat=len(basis)):
-            vec = list(origin)
+        affine_ = self.kind == AFFINE
+        basis = _gf_row_basis(self.homogeneous()[pts].tolist(), base)
+        out = []
+        # over an echelon basis the normalised combinations give the
+        # normalised vectors, each once; for an affine space only the
+        # first row has a nonzero first entry, so combo[0] is vec[0]
+        for combo in _normalized_directions(base, len(basis)):
+            if affine_ and not combo[0]:
+                continue  # a point at infinity
+            vec = [0] * len(basis[0])
             for c, bv in zip(combo, basis):
-                for t in range(self.dim):
-                    vec[t] = base.add(vec[t], base.mul(c, bv[t]))
-            out.add(self._index_of[tuple(vec)])
+                if c:
+                    vec = [base.add(x, base.mul(c, y)) for x, y in zip(vec, bv)]
+            out.append(self._index_of[tuple(vec[1:] if affine_ else vec)])
         return tuple(sorted(out))
 
     def _flat_shape(self, j: int) -> tuple[int, int]:
@@ -381,7 +386,7 @@ class Geometry:
         else:
             coeffs = np.array(list(_normalized_directions(self.field, r)))
             lookup = np.zeros(q ** n, dtype=np.int32)
-            lookup[_base_q_codes(np.array(self.points()), q)] = np.arange(
+            lookup[_base_q_codes(self.homogeneous(), q)] = np.arange(
                 self.point_count)
         coeffs = coeffs.astype(add.dtype)
         count, size = self._flat_shape(j)
@@ -456,17 +461,13 @@ def projective(dim: int, q: int, labeling_modulus=None, basis="phi") -> Geometry
 # ----------------------------------------------------------------------
 
 def _split_prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with q = p^e.  The least divisor of q is found by trial
-    division up to sqrt(q); with none there, q is prime."""
-    if q < 2:
+    """(p, e) with q = p^e, p the only prime factor of q."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
+    p, e = factors[0], 1
+    while p ** e < q:
         e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
     return p, e
 
 
@@ -479,8 +480,11 @@ def _embedding(base: GF, ext: GF) -> tuple[int, ...]:
     p, e = base.p, base.n
     if e == 1:
         return tuple(range(p))
+    # the modulus has no root 0, and its roots lie in the copy of GF(q)
+    # in ext, the powers z^(N i)
+    step = (ext.order - 1) // (base.order - 1)
     root = None
-    for t in range(ext.order):
+    for t in sorted(ext.antilog_table[::step]):
         acc = 0
         for c in reversed(base.modulus):
             acc = ext.add(ext.mul(acc, t), c % p)
@@ -536,22 +540,19 @@ def _normalized_directions(field: GF, d: int):
 
 
 def _gf_row_basis(rows, field: GF):
-    """Row-reduce over GF(q); returns an independent spanning subset."""
-    basis = []
-    pivots = []
+    """A basis over GF(q) of the row space, in row-echelon form: each
+    row's first nonzero entry is 1, in columns rising down the rows."""
+    basis = {}  # first nonzero column -> row
     for row in rows:
-        row = list(row)
-        for bv, pc in zip(basis, pivots):
-            c = row[pc]
+        for pc, bv in basis.items():
+            c = field.neg(row[pc])
             if c:
-                f = field.mul(c, field.inv(bv[pc]))
-                row = [field.sub(x, field.mul(f, y)) for x, y in zip(row, bv)]
-        for idx, c in enumerate(row):
-            if c:
-                basis.append(row)
-                pivots.append(idx)
-                break
-    return basis
+                row = [field.add(x, field.mul(c, y)) for x, y in zip(row, bv)]
+        pc = next((i for i, x in enumerate(row) if x), None)
+        if pc is not None:
+            s = field.inv(row[pc])
+            basis[pc] = [field.mul(s, x) for x in row]
+    return [basis[pc] for pc in sorted(basis)]
 
 
 def _gf_rank(rows, field: GF) -> int:

@@ -25,18 +25,12 @@ from .errors import DivideByZero, LogOfZero, NotPrime, ReducibleModulus
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(m) == [m]
 
 
 def prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of m, ascending (trial division)."""
+    """Distinct prime factors of m, ascending, by trial division up to
+    the square root of what is left; [] for m < 2."""
     out = []
     d = 2
     while d * d <= m:

@@ -123,7 +123,7 @@ def test_pg3_f2_modulus_resolution_is_recorded(monkeypatch):
 
 def test_ag3_f3_generator_has_order_eight():
     entry = build.catalog_entry("AG3_F3_X8")
-    perm = build._perm_from_cycles(27, entry["cycles"])
+    perm = check.perm_from_cycles(27, entry["cycles"])
     p = np.arange(27)
     order = 0
     while True:

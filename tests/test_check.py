@@ -93,6 +93,26 @@ def test_fast_equals_naive_on_seeded_bijections():
     assert outcomes >= {(k, v) for k in (2, 3) for v in (True, False)}
 
 
+@pytest.mark.parametrize("kind, d, q", [
+    ("affine", 2, 7), ("affine", 2, 9), ("affine", 2, 16), ("affine", 2, 25),
+    ("affine", 3, 4), ("projective", 2, 7), ("projective", 3, 3),
+])
+def test_pair_witness_equals_least_shared_triple(kind, d, q):
+    # random pairs fail with many hits; a linear map as t fails with few
+    g = (geom.affine if kind == "affine" else geom.projective)(d, q)
+    rng = np.random.default_rng(q * 10 + d)
+    pairs = [(random_space(g, rng), random_space(g, rng)) for _ in range(4)]
+    pairs.append((random_space(g, rng), check.standard(g)))
+    if kind == "affine" and q in (9, 25):
+        from orthokit.build import build_char_p_pair
+        pairs.append(build_char_p_pair(g.field.p, 2, 2)[:2])
+    for s, t in pairs:
+        v = check.is_k_orthogoval_pair(s, t, 2)
+        ref = check._least_shared_triple([s, t], g)
+        assert not v and ref is not None
+        assert v.witness == {key: ref[key] for key in ("triple", "line_a", "line_b")}
+
+
 def test_linear_maps_agree_with_naive(assert_additive):
     from orthokit.build import build_char_p_pair
     for p, n, k in ((2, 1, 3), (3, 1, 2), (2, 2, 2)):

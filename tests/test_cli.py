@@ -313,6 +313,13 @@ def test_reproduce_rows_outside_the_big_sets_table_exit_2(capsys, argv, problem)
     assert "--rows" in err and problem in err
 
 
+@pytest.mark.parametrize("table", ["big-sets", "catalog", "bounds", "askew"])
+def test_reproduce_budget_outside_half_dim_exits_2(capsys, table):
+    code, stdout, err = run(capsys, "reproduce", table, "--budget", "5")
+    assert (code, stdout) == (2, "")
+    assert "--budget" in err and "half-dim-nonexistence only" in err
+
+
 def test_reproduce_half_dim_budget(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
     code, stdout, _ = run(capsys, "reproduce", "half-dim-nonexistence",
@@ -443,3 +450,29 @@ def test_oversize_projective_input_exits_2_before_its_labelling_field(
     assert "BAD_DIMENSION" in err and "enumeration cap" in err
     assert "Traceback" not in err
     assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("kind, dim, q", [
+    ("affine", 2, 9_999_991),
+    ("affine", 1, 10_007),
+    ("affine", 2, 2 ** 31 - 1),
+    ("projective", 1, 2 ** 31 - 1),
+])
+def test_base_field_above_the_point_cap_exits_2_before_it_is_built(
+        capsys, monkeypatch, kind, dim, q):
+    # any geometry over GF(q) has at least q points; building GF(q) for
+    # q near 10^7 takes a gigabyte, so a field that large fails the test
+    from orthokit import geom
+    real_field = geom.field_create
+
+    def small_fields_only(p, n, modulus=None):
+        if p ** n > 10 ** 7:
+            raise AssertionError(f"GF({p}^{n}) built for an oversize input")
+        return real_field(p, n, modulus)
+
+    monkeypatch.setattr(geom, "field_create", small_fields_only)
+    code, stdout, err = run(capsys, "bound", "--kind", kind, "--dim",
+                            str(dim), "--q", str(q))
+    assert code == 2 and stdout == ""
+    assert "BAD_DIMENSION" in err and "enumeration cap" in err
+    assert "Traceback" not in err

@@ -591,6 +591,40 @@ def test_half_dim_ag62_budget_is_exhausted():
     assert not exc.value.result.exhaustive
 
 
+def brute_force_covers(columns, rows):
+    """Every set of rows covering each column exactly once, as sorted
+    tuples of row indices."""
+    return sorted(
+        combo for m in range(len(columns) + 1)
+        for combo in itertools.combinations(range(len(rows)), m)
+        if sorted(c for i in combo for c in rows[i]) == sorted(columns))
+
+
+def test_exact_covers_of_k6_are_its_15_perfect_matchings():
+    edges = list(itertools.combinations(range(6), 2))
+    covers = list(explore._exact_covers(list(range(6)), edges))
+    assert len(covers) == 15
+    assert sorted(map(tuple, covers)) == brute_force_covers(range(6), edges)
+    # the first cover is the lex-least: 01 23 45
+    assert covers[0] == [0, 9, 14] and covers == sorted(covers)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_covers_equal_brute_force_and_come_lex_least_first(seed):
+    rng = random.Random(seed)
+    columns = list(range(7))
+    rows = [rng.sample(columns, rng.randint(1, 3)) for _ in range(14)]
+    covers = list(explore._exact_covers(columns, rows))
+    ref = brute_force_covers(columns, rows)
+    assert sorted(tuple(sorted(c)) for c in covers) == ref
+
+    def least_columns_first(cover):
+        return sorted(cover, key=lambda i: min(rows[i]))
+
+    # each cover lists its rows by least column, in lexicographic order
+    assert covers == sorted(least_columns_first(c) for c in map(list, ref))
+
+
 def test_plane_structure_count():
     assert len(explore.plane_structures_f3()) == 840
 

@@ -1,6 +1,7 @@
 """Point/line/flat enumeration against closed-form counts and frozen
 hand-checked incidences."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -248,6 +249,60 @@ def test_rank_of_colinear_vs_triangle():
     assert gp.rank_of(line) == 2
 
 
+def difference_rank(g, pts):
+    """The reference for affine ``Geometry.rank_of``: 1 + the rank of the
+    difference vectors from the least point."""
+    coords = [g.points()[i] for i in sorted(set(pts))]
+    rows = [[g.field.sub(x, y) for x, y in zip(c, coords[0])]
+            for c in coords[1:]]
+    return 1 + geom._gf_rank(rows, g.field)
+
+
+def difference_span(g, pts):
+    """The reference for affine ``Geometry.span``: the least point plus
+    every combination of a basis of the difference vectors."""
+    coords = [g.points()[i] for i in sorted(set(pts))]
+    base, origin = g.field, coords[0]
+    basis = geom._gf_row_basis(
+        [[base.sub(x, y) for x, y in zip(c, origin)] for c in coords[1:]], base)
+    out = set()
+    for combo in itertools.product(range(g.q), repeat=len(basis)):
+        vec = list(origin)
+        for c, bv in zip(combo, basis):
+            vec = [base.add(x, base.mul(c, y)) for x, y in zip(vec, bv)]
+        out.add(g.point_index(vec))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("kind, d, q", [
+    ("affine", 2, 3), ("affine", 2, 4), ("affine", 3, 3), ("affine", 2, 8),
+    ("affine", 2, 9), ("affine", 4, 2), ("affine", 3, 4), ("affine", 1, 5),
+    ("projective", 2, 4), ("projective", 3, 3), ("projective", 2, 9),
+    ("projective", 4, 2),
+])
+def test_rank_and_span_from_homogeneous_coordinates(kind, d, q):
+    g = (geom.affine if kind == "affine" else geom.projective)(d, q)
+    h = g.homogeneous()
+    assert not h.flags.writeable and h.shape == (g.point_count, g.dim + 1)
+    if kind == "affine":
+        assert (h[:, 0] == 1).all() and h[:, 1:].tolist() == list(map(list, g.points()))
+    else:
+        assert h.tolist() == list(map(list, g.points()))
+    rng = np.random.default_rng(q * 100 + d)
+    for _ in range(40):
+        pts = rng.choice(g.point_count, size=rng.integers(1, d + 2),
+                         replace=False).tolist()
+        rank, span = g.rank_of(pts), g.span(pts)
+        # the span is every point that leaves the rank unchanged
+        assert span == tuple(x for x in range(g.point_count)
+                             if g.rank_of(pts + [x]) == rank)
+        assert len(span) == (q ** (rank - 1) if kind == "affine"
+                             else (q ** rank - 1) // (q - 1))
+        if kind == "affine":
+            assert rank == difference_rank(g, pts)
+            assert span == difference_span(g, pts)
+
+
 def gaussian_binomial(n, k, q):
     num = den = 1
     for i in range(k):
@@ -391,6 +446,34 @@ def test_cached_embedding_equals_fresh(make):
     again = make()
     again.labeling_field
     assert again._embed is g._embed
+
+
+def full_scan_embedding(base, ext):
+    """The reference for ``_embedding``: the least root of the base
+    modulus found by scanning every code of the extension."""
+    p = base.p
+    root = next(t for t in range(ext.order) if functools.reduce(
+        lambda acc, c: ext.add(ext.mul(acc, t), c % p),
+        reversed(base.modulus), 0) == 0)
+    table = []
+    for code in range(base.order):
+        acc, tp = 0, 1
+        for c in base._digits(code):
+            acc = ext.add(acc, ext.mul(c, tp))
+            tp = ext.mul(tp, root)
+        table.append(acc)
+    return tuple(table)
+
+
+@pytest.mark.parametrize("q, d, modulus", [
+    (4, 1, None), (4, 2, None), (4, 3, None), (8, 1, None), (8, 2, None),
+    (9, 1, None), (9, 2, None), (16, 1, None), (25, 1, None), (27, 1, None),
+    (49, 1, None), (4, 2, [1, 0, 0, 0, 0, 1, 1]), (9, 1, [2, 0, 0, 2, 1]),
+])
+def test_embedding_from_the_subfield_equals_full_scan(q, d, modulus):
+    g = geom.projective(d, q, labeling_modulus=modulus)
+    ext = g.labeling_field
+    assert geom._embedding(g.field, ext) == full_scan_embedding(g.field, ext)
 
 
 def test_embedding_cache_is_keyed_by_labelling_field():

@@ -15,7 +15,7 @@ SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4),
 
 
 def test_is_prime_matches_sympy():
-    for m in range(2, 500):
+    for m in [*range(-3, 500), 2 ** 31 - 1, 2 ** 31 + 1, 65_537 ** 2]:
         assert gf.is_prime(m) == sympy.isprime(m)
 
 
