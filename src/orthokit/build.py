@@ -27,6 +27,7 @@ from .errors import (
     FieldMismatch,
     KPlus1NotPrime,
     NotCoprime,
+    NotPrime,
     SizeMismatch,
     UnknownName,
     UnverifiedCertificate,
@@ -84,6 +85,9 @@ def build_char_p_pair(p: int, n: int, k: int) -> tuple[Space, Space, np.ndarray]
                         x_k^p + A x_2 + B x_1)."""
     if k < 2:
         raise ValueError("need dimension k >= 2")
+    # a larger p is refused by the point cap, with no trial division
+    if p <= geom.MAX_POINTS and not is_prime(p):
+        raise NotPrime(f"p = {p} is not prime")
     g = geom.affine(k, p ** n)
     f = g.field
     m = (p ** k - 1) // (p - 1)

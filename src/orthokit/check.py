@@ -13,10 +13,10 @@ triple the two lines share.
 
 Family checks at k=2 run off a triple index: one packed 64-bit key per
 colinear point triple, sorted globally so that a triple colinear in two
-spaces shows up as a duplicate.  The naive all-block-pairs scan is kept
-as an independent oracle (``naive_k_orthogoval_pair``).  It also decides
-k <= 1: there every pair fails, and the scan stops within the first line
-of ``s``.
+spaces shows up as a duplicate.  One scan of all block pairs is the
+independent oracle ``naive_k_orthogoval_pair`` over lines, also deciding
+k <= 1 (every pair fails; the scan stops within the first line of
+``s``), and the half-dimension decider over k-flats.
 
 Singer reduction.  When every space is projective and its permutation
 is x -> u*x + c (mod N) on the Singer labels, as the power maps are,
@@ -93,9 +93,6 @@ class Space:
         out = self.perm[self.geometry.lines()]
         out.sort(axis=1)
         return out
-
-    def line_sets(self) -> list[frozenset]:
-        return [frozenset(row) for row in self.lines().tolist()]
 
     def triples(self) -> np.ndarray:
         """Sorted packed keys of all colinear triples of this space."""
@@ -218,16 +215,19 @@ def _check_same_geometry(spaces):
     return g
 
 
-def _first_overlap(blocks_a: list[frozenset], blocks_b: list[frozenset],
-                   limit: int):
-    """First block pair, in scan order, sharing more than ``limit``
-    points: (block_a, block_b, intersection) as sorted tuples, or None."""
-    for a in blocks_a:
-        for b in blocks_b:
-            inter = a & b
-            if len(inter) > limit:
-                return tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(inter))
-    return None
+def _first_overlap(s: Space, t: Space, blocks: np.ndarray, limit: int,
+                   names: tuple) -> Verdict:
+    """Intersect the images in s and t of every pair of standard blocks
+    (rows of ``blocks``), s outer and t inner in row order.  The first
+    pair sharing more than ``limit`` points is the witness: ``names`` map
+    to the two blocks and their intersection, as sorted tuples."""
+    blocks_t = [frozenset(b) for b in t.perm[blocks].tolist()]
+    for a in map(frozenset, s.perm[blocks].tolist()):
+        for b in blocks_t:
+            if len(a & b) > limit:
+                return Verdict(False, dict(zip(names, (
+                    tuple(sorted(x)) for x in (a, b, a & b)))))
+    return Verdict(True)
 
 
 # ----------------------------------------------------------------------
@@ -299,11 +299,8 @@ def _pair_ids(table, lines, pairs, n: int) -> np.ndarray:
 
 def naive_k_orthogoval_pair(s: Space, t: Space, k: int) -> Verdict:
     """Oracle path: intersect every line pair directly."""
-    _check_same_geometry([s, t])
-    hit = _first_overlap(s.line_sets(), t.line_sets(), k)
-    if hit is None:
-        return Verdict(True)
-    return Verdict(False, dict(zip(("line_a", "line_b", "intersection"), hit)))
+    g = _check_same_geometry([s, t])
+    return _first_overlap(s, t, g.lines(), k, ("line_a", "line_b", "intersection"))
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +313,8 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if len(spaces) < 2:
         raise ValueError("need at least 2 spaces")
     g = _check_same_geometry(spaces)
+    if k >= g.points_per_line:
+        return Verdict(True)  # no two lines share more points than a line has
     if k == 2:
         witness = _least_shared_triple(spaces, g)
         return Verdict(witness is None, witness)
@@ -493,13 +492,8 @@ def is_half_dimension_orthogoval(s: Space, t: Space) -> Verdict:
     if g.dim % 2:
         raise OddDimension(f"dimension {g.dim} is odd")
     k = g.dim // 2
-    std = g.flats(k)
-    flats_s = [frozenset(int(s.perm[p]) for p in f) for f in std]
-    flats_t = [frozenset(int(t.perm[p]) for p in f) for f in std]
-    hit = _first_overlap(flats_s, flats_t, k + 1)
-    if hit is None:
-        return Verdict(True)
-    return Verdict(False, dict(zip(("flat_a", "flat_b", "intersection"), hit)))
+    return _first_overlap(s, t, g.flats(k), k + 1,
+                          ("flat_a", "flat_b", "intersection"))
 
 
 # ----------------------------------------------------------------------

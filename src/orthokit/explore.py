@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -265,12 +265,12 @@ def _half_dim_candidates(g: geom.Geometry):
     pad = (-1,) * (3 - k)
     table = {}
     by_last = [[] for _ in range(n)]  # L -> the other points of its flats
-    for f in g.flats(k):
+    for f in g.flats(k).tolist():
         fbits = [1 << p for p in f]
         span = sum(fbits)
         for key in map(sum, itertools.combinations(fbits, k + 1)):
             table[key] = None if key in table else span
-        others = f[:-1] + pad if rest == k + 1 else itemgetter(*f[:-1], -1)
+        others = (*f[:-1], *pad) if rest == k + 1 else itemgetter(*f[:-1], -1)
         by_last[f[-1]].append(others)
     # the images at most _canonical_top, by the largest image so far
     window = [(1 << min(_canonical_top([m], q) + 1, n)) - 1
@@ -414,15 +414,6 @@ def _canonical_top(path: list, q: int) -> int:
     return top
 
 
-@dataclass
-class _HalfDimState:
-    """A search position as a checkpoint records it."""
-    path: list
-    idx: list
-    nodes: int
-    certificates: list = dc_field(default_factory=list)
-
-
 def _checkpoint_path(d, q, override=None):
     if override is not None:
         return override
@@ -438,8 +429,9 @@ def _int_list(value) -> bool:
 
 
 def _load_checkpoint(cpath: str, task: dict, std: Space, candidates):
-    """The search state saved in ``cpath`` and its rebuilt candidate
-    stack; ``std`` is the standard space of the searched geometry.
+    """The search position saved in ``cpath`` (path, idx, nodes and
+    certificates) and its rebuilt candidate stack; ``std`` is the
+    standard space of the searched geometry.
     Raises MalformedCheckpoint unless the file holds a state of this task
     and search version that the search itself can reach, with every
     stored certificate passing re-verification."""
@@ -480,8 +472,7 @@ def _load_checkpoint(cpath: str, task: dict, std: Space, candidates):
         if sorted(c) != list(range(n)) or not is_half_dimension_orthogoval(
                 std, from_map(g, c)):
             raise bad("a stored certificate fails re-verification")
-    return _HalfDimState(path=path, idx=idx, nodes=nodes,
-                         certificates=certs), cands
+    return path, idx, nodes, certs, cands
 
 
 def half_dim_exhaustive(d: int, q: int, budget: int = None,
@@ -518,7 +509,7 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     certificate, the least of all, is unchanged.  The full AG(4, 2) run
     visits 1,071 nodes in about 0.05 s on a 2-core box (168,439 nodes
     without the domain-side levels).  The search stacks are locals; a
-    save writes them out as a :class:`_HalfDimState`.
+    save writes out path, idx, nodes and certificates.
 
     Raises OddDimension for odd ``d``, ValueError when
     ``max_certificates`` is below 1, and BudgetExceeded (with the partial
@@ -550,12 +541,10 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
             "version": _SEARCH_VERSION}
 
     if cpath and os.path.exists(cpath):
-        state, cands = _load_checkpoint(cpath, task, std, candidates)
-        if not state.idx or (state.certificates and
-                             len(state.certificates) >= max_certificates):
-            return SearchResult(state.certificates, state.nodes, not state.idx)
-        path, idx, nodes, certificates = (state.path, state.idx, state.nodes,
-                                          state.certificates)
+        path, idx, nodes, certificates, cands = _load_checkpoint(
+            cpath, task, std, candidates)
+        if not idx or len(certificates) >= max_certificates:
+            return SearchResult(certificates, nodes, not idx)
     else:
         path, idx, nodes, certificates = [0], [0], 0, []
         cands = [candidates(path)]
@@ -563,8 +552,8 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     def save_checkpoint(nodes):
         if not cpath:
             return
-        state = _HalfDimState(path, idx, nodes, certificates)
-        payload = {"task": task, **vars(state)}
+        payload = {"task": task, "path": path, "idx": idx, "nodes": nodes,
+                   "certificates": certificates}
         tmp = cpath + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(payload, fh)

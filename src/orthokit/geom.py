@@ -21,7 +21,7 @@ index.  Exponents that give no basis of GF(q^r) over GF(q) are refused.
 Ranks and spans are taken on one array of homogeneous coordinates: a
 projective point's normalised vector, and an affine point x as (1, x).
 
-Flats of dimension 1 < j < d, and affine lines, are enumerated from
+Flats of dimension 1 < j <= d, and affine lines, are enumerated from
 reduced row-echelon bases, each exactly once: an affine j-flat is the
 row space W of a j x d echelon matrix plus a coset representative that
 is zero on W's pivot columns, and a projective j-flat is the set of
@@ -29,8 +29,8 @@ normalised vectors in the row space of a (j+1) x (d+1) echelon matrix.
 Projective lines through point 0 come from one numpy pass over the
 labelling field's log tables, and every other line is one of their
 Singer shifts x -> x + m that does not wrap past N, with least point m.
-The cached line and flat lists are read-only, and flat lists of more
-than MAX_FLAT_INCIDENCES points in all are refused.
+Lines and flats are cached read-only int32 arrays (flats(1) is lines()),
+and flats of more than MAX_FLAT_INCIDENCES points in all are refused.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ AFFINE = "affine"
 PROJECTIVE = "projective"
 
 MAX_POINTS = 10_000
-# flats() refuses lists with more points in all: as tuples of Python ints,
-# and as the frozensets the deciders build from them, each point takes
-# tens of bytes, and deciding over millions of flats is out of reach
+# flats() refuses arrays with more points in all: the frozensets the
+# half-dimension scan builds from them still take tens of bytes a point,
+# and deciding over millions of flats is out of reach
 MAX_FLAT_INCIDENCES = 1 << 22
 # coordinates per working array when flats are built from echelon bases
 _ECHELON_CHUNK = 1 << 18
@@ -341,10 +341,10 @@ class Geometry:
         return (_gaussian_binomial(d + 1, j + 1, q),
                 (q ** (j + 1) - 1) // (q - 1))
 
-    def flats(self, j: int) -> tuple[tuple[int, ...], ...]:
-        """All j-dimensional flats as sorted point tuples in lexicographic
-        order, cached as a tuple.  Lines are the rows of :meth:`lines`;
-        for 1 < j < dim each flat comes from exactly one reduced
+    def flats(self, j: int) -> np.ndarray:
+        """All j-dimensional flats as sorted point rows, lexsorted, in a
+        cached read-only int32 array: ``flats(1)`` is :meth:`lines`, and
+        for 1 < j <= dim each flat comes from exactly one reduced
         row-echelon basis (see the module docstring).  Raises BadDimension
         when the flats hold more than MAX_FLAT_INCIDENCES points in all."""
         if j < 0 or j > self.dim:
@@ -355,19 +355,19 @@ class Geometry:
                 raise BadDimension(
                     f"{count} {j}-flats of {size} points exceed the flat "
                     f"enumeration cap of {MAX_FLAT_INCIDENCES} incidences")
-            if j == 0:
-                rows = [(i,) for i in range(self.point_count)]
-            elif j == self.dim:
-                rows = [tuple(range(self.point_count))]
-            elif j == 1:
-                rows = self.lines().tolist()
+            if j == 1:
+                rows = self.lines()
+            elif j == 0:
+                # not from echelon bases: their projective lookup has q^(dim+1) entries
+                rows = np.arange(count, dtype=np.int32)[:, None]
             else:
-                rows = self._echelon_flats(j).tolist()
-            self._flats[j] = tuple(map(tuple, rows))
+                rows = self._echelon_flats(j)
+            rows.flags.writeable = False
+            self._flats[j] = rows
         return self._flats[j]
 
     def _echelon_flats(self, j: int) -> np.ndarray:
-        """Sorted point rows of every j-flat, 0 < j < dim, lexsorted.
+        """Sorted point rows of every j-flat, 0 < j <= dim, lexsorted.
 
         Per pivot set, every filling of the entries right of the pivots
         gives one echelon basis.  Affine: its row space W is the q^j

@@ -3,6 +3,7 @@ line-pair oracle, the Singer-reduced k=2 path vs the triple index,
 askew and half-dimension checks, determinism."""
 
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
@@ -126,6 +127,61 @@ def test_linear_maps_agree_with_naive(assert_additive):
                 assert fast.witness == slow.witness
 
 
+def reference_block_scan(s, t, blocks, limit, names):
+    """The reference for ``check._first_overlap``: the frozenset scan it
+    replaced, each block's image built one point at a time, s-blocks
+    outer and t-blocks inner in standard block order."""
+    images_s = [frozenset(int(s.perm[p]) for p in f) for f in blocks]
+    images_t = [frozenset(int(t.perm[p]) for p in f) for f in blocks]
+    for a in images_s:
+        for b in images_t:
+            inter = a & b
+            if len(inter) > limit:
+                return check.Verdict(False, dict(zip(names, (
+                    tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(inter))))))
+    return check.Verdict(True)
+
+
+@pytest.mark.parametrize("kind, d, q", [
+    ("affine", 2, 3), ("affine", 2, 4), ("affine", 3, 3), ("affine", 4, 2),
+    ("affine", 4, 3), ("projective", 2, 3), ("projective", 4, 2),
+])
+def test_block_scan_equals_frozenset_reference(kind, d, q):
+    g = (geom.affine if kind == "affine" else geom.projective)(d, q)
+    rng = np.random.default_rng(d * 100 + q)
+    n = g.point_count
+    std = check.standard(g)
+    pairs = [(std, random_space(g, rng)),
+             (random_space(g, rng), random_space(g, rng))]
+    # negative control: the identity map fails at every k below the line
+    pairs.append((std, check.from_map(g, np.arange(n))))
+    if kind == "affine" and d == 2 and q == 3:
+        # positive control: a known half-dimension-orthogoval pair
+        pairs.append((std, check.from_map(g, [0, 1, 3, 2, 4, 7, 6, 8, 5])))
+    lines = g.lines()
+    outcomes = set()
+    for s, t in pairs:
+        for k in (1, 2, 3):
+            got = check.naive_k_orthogoval_pair(s, t, k)
+            want = reference_block_scan(
+                s, t, lines, k, ("line_a", "line_b", "intersection"))
+            assert got == want, (k, got, want)
+            outcomes.add(("naive", got.ok))
+        if d % 2 == 0:
+            half = d // 2
+            got = check.is_half_dimension_orthogoval(s, t)
+            want = reference_block_scan(
+                s, t, g.flats(half), half + 1,
+                ("flat_a", "flat_b", "intersection"))
+            assert got == want, (got, want)
+            outcomes.add(("half", got.ok))
+    assert ("naive", False) in outcomes
+    if d % 2 == 0:
+        assert ("half", False) in outcomes
+    if (kind, d, q) == ("affine", 2, 3):
+        assert ("half", True) in outcomes
+
+
 def test_family_check_matches_pairwise():
     g = geom.projective(4, 2)
     spaces = [check.standard(g)] + [phi_space(g, w) for w in (3, 5, 11)]
@@ -134,6 +190,24 @@ def test_family_check_matches_pairwise():
         bool(check.is_k_orthogoval_pair(spaces[i], spaces[j], 2))
         for i in range(4) for j in range(i + 1, 4))
     assert bool(fam) == pair
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_family_check_on_two_point_lines_matches_pairs(d):
+    # lines of AG(d, 2) have two points and no triples, so every k >= 2
+    # holds; k = 1 fails on every pair
+    g = geom.affine(d, 2)
+    rng = np.random.default_rng(d)
+    for size in (2, 3, 4):
+        spaces = [random_space(g, rng) for _ in range(size)]
+        for k in (1, 2, 3):
+            fam = check.are_mutually_orthogoval(spaces, k)
+            pairs = [check.is_k_orthogoval_pair(a, b, k)
+                     for a, b in itertools.combinations(spaces, 2)]
+            assert bool(fam) == all(pairs) == (k >= 2), (size, k)
+            if not fam:
+                assert fam.witness == dict(pairs[0].witness, space_a=0,
+                                           space_b=1)
 
 
 def test_family_witness_names_the_offenders():
@@ -177,10 +251,12 @@ def test_translations_and_singer_shifts_are_collineations():
     g = geom.affine(3, 3)
     perm = check.translation_map(g, (1, 2, 0))
     t = check.from_map(g, perm)
-    assert set(t.line_sets()) == set(check.standard(g).line_sets())
+    assert ({frozenset(r) for r in t.lines().tolist()}
+            == {frozenset(r) for r in check.standard(g).lines().tolist()})
     gp = geom.projective(2, 2)
     t2 = check.from_map(gp, check.singer_shift(gp, 3))
-    assert set(t2.line_sets()) == set(check.standard(gp).line_sets())
+    assert ({frozenset(r) for r in t2.lines().tolist()}
+            == {frozenset(r) for r in check.standard(gp).lines().tolist()})
 
 
 def test_compose_order():

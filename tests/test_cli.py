@@ -40,6 +40,23 @@ def test_construct_catalog_and_char_p(tmp_path, capsys):
     assert run(capsys, "verify", out2)[0] == 0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("size", [2, 3])
+def test_verify_family_with_two_point_lines(tmp_path, capsys, d, size):
+    # lines of AG(d, 2) hold no triple, so k = 2 holds on any family
+    import numpy as np
+    from orthokit import bundle, geom
+    from orthokit.check import from_map
+    g = geom.affine(d, 2)
+    rng = np.random.default_rng(size)
+    path = str(tmp_path / "ag2.json")
+    bundle.write_bundle(path, [from_map(g, rng.permutation(g.point_count))
+                               for _ in range(size)])
+    code, stdout, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert json.loads(stdout)["verdicts"]["holds"] is True
+
+
 def test_verify_askew_property(tmp_path, capsys):
     out = str(tmp_path / "a.json")
     assert run(capsys, "construct", "askew", "--k", "4", "--q", "2",
@@ -156,6 +173,15 @@ def test_construct_invalid_params_exit_2(tmp_path, capsys):
                        "--out", out)
     assert code == 2
     assert "prime" in err.lower() or "K_PLUS_1" in err
+
+
+def test_construct_char_p_refuses_a_non_prime_p(tmp_path, capsys):
+    out = tmp_path / "p4.json"
+    code, stdout, err = run(capsys, "construct", "char-p", "--p", "4",
+                            "--n", "1", "--k", "2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "NOT_PRIME" in err
+    assert not out.exists()
 
 
 def test_bound_command(tmp_path, capsys):

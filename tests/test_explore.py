@@ -150,7 +150,8 @@ def _reference_candidates(g, path):
     completed by the next point with no k+2 images in a common k-flat,
     each tested with `_flat_image_ok` (ranks from `Geometry.rank_of`)."""
     k = g.dim // 2
-    flats = [f for f in g.flats(k) if f[-1] == len(path)]
+    flats = g.flats(k)
+    flats = flats[flats[:, -1] == len(path)].tolist()
     top = min(explore._canonical_top(path, g.q) + 1, g.point_count)
     return [v for v in range(top) if v not in path and all(
         explore._flat_image_ok(g, [(path + [v])[p] for p in f], k)
@@ -642,7 +643,8 @@ def test_structure_bijection_maps_lines_onto_target():
     target = explore.partition_plane_structures()[2]
     perm = explore.structure_bijection(g, target)
     space = check.from_map(g, perm)
-    assert set(space.line_sets()) == {frozenset(t) for t in target}
+    assert ({frozenset(r) for r in space.lines().tolist()}
+            == {frozenset(t) for t in target})
 
 
 def test_seven_family_is_mutually_orthogoval_and_maximum():

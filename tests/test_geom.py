@@ -372,9 +372,9 @@ def test_flats_equal_span_closure(make):
     reference = span_closure_flats(g)
     for j in range(g.dim + 1):
         flats = g.flats(j)
-        assert flats == tuple(reference[j])
+        assert flats.tolist() == [list(f) for f in reference[j]]
         assert len(flats) == flat_count(g, j)
-    assert g.flats(1) == tuple(map(tuple, g.lines().tolist()))
+    assert g.flats(1) is g.lines()
 
 
 @pytest.mark.parametrize("make,j,count", [
@@ -384,7 +384,7 @@ def test_flats_equal_span_closure(make):
 ], ids=["AG(6,2)", "PG(4,4)", "PG(6,2)"])
 def test_flats_counts_at_half_dimension(make, j, count):
     g = make()
-    flats = g.flats(j)
+    flats = list(map(tuple, g.flats(j).tolist()))
     assert len(flats) == count == flat_count(g, j)
     assert len(set(flats)) == count
     size = len(flats[0])
@@ -396,7 +396,7 @@ def test_flats_counts_at_half_dimension(make, j, count):
 
 def test_flat_list_check_negative_controls():
     g = geom.projective(3, 3)
-    planes = list(g.flats(2))
+    planes = list(map(tuple, g.flats(2).tolist()))
     assert flat_list_holds(g, 2, planes)
     first = planes[0]
     outside = next(p for p in range(g.point_count) if p not in first)
@@ -406,7 +406,7 @@ def test_flat_list_check_negative_controls():
     assert not flat_list_holds(g, 2, planes[1:])
     assert not flat_list_holds(g, 2, planes[:-1] + [planes[0]])
     ga = geom.affine(3, 3)
-    lines = list(ga.flats(1))
+    lines = list(map(tuple, ga.flats(1).tolist()))
     assert flat_list_holds(ga, 1, lines)
     bent = (lines[0][0], lines[0][1], next(
         p for p in range(ga.point_count) if p not in lines[0]))
@@ -420,8 +420,9 @@ def test_cached_lines_and_flats_are_read_only():
     before = check.is_half_dimension_orthogoval(s, t)
     pair = check.is_k_orthogoval_pair(s, t, 2)
     assert not before.ok
-    with pytest.raises(AttributeError):
-        g.flats(2).clear()
+    for j in range(g.dim + 1):
+        with pytest.raises(ValueError):
+            g.flats(j)[:] = 0
     with pytest.raises(ValueError):
         g.lines()[:] = 0
     assert check.is_half_dimension_orthogoval(s, t) == before
@@ -500,8 +501,8 @@ def test_flats_counts_ag42():
     assert len(g.flats(1)) == 120
     assert len(g.flats(2)) == 140
     g3 = geom.affine(4, 3)
-    planes = g3.flats(2)
-    assert len(planes) == 1170 and len(set(planes)) == 1170
+    planes = g3.flats(2).tolist()
+    assert len(planes) == 1170 and len(set(map(tuple, planes))) == 1170
     for f in planes:
         assert len(f) == 9
         fs = set(f)
@@ -511,10 +512,10 @@ def test_flats_counts_ag42():
 
 def test_flat_sizes_and_closure():
     g = geom.affine(2, 3)
-    for f in g.flats(1):
+    for f in g.flats(1).tolist():
         assert len(f) == 3
     g2 = geom.projective(3, 2)
-    for f in g2.flats(2):
+    for f in g2.flats(2).tolist():
         assert len(f) == 7
         # closed under line_through
         fs = set(f)
@@ -560,11 +561,28 @@ def test_echelon_chunks_do_not_change_flats(monkeypatch, make, j):
     assert (make()._echelon_flats(j) == whole).all()
 
 
+@pytest.mark.parametrize("kind", ["affine", "projective"])
+@pytest.mark.parametrize("d,q", [
+    (1, 2), (1, 5), (1, 9), (2, 2), (2, 3), (2, 4), (2, 7), (3, 2), (3, 3),
+    (4, 2)])
+def test_points_and_whole_space_are_shortcut_rows(kind, d, q):
+    # the echelon bases at j = dim give the whole space as one row; the
+    # points stay the column of indices; lines are the lines() array
+    g = (geom.affine if kind == "affine" else geom.projective)(d, q)
+    n = g.point_count
+    assert g.flats(0).tolist() == [[i] for i in range(n)]
+    assert g.flats(d).tolist() == [list(range(n))]
+    assert g._echelon_flats(d).tolist() == [list(range(n))]
+    assert g.flats(1) is g.lines()
+    for j in range(d + 1):
+        assert g.flats(j).dtype == np.int32 and g.flats(j) is g.flats(j)
+
+
 def test_affine_lines_over_a_large_prime_field():
     # codes above 255 need wider field tables than one byte
     g = geom.affine(1, 257)
     assert g.lines().tolist() == [list(range(257))]
-    assert g.flats(1) == (tuple(range(257)),)
+    assert g.flats(1) is g.lines()
 
 
 def test_same_as_and_mismatch():
