@@ -129,8 +129,10 @@ def _space_perm(item, n: int, i: int) -> np.ndarray:
         cycles = item["cycles"]
         if not isinstance(cycles, list):
             raise MalformedBundle(f"space {i}: cycles must be a list")
-        for cyc in cycles:
-            _point_list(cyc, n, f"space {i}: cycle")
+        points = [x for cyc in cycles
+                  for x in _point_list(cyc, n, f"space {i}: cycle")]
+        if len(set(points)) != len(points):
+            raise MalformedBundle(f"space {i}: cycles repeat a point")
         perm = perm_from_cycles(n, cycles)
     else:
         raise MalformedBundle(f"space {i} has neither permutation nor cycles")

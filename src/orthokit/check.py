@@ -20,11 +20,12 @@ k <= 1 (every pair fails; the scan stops within the first line of
 
 Singer reduction.  When every space is projective and its permutation
 is x -> u*x + c (mod N) on the Singer labels, as the power maps are,
-both k=2 deciders (pair and family) index only the triples through
-point 0.  Such a space's lines are u times the standard lines, and the
-Singer cycle x -> x+1 permutes them, so a triple (a, b, c) colinear in
-two such spaces shifts to (0, b-a, c-a), also colinear in both and no
-larger as a key.  The least shared triple thus always starts with 0 and
+both k=2 deciders (pair and family) take the family path, one sort of
+all the spaces' keys, on only the triples through point 0.  Such a
+space's lines are u times the standard lines, and the Singer cycle
+x -> x+1 permutes them, so a triple (a, b, c) colinear in two such
+spaces shifts to (0, b-a, c-a), also colinear in both and no larger as
+a key.  The least shared triple thus always starts with 0 and
 the verdicts and witnesses are those of the full index, from
 (N-1)(q-1)/2 keys per space.  The form is read from the permutation
 itself; any other family, and any k != 2, takes the paths above.
@@ -174,8 +175,8 @@ def _singer_multiplier(space: Space):
 
 
 def _singer_keys(spaces: list[Space]):
-    """Each space's sorted packed keys of its colinear triples through
-    point 0, or None unless every space is x -> u*x + c (mod N).  The
+    """Each space's packed keys of its colinear triples through point 0,
+    unsorted, or None unless every space is x -> u*x + c (mod N).  The
     lines through 0 of such a space are u times the standard ones, so
     a triple (0, lo, hi) packs as lo*N + hi, its full-index key."""
     us = [_singer_multiplier(s) for s in spaces]
@@ -189,9 +190,7 @@ def _singer_keys(spaces: list[Space]):
     for u in us:
         pts = rest * np.uint64(u) % np.uint64(n)
         a, b = pts[:, i], pts[:, j]
-        keys = (np.minimum(a, b) * np.uint64(n) + np.maximum(a, b)).ravel()
-        keys.sort()
-        out.append(keys)
+        out.append((np.minimum(a, b) * np.uint64(n) + np.maximum(a, b)).ravel())
     return out
 
 
@@ -241,15 +240,14 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
         return Verdict(True)
     if k <= 1:
         return naive_k_orthogoval_pair(s, t, k)
-    n = g.point_count
     keys = _singer_keys([s, t]) if k == 2 else None
     if keys is not None:
-        common = np.intersect1d(*keys, assume_unique=True)
-        if len(common) == 0:
+        witness = _least_shared_triple([s, t], g, keys)
+        if witness is None:
             return Verdict(True)
-        tri = unpack_triple(common[0], n)
-        return Verdict(False, {"triple": tri, "line_a": _line_of(s, tri),
-                               "line_b": _line_of(t, tri)})
+        return Verdict(False, {key: witness[key]
+                               for key in ("triple", "line_a", "line_b")})
+    n = g.point_count
     ls, table = _line_index(s)
     lt = t.lines()
     pairs = np.array(list(itertools.combinations(range(lt.shape[1]), 2)))
@@ -316,7 +314,7 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if k >= g.points_per_line:
         return Verdict(True)  # no two lines share more points than a line has
     if k == 2:
-        witness = _least_shared_triple(spaces, g)
+        witness = _least_shared_triple(spaces, g, _singer_keys(spaces))
         return Verdict(witness is None, witness)
     for i, j in itertools.combinations(range(len(spaces)), 2):
         v = is_k_orthogoval_pair(spaces[i], spaces[j], k)
@@ -326,14 +324,16 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     return Verdict(True)
 
 
-def _least_shared_triple(spaces: list[Space], g: Geometry):
+def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
     """The least triple colinear in two spaces of the family, with the
     first two such spaces and their lines through it, or None if there is
     no such triple.  No lesser triple is shared by those two, so this is
-    also their pair decider's witness.  Each space's keys are packed
-    once: the owners are found by testing the triple against each space's
+    also their pair decider's witness.  ``keys`` is ``_singer_keys(spaces)``:
+    each space's keys through point 0, or None for every space's full
+    triple index.  All keys go into one buffer, sorted once, and its
+    least duplicate is the triple.  Each space's keys are packed once:
+    the owners are found by testing the triple against each space's
     lines directly."""
-    keys = _singer_keys(spaces)
     if keys is None:
         per_space = g.line_count * _c3(g.points_per_line)
         keys = (s.triples() for s in spaces)
@@ -523,7 +523,8 @@ def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
 
 def perm_from_cycles(n: int, cycles) -> np.ndarray:
     """The map of n points sending each entry of each cycle (a list) to
-    the next, the last to the first, and every other point to itself."""
+    the next, the last to the first, and every other point to itself.
+    The cycles are disjoint: no point is in two, or twice in one."""
     perm = np.arange(n, dtype=np.int64)
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):

@@ -26,13 +26,12 @@ from operator import itemgetter
 import numpy as np
 
 from . import geom
-from .build import build_phi_map, phi_space
+from .build import phi_space
 from .check import (
     Space,
     from_map,
     is_half_dimension_orthogoval,
     is_k_orthogoval_pair,
-    is_orthomorphism,
     standard,
 )
 from .errors import (
@@ -79,13 +78,10 @@ def exponent_scan(q: int, r: int, w_max: int) -> dict:
     """All w in [2, w_max] coprime to q^r - 1 whose power map is an
     orthomorphism of PG(r-1, q), plus the sufficient-condition subset."""
     g = geom.projective(r - 1, q)
+    std = standard(g)
     big = q ** r - 1
-    found = []
-    for w in range(2, w_max + 1):
-        if math.gcd(w, big) != 1:
-            continue
-        if is_orthomorphism(g, build_phi_map(g, w)):
-            found.append(w)
+    found = [w for w in range(2, w_max + 1) if math.gcd(w, big) == 1
+             and is_k_orthogoval_pair(std, phi_space(g, w), 2)]
     return {
         "q": q,
         "r": r,
@@ -95,30 +91,20 @@ def exponent_scan(q: int, r: int, w_max: int) -> dict:
     }
 
 
-def _mult_order(w: int, m: int) -> int:
-    o, x = 1, w % m
-    while x != 1:
-        x = (x * w) % m
-        o += 1
-    return o
-
-
 def power_chain(q: int, r: int, w: int) -> int:
     """Largest n with the w^i power map an orthomorphism for all
-    1 <= i <= n; scan stops at the first failure and is capped by the
-    multiplicative order of w (the order-th power is the identity)."""
+    1 <= i <= n.  The walk x <- x*w mod q^r - 1 stops at the first
+    failure, or when x comes back to 1, the identity, after w's
+    multiplicative order of steps."""
     big = q ** r - 1
     if math.gcd(w, big) != 1:
         raise NotCoprime(f"w = {w} shares a factor with {big}")
     g = geom.projective(r - 1, q)
     std = standard(g)
-    cap = _mult_order(w, big)
-    n = 0
-    for i in range(1, cap + 1):
-        perm = build_phi_map(g, pow(w, i, big))
-        if not is_k_orthogoval_pair(std, from_map(g, perm), 2):
-            break
-        n = i
+    n, x = 0, w % big
+    while x != 1 and is_k_orthogoval_pair(std, phi_space(g, x), 2):
+        n += 1
+        x = x * w % big
     return n
 
 
@@ -585,8 +571,7 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
             save_checkpoint(nodes)
         nodes += 1
         v = cur[pos]
-        depth = len(path) + 1
-        if depth == n:
+        if len(path) + 1 == n:
             perm = path + [v]
             idx[-1] += 1
             if is_half_dimension_orthogoval(std, from_map(g, perm)):
@@ -596,11 +581,7 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
                     return SearchResult(certificates, nodes, False)
             continue
         path.append(v)
-        # candidates(path), inlined to spare a call per node
-        nxt = generate(path)
-        if nxt and keep[depth]:
-            nxt = keep[depth](path, nxt)
-        cands.append(nxt)
+        cands.append(candidates(path))
         idx.append(0)
 
 

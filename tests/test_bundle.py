@@ -76,6 +76,10 @@ def test_cycles_accepted_on_read(tmp_path):
     lambda d: d["spaces"].__setitem__(0, {"cycles": [[-1, 0]]}),
     lambda d: d["spaces"].__setitem__(0, {"cycles": {"0": 1}}),
     lambda d: d["spaces"].__setitem__(0, [0, 1, 2]),
+    # cycles that repeat a point, within one cycle or across two
+    lambda d: d["spaces"].__setitem__(0, {"cycles": [[0, 1], [1, 0]]}),
+    lambda d: d["spaces"].__setitem__(0, {"cycles": [[0, 1], [0, 1]]}),
+    lambda d: d["spaces"].__setitem__(0, {"cycles": [[2, 2]]}),
 ])
 def test_malformed_bundles_rejected(mangle):
     g = geom.affine(2, 3)

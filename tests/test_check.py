@@ -109,7 +109,8 @@ def test_pair_witness_equals_least_shared_triple(kind, d, q):
         pairs.append(build_char_p_pair(g.field.p, 2, 2)[:2])
     for s, t in pairs:
         v = check.is_k_orthogoval_pair(s, t, 2)
-        ref = check._least_shared_triple([s, t], g)
+        ref = check._least_shared_triple([s, t], g,
+                                         check._singer_keys([s, t]))
         assert not v and ref is not None
         assert v.witness == {key: ref[key] for key in ("triple", "line_a", "line_b")}
 

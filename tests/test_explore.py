@@ -54,6 +54,14 @@ def test_power_chain_values():
     assert explore.power_chain(5, 5, 9) == 6
 
 
+def test_power_chain_runs_up_to_the_order():
+    # every power below w's order passes, so each walk ends at the identity
+    for q, r, w, n in ((2, 5, 6, 5), (3, 3, 5, 3), (2, 7, 24, 17), (2, 5, 32, 0)):
+        big = q ** r - 1
+        order = next(i for i in itertools.count(1) if pow(w, i, big) == 1)
+        assert explore.power_chain(q, r, w) == n == order - 1, (q, r, w)
+
+
 def test_power_chain_matches_every_big_sets_row():
     # the pair decider against the family table: each row's chain stops
     # exactly at its n
