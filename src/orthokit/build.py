@@ -8,6 +8,7 @@ a failing family yields a witness rather than an exception.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from importlib import resources
@@ -50,33 +51,19 @@ BIG_SETS_TABLE = [
 # coefficient search and characteristic-p pairs
 # ----------------------------------------------------------------------
 
-def find_no_root_coeffs(field: GF, poly) -> tuple[int, int]:
-    """Least (a, b) such that poly(x) + a*x + b has no root in the field.
-
-    poly is a list of integer coefficients (constant term first), each
-    read mod p.  Existence is guaranteed; the scan is exhaustive in code
-    order for determinism.
+def find_no_root_coeffs(field: GF, m: int) -> tuple[int, int]:
+    """Least (a, b), as field codes, such that x^m + a*x + b has no root
+    in the field.  Existence is guaranteed; the scan is exhaustive in
+    code order for determinism.
     """
     q = field.order
-    codes = [c % field.p for c in poly]
-    values = []
-    for x in range(q):
-        acc = 0
-        for c in reversed(codes):
-            acc = field.add(field.mul(acc, x), c)
-        values.append(acc)
+    values = [field.pow(x, m) for x in range(q)]
     for a in range(q):
         ax = [field.mul(a, x) for x in range(q)]
         for b in range(q):
             if all(field.add(field.add(values[x], ax[x]), b) != 0 for x in range(q)):
                 return a, b
     raise AssertionError("no rootless shift found; field arithmetic is broken")
-
-
-def _monomial(exp: int) -> list[int]:
-    out = [0] * (exp + 1)
-    out[exp] = 1
-    return out
 
 
 def build_char_p_pair(p: int, n: int, k: int) -> tuple[Space, Space, np.ndarray]:
@@ -91,7 +78,7 @@ def build_char_p_pair(p: int, n: int, k: int) -> tuple[Space, Space, np.ndarray]
     g = geom.affine(k, p ** n)
     f = g.field
     m = (p ** k - 1) // (p - 1)
-    A, B = find_no_root_coeffs(f, _monomial(m))
+    A, B = find_no_root_coeffs(f, m)
     perm = np.empty(g.point_count, dtype=np.int64)
     for idx, x in enumerate(g.points()):
         y = [f.sub(f.frobenius(x[i]), x[i + 1]) for i in range(k - 1)]
@@ -170,6 +157,7 @@ def build_askew_pair(k: int, q: int) -> tuple[Space, Space]:
 # explicit catalog
 # ----------------------------------------------------------------------
 
+@functools.cache
 def _load_catalog() -> dict:
     text = resources.files("orthokit").joinpath("data/catalog.json").read_text()
     catalog = json.loads(text)
@@ -178,23 +166,15 @@ def _load_catalog() -> dict:
     return catalog
 
 
-_CATALOG = None
-
-
 def catalog_names() -> list[str]:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _load_catalog()
-    return sorted(_CATALOG)
+    return sorted(_load_catalog())
 
 
 def catalog_entry(name: str) -> dict:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _load_catalog()
-    if name not in _CATALOG:
+    catalog = _load_catalog()
+    if name not in catalog:
         raise UnknownName(f"no catalog entry named {name!r}")
-    return _CATALOG[name]
+    return catalog[name]
 
 
 def _resolve_modulus(entry: dict):

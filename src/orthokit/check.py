@@ -96,7 +96,7 @@ class Space:
         return out
 
     def triples(self) -> np.ndarray:
-        """Sorted packed keys of all colinear triples of this space."""
+        """Packed keys of all colinear triples of this space, unsorted."""
         if self._triples is not None:
             return self._triples
         out = packed_triples(self.geometry, self.lines())
@@ -141,16 +141,15 @@ def _line_index(space: Space) -> tuple[np.ndarray, np.ndarray]:
 
 
 def packed_triples(g: Geometry, lines: np.ndarray) -> np.ndarray:
-    """One uint64 key per colinear triple: ((a*N)+b)*N+c with a<b<c."""
+    """One uint64 key per colinear triple: ((a*N)+b)*N+c with a<b<c,
+    unsorted; the family check sorts all spaces' keys together."""
     n = np.uint64(g.point_count)
     b = g.points_per_line
     rows = np.sort(lines, axis=1).astype(np.uint64)
     parts = []
     for i, j, k in itertools.combinations(range(b), 3):
         parts.append((rows[:, i] * n + rows[:, j]) * n + rows[:, k])
-    out = np.concatenate(parts)
-    out.sort()
-    return out
+    return np.concatenate(parts)
 
 
 def unpack_triple(key: int, n: int) -> tuple[int, int, int]:
@@ -344,11 +343,12 @@ def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
         buf[i * per_space:(i + 1) * per_space] = arr
     del keys
     buf.sort()
-    dup = _first_duplicate(buf)
-    if dup is None:
+    eq = buf[1:] == buf[:-1]
+    at = int(np.argmax(eq))
+    if not eq[at]:
         return None
-    del buf
-    tri = unpack_triple(dup, g.point_count)
+    tri = unpack_triple(buf[at], g.point_count)
+    del buf, eq
     lines = ((i, _line_of(s, tri)) for i, s in enumerate(spaces))
     (i, line_a), (j, line_b) = itertools.islice(
         ((i, line) for i, line in lines if line is not None), 2)
@@ -358,20 +358,6 @@ def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
 
 def _c3(m: int) -> int:
     return m * (m - 1) * (m - 2) // 6
-
-
-def _first_duplicate(sorted_arr: np.ndarray):
-    """Least value occurring twice in a sorted array, scanned in chunks."""
-    n = len(sorted_arr)
-    step = 8_000_000
-    for lo in range(0, n - 1, step):
-        hi = min(lo + step + 1, n)
-        seg = sorted_arr[lo:hi]
-        eq = seg[1:] == seg[:-1]
-        idx = np.argmax(eq)
-        if eq[idx]:
-            return np.uint64(seg[idx])
-    return None
 
 
 # ----------------------------------------------------------------------

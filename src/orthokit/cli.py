@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__, bounds, bundle, explore, geom
 from .build import (
     BIG_SETS_TABLE,
@@ -70,14 +68,11 @@ def _emit(report: dict, fmt: str, table_lines: list[str]):
 
 
 def _jsonable(obj):
+    """A witness with its tuples as lists; its values are Python ints."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     return obj
 
 

@@ -161,10 +161,10 @@ def clique_search(candidates: list, g: geom.Geometry,
         for v, color in reversed(color_sort(cand)):
             if len(clique) + color <= len(best):
                 return
-            nodes += 1
-            if budget is not None and nodes > budget:
+            if budget is not None and nodes >= budget:
                 exhausted = False
                 raise _Stop
+            nodes += 1
             new_clique = clique + [v]
             new_cand = [u for u in cand if u > v and adj[v][u]]
             if not new_cand:
@@ -188,6 +188,8 @@ def clique_search(candidates: list, g: geom.Geometry,
 # change to the candidate order or the pruning changes the tree, so that
 # an old checkpoint is refused instead of resumed into the wrong tree.
 _SEARCH_VERSION = 3
+# a checkpointed half-dimension search also saves every this many nodes
+_CHECKPOINT_EVERY = 250_000
 
 
 def _gl_point_perms(g: geom.Geometry) -> list:
@@ -264,13 +266,11 @@ def _half_dim_candidates(g: geom.Geometry):
 
     if rest == k + 1:
         # a flat's other points are its only (k+1)-subset, so no other
-        # image can lie in its span
+        # image can lie in its span; this is AG(4, 2) and AG(2, 3), where
+        # every (k+1)-subset lies in exactly one k-flat, so no lookup gives None
         def fold(acc, flats, bits):
             for a, b, c, d in flats:
-                span = table[bits[a] | bits[b] | bits[c] | bits[d]]
-                if span is None:
-                    return None
-                acc |= span
+                acc |= table[bits[a] | bits[b] | bits[c] | bits[d]]
             return acc
     else:
         # each (k+1)-subset of a flat's other points, as positions among
@@ -463,7 +463,6 @@ def _load_checkpoint(cpath: str, task: dict, std: Space, candidates):
 
 def half_dim_exhaustive(d: int, q: int, budget: int = None,
                         checkpoint_path: str = None,
-                        checkpoint_every: int = 250_000,
                         max_certificates: int = 1) -> SearchResult:
     """Search all affine structures on the AG(d, q) point set for one
     forming a half-dimension-orthogoval pair with the standard space.
@@ -500,10 +499,12 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     Raises OddDimension for odd ``d``, ValueError when
     ``max_certificates`` is below 1, and BudgetExceeded (with the partial
     result attached) when the node budget runs out.  A checkpoint file
-    is written so the run can resume; a finished checkpoint, or one
-    already holding ``max_certificates`` certificates, returns its stored
-    result, and one of another task or search version, or naming a
-    position the search cannot reach, raises MalformedCheckpoint.
+    is written so the run can resume: on a budget stop, on the last
+    certificate, at the end, and every _CHECKPOINT_EVERY nodes between.
+    A finished checkpoint, or one already holding ``max_certificates``
+    certificates, returns its stored result, and one of another task or
+    search version, or naming a position the search cannot reach, raises
+    MalformedCheckpoint.
     """
     if d % 2:
         raise OddDimension(f"dimension {d} is odd")
@@ -567,7 +568,7 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
             raise BudgetExceeded(
                 f"node budget {budget} exhausted",
                 SearchResult(certificates, nodes, False))
-        if cpath and nodes and nodes % checkpoint_every == 0:
+        if cpath and nodes and nodes % _CHECKPOINT_EVERY == 0:
             save_checkpoint(nodes)
         nodes += 1
         v = cur[pos]

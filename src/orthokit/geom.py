@@ -21,11 +21,14 @@ index.  Exponents that give no basis of GF(q^r) over GF(q) are refused.
 Ranks and spans are taken on one array of homogeneous coordinates: a
 projective point's normalised vector, and an affine point x as (1, x).
 
-Flats of dimension 1 < j <= d, and affine lines, are enumerated from
-reduced row-echelon bases, each exactly once: an affine j-flat is the
-row space W of a j x d echelon matrix plus a coset representative that
-is zero on W's pivot columns, and a projective j-flat is the set of
-normalised vectors in the row space of a (j+1) x (d+1) echelon matrix.
+Flats of every dimension 0 <= j <= d, all but projective lines, are
+enumerated from reduced row-echelon bases, each exactly once: an affine
+j-flat is the row space W of a j x d echelon matrix plus a coset
+representative that is zero on W's pivot columns, and a projective
+j-flat is the set of normalised vectors in the row space of a
+(j+1) x (d+1) echelon matrix, looked up in a table of q^(d+1) entries,
+no more than MAX_LABELING_FIELD.  So flats(0) is the column of point
+indices, and flats(d) the one row of all points.
 Projective lines through point 0 come from one numpy pass over the
 labelling field's log tables, and every other line is one of their
 Singer shifts x -> x + m that does not wrap past N, with least point m.
@@ -51,6 +54,9 @@ AFFINE = "affine"
 PROJECTIVE = "projective"
 
 MAX_POINTS = 10_000
+# a projective space's labelling field GF(q^(dim+1)) holds at most this
+# many elements; under the point cap only PG(1, q > 1024) exceeds it
+MAX_LABELING_FIELD = 1 << 20
 # flats() refuses arrays with more points in all: the frozensets the
 # half-dimension scan builds from them still take tens of bytes a point,
 # and deciding over millions of flats is out of reach
@@ -164,6 +170,11 @@ class Geometry:
             raise BadDimension(
                 f"geometry has {self.point_count} points; "
                 f"enumeration cap is {MAX_POINTS}")
+        labels = self.q ** (self.dim + 1)
+        if self.kind == PROJECTIVE and labels > MAX_LABELING_FIELD:
+            raise BadDimension(
+                f"labeling field has {labels} elements; "
+                f"enumeration cap is {MAX_LABELING_FIELD}")
 
     def points(self) -> list[tuple[int, ...]]:
         """Coordinate tuples in canonical index order.  Projective points
@@ -344,7 +355,7 @@ class Geometry:
     def flats(self, j: int) -> np.ndarray:
         """All j-dimensional flats as sorted point rows, lexsorted, in a
         cached read-only int32 array: ``flats(1)`` is :meth:`lines`, and
-        for 1 < j <= dim each flat comes from exactly one reduced
+        for every other j each flat comes from exactly one reduced
         row-echelon basis (see the module docstring).  Raises BadDimension
         when the flats hold more than MAX_FLAT_INCIDENCES points in all."""
         if j < 0 or j > self.dim:
@@ -355,19 +366,13 @@ class Geometry:
                 raise BadDimension(
                     f"{count} {j}-flats of {size} points exceed the flat "
                     f"enumeration cap of {MAX_FLAT_INCIDENCES} incidences")
-            if j == 1:
-                rows = self.lines()
-            elif j == 0:
-                # not from echelon bases: their projective lookup has q^(dim+1) entries
-                rows = np.arange(count, dtype=np.int32)[:, None]
-            else:
-                rows = self._echelon_flats(j)
+            rows = self.lines() if j == 1 else self._echelon_flats(j)
             rows.flags.writeable = False
             self._flats[j] = rows
         return self._flats[j]
 
     def _echelon_flats(self, j: int) -> np.ndarray:
-        """Sorted point rows of every j-flat, 0 < j <= dim, lexsorted.
+        """Sorted point rows of every j-flat, 0 <= j <= dim, lexsorted.
 
         Per pivot set, every filling of the entries right of the pivots
         gives one echelon basis.  Affine: its row space W is the q^j
@@ -447,8 +452,8 @@ class Geometry:
         return f"{name}({self.dim}, F_{self.q})"
 
 
-def affine(dim: int, q: int, field: GF = None) -> Geometry:
-    return Geometry(AFFINE, dim, q=q, field=field)
+def affine(dim: int, q: int) -> Geometry:
+    return Geometry(AFFINE, dim, q=q)
 
 
 def projective(dim: int, q: int, labeling_modulus=None, basis="phi") -> Geometry:
@@ -477,14 +482,12 @@ def _embedding(base: GF, ext: GF) -> tuple[int, ...]:
     the base field goes to the least root of the base modulus in the
     extension, extended F_p-linearly.  Cached per field pair; a GF is
     immutable and hashed by p, n and its modulus."""
-    p, e = base.p, base.n
-    if e == 1:
-        return tuple(range(p))
-    # the modulus has no root 0, and its roots lie in the copy of GF(q)
-    # in ext, the powers z^(N i)
+    p = base.p
+    # the roots of the modulus lie in the copy of GF(q) in ext: 0 and
+    # the powers z^(N i).  Only a degree-1 modulus x has the root 0.
     step = (ext.order - 1) // (base.order - 1)
     root = None
-    for t in sorted(ext.antilog_table[::step]):
+    for t in sorted([0, *ext.antilog_table[::step]]):
         acc = 0
         for c in reversed(base.modulus):
             acc = ext.add(ext.mul(acc, t), c % p)

@@ -18,7 +18,7 @@ from orthokit.gf import field_create
 def test_find_no_root_coeffs_is_rootless_and_least():
     f = field_create(2, 2)
     # x^3 + a x + b with no root in GF(4)
-    a, b = build.find_no_root_coeffs(f, [0, 0, 0, 1])
+    a, b = build.find_no_root_coeffs(f, 3)
     for x in range(4):
         x3 = f.pow(x, 3)
         assert f.add(f.add(x3, f.mul(a, x)), b) != 0
@@ -111,9 +111,9 @@ def test_catalog_families_verify(name, size):
     assert bool(check.are_mutually_orthogoval(fam))
 
 
-def test_pg3_f2_modulus_resolution_is_recorded(monkeypatch):
+def test_pg3_f2_modulus_resolution_is_recorded():
     # a fresh catalog carries the resolved modulus before any family is built
-    monkeypatch.setattr(build, "_CATALOG", None)
+    build._load_catalog.cache_clear()
     entry = build.catalog_entry("PG3_F2_X7")
     assert entry["resolved_modulus"] == [1, 1, 0, 0, 1]
     fam = build.catalog_family("PG3_F2_X7")

@@ -502,3 +502,35 @@ def test_base_field_above_the_point_cap_exits_2_before_it_is_built(
     assert code == 2 and stdout == ""
     assert "BAD_DIMENSION" in err and "enumeration cap" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("bound", "--kind", "projective", "--dim", "1", "--q", "9973"), 2),
+    (("construct", "askew", "--k", "1", "--q", "9973", "--out",
+      "never.json"), 2),
+    (("verify", "pg1.json"), 3),
+], ids=["bound", "construct askew", "verify header"])
+def test_pg1_labelling_field_above_its_cap_is_refused_before_it_is_built(
+        capsys, monkeypatch, tmp_path, argv, exit_code):
+    # PG(1, 9973) has 9,974 points, under the point cap, but its labelling
+    # field GF(9973^2) has 99.5M elements: a field above 10^7 fails the test
+    from orthokit import bundle, geom
+    real_field = geom.field_create
+    header = {"kind": "projective", "dim": 1, "q": 9973, "basis": [1, 2],
+              "field": real_field(9973, 1).describe(), "labeling": {}}
+    (tmp_path / "pg1.json").write_text(bundle.canonical_json(
+        {"format_version": bundle.FORMAT_VERSION, "header": header,
+         "spaces": [], "provenance": {}}))
+
+    def small_fields_only(p, n, modulus=None):
+        if p ** n > 10 ** 7:
+            raise AssertionError(f"GF({p}^{n}) built for an oversize input")
+        return real_field(p, n, modulus)
+
+    monkeypatch.setattr(geom, "field_create", small_fields_only)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, *argv)
+    assert code == exit_code and stdout == ""
+    assert "labeling field" in err and "enumeration cap" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "never.json").exists()

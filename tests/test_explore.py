@@ -90,10 +90,13 @@ def test_clique_search_exhaustive_and_deterministic():
 
 
 def test_clique_budget():
+    # the full search visits 5 nodes; a budget B stops before node B+1
     g = geom.projective(4, 2)
     cands = [build_phi_map(g, w) for w in (3, 5, 7, 11, 13, 17)]
-    r = explore.clique_search(cands, g, budget=1)
-    assert not r.exhaustive
+    assert explore.clique_search(cands, g).nodes == 5
+    for budget, exhaustive in ((0, False), (1, False), (4, False), (5, True)):
+        r = explore.clique_search(cands, g, budget=budget)
+        assert (r.nodes, r.exhaustive) == (budget, exhaustive)
 
 
 def test_half_dim_small_case_finds_pair():
@@ -186,6 +189,20 @@ def test_span_table_candidates_equal_flat_test(d, q, budget):
         if len(path) + 1 < g.point_count:
             stack.extend(path + [v] for v in reversed(got))
     assert not stack if budget is None else seen == budget
+
+
+@pytest.mark.parametrize("d,q", [(4, 2), (2, 3)])
+def test_four_tuple_fold_spaces_put_each_subset_in_one_flat(d, q):
+    # the generator's 4-tuple fold runs where a k-flat's other points are
+    # its only (k+1)-subset; there every (k+1)-subset of the points lies in
+    # exactly one k-flat, so the span table holds no None for it to test
+    g = geom.affine(d, q)
+    k = d // 2
+    assert q ** k - 1 == k + 1
+    flats = g.flats(k).tolist()
+    assert len(flats) * math.comb(q ** k, k + 1) == math.comb(q ** d, k + 1)
+    subsets = [s for f in flats for s in itertools.combinations(f, k + 1)]
+    assert len(set(subsets)) == len(subsets)
 
 
 def test_span_table_negative_controls():
@@ -499,8 +516,9 @@ def test_half_dim_periodic_checkpoint_resumes_exactly(tmp_path, monkeypatch):
             saved.append(cp.read_text())
 
     monkeypatch.setattr(explore.os, "replace", keep_first)
+    monkeypatch.setattr(explore, "_CHECKPOINT_EVERY", 100)
     explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9,
-                                checkpoint_path=str(cp), checkpoint_every=100)
+                                checkpoint_path=str(cp))
     monkeypatch.undo()
     assert json.loads(saved[0])["nodes"] == 100
     cp.write_text(saved[0])
@@ -522,6 +540,14 @@ def _drop_idx(cp):
     del cp["idx"]
 
 
+def _skip_first_candidate(cp):
+    cp["idx"][0] += 1
+
+
+def _idx_past_the_candidates(cp):
+    cp["idx"][-1] = 10 ** 6
+
+
 def _old_version(cp):
     del cp["task"]["version"]
 
@@ -535,8 +561,9 @@ def _not_a_permutation(cp):
 
 
 @pytest.mark.parametrize("edit", [
-    _forge_path, _forge_path_of_finished, _drop_idx, _old_version,
-    _fake_certificate, _not_a_permutation, "truncate"])
+    _forge_path, _forge_path_of_finished, _drop_idx, _skip_first_candidate,
+    _idx_past_the_candidates, _old_version, _fake_certificate,
+    _not_a_permutation, "truncate"])
 def test_half_dim_bad_checkpoint_exits_3(tmp_path, monkeypatch, capsys, edit):
     monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
     assert _search_cli(capsys, "--budget", "5")[0] == 4

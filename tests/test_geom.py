@@ -10,6 +10,7 @@ import pytest
 from orthokit import check, geom
 from orthokit.build import phi_space
 from orthokit.errors import BadDimension, EqualPoints, GeometryMismatch
+from orthokit.gf import GF
 
 
 AFFINE_CASES = [(2, 2), (2, 3), (3, 3), (2, 4), (4, 2), (2, 5), (3, 4)]
@@ -470,11 +471,20 @@ def full_scan_embedding(base, ext):
     (4, 1, None), (4, 2, None), (4, 3, None), (8, 1, None), (8, 2, None),
     (9, 1, None), (9, 2, None), (16, 1, None), (25, 1, None), (27, 1, None),
     (49, 1, None), (4, 2, [1, 0, 0, 0, 0, 1, 1]), (9, 1, [2, 0, 0, 2, 1]),
+    (2, 2, None), (3, 2, None), (5, 1, None), (7, 2, None),
 ])
 def test_embedding_from_the_subfield_equals_full_scan(q, d, modulus):
     g = geom.projective(d, q, labeling_modulus=modulus)
     ext = g.labeling_field
     assert geom._embedding(g.field, ext) == full_scan_embedding(g.field, ext)
+
+
+def test_embedding_of_a_prime_field_with_modulus_x_is_the_identity():
+    # x is irreducible of degree 1, and its one root is 0
+    g = geom.Geometry(geom.PROJECTIVE, 2, field=GF(3, 1, modulus=[0, 1]))
+    ext = g.labeling_field
+    assert geom._embedding(g.field, ext) == full_scan_embedding(
+        g.field, ext) == (0, 1, 2)
 
 
 def test_embedding_cache_is_keyed_by_labelling_field():
@@ -566,8 +576,8 @@ def test_echelon_chunks_do_not_change_flats(monkeypatch, make, j):
     (1, 2), (1, 5), (1, 9), (2, 2), (2, 3), (2, 4), (2, 7), (3, 2), (3, 3),
     (4, 2)])
 def test_points_and_whole_space_are_shortcut_rows(kind, d, q):
-    # the echelon bases at j = dim give the whole space as one row; the
-    # points stay the column of indices; lines are the lines() array
+    # the echelon bases give the points as the column of indices at j = 0
+    # and the whole space as one row at j = dim; lines are the lines() array
     g = (geom.affine if kind == "affine" else geom.projective)(d, q)
     n = g.point_count
     assert g.flats(0).tolist() == [[i] for i in range(n)]
