@@ -29,6 +29,13 @@ a key.  The least shared triple thus always starts with 0 and
 the verdicts and witnesses are those of the full index, from
 (N-1)(q-1)/2 keys per space.  The form is read from the permutation
 itself; any other family, and any k != 2, takes the paths above.
+One multiplier x -> u*x against the standard space needs no keys: its
+lines through 0 are u times the standard ones, so it fails exactly when
+two points of one standard line through 0 go under u onto one standard
+line through 0.  ``is_multiplier_orthomorphism`` gathers the through-0
+line ids of the u-images of every standard line through 0 and looks for
+a repeat in a row; it gives the verdict only, and the pair decider's
+Singer path is its oracle.
 
 Askew pairs run off one batched rank.  A line is in general position in
 the other space when every min(|line|, dim+1)-subset of its preimages,
@@ -52,6 +59,7 @@ All predicates are pure and deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -367,6 +375,21 @@ def _c3(m: int) -> int:
 def is_orthomorphism(g: Geometry, perm) -> Verdict:
     """Bijection whose line images are caps of the standard space."""
     return is_k_orthogoval_pair(standard(g), from_map(g, perm), 2)
+
+
+def is_multiplier_orthomorphism(g: Geometry, u: int) -> bool:
+    """Whether x -> u*x (mod N) on the Singer labels of a projective g,
+    u a unit mod N, is an orthomorphism: the verdict of
+    ``is_orthomorphism`` with no witness, read off the lines through 0
+    (see the module docstring)."""
+    n = g.point_count
+    if math.gcd(u, n) != 1:
+        raise ValueError(f"multiplier {u} is not a unit mod {n}")
+    rows = g.lines_through_origin()[:, 1:].astype(np.int64)
+    ids = g.origin_line_ids()[rows * (u % n) % n]
+    # a repeat in a row is a column equal to one further right
+    return not any((ids[:, i, None] == ids[:, i + 1:]).any()
+                   for i in range(ids.shape[1] - 1))
 
 
 def in_general_position(space: Space, pts) -> bool:

@@ -1,17 +1,18 @@
 """Search engines.
 
 Four task kinds: exponent scans for orthomorphism power maps, power
-chains, branch-and-bound clique search over candidate bijections, and
-the exhaustive search over affine structures used for the
-half-dimension nonexistence question, reduced by GL(d, q) through a
-closed-form test of lex-least prefixes, reduced on the domain side by
-the affine maps of each subspace [0, q^r) a prefix completes, and pruned
-per node through a table of the spans of the standard k-flats'
-(k+1)-subsets; and one exact-cover routine, which finds the 840 line
-structures of AG(2, F_3) and their partition into seven.  All searches
-are deterministic: candidate orders are canonical and results never
-depend on timing.  Every certificate emitted here is re-verified
-through :mod:`orthokit.check` before it is reported.
+chains (both decide each exponent as a multiplier of the Singer labels,
+with one gather over the lines through 0), branch-and-bound clique
+search over candidate bijections, and the exhaustive search over affine
+structures used for the half-dimension nonexistence question, reduced
+by GL(d, q) through a closed-form test of lex-least prefixes, reduced on
+the domain side by the affine maps of each subspace [0, q^r) a prefix
+completes, and pruned per node through a table of the spans of the
+standard k-flats' (k+1)-subsets; and one exact-cover routine, which
+finds the 840 line structures of AG(2, F_3) and their partition into
+seven.  All searches are deterministic: candidate orders are canonical
+and results never depend on timing.  Every certificate emitted here is
+re-verified through :mod:`orthokit.check` before it is reported.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .check import (
     from_map,
     is_half_dimension_orthogoval,
     is_k_orthogoval_pair,
+    is_multiplier_orthomorphism,
     standard,
 )
 from .errors import (
@@ -76,12 +78,15 @@ def sufficient_exponents(q: int, r: int, w_max: int) -> list[int]:
 
 def exponent_scan(q: int, r: int, w_max: int) -> dict:
     """All w in [2, w_max] coprime to q^r - 1 whose power map is an
-    orthomorphism of PG(r-1, q), plus the sufficient-condition subset."""
+    orthomorphism of PG(r-1, q), plus the sufficient-condition subset.
+    On the Singer labels the w-th power map is x -> (w mod N)*x, so each
+    w is one call of ``is_multiplier_orthomorphism``: no space is built
+    per exponent."""
     g = geom.projective(r - 1, q)
-    std = standard(g)
-    big = q ** r - 1
+    g._check_cap()  # an oversize geometry is refused even if no w is tested
+    n, big = g.point_count, q ** r - 1
     found = [w for w in range(2, w_max + 1) if math.gcd(w, big) == 1
-             and is_k_orthogoval_pair(std, phi_space(g, w), 2)]
+             and is_multiplier_orthomorphism(g, w % n)]
     return {
         "q": q,
         "r": r,
@@ -95,14 +100,15 @@ def power_chain(q: int, r: int, w: int) -> int:
     """Largest n with the w^i power map an orthomorphism for all
     1 <= i <= n.  The walk x <- x*w mod q^r - 1 stops at the first
     failure, or when x comes back to 1, the identity, after w's
-    multiplicative order of steps."""
+    multiplicative order of steps.  Each step is one call of
+    ``is_multiplier_orthomorphism`` on x mod N."""
     big = q ** r - 1
     if math.gcd(w, big) != 1:
         raise NotCoprime(f"w = {w} shares a factor with {big}")
     g = geom.projective(r - 1, q)
-    std = standard(g)
+    g._check_cap()  # an oversize geometry is refused even if w = 1
     n, x = 0, w % big
-    while x != 1 and is_k_orthogoval_pair(std, phi_space(g, x), 2):
+    while x != 1 and is_multiplier_orthomorphism(g, x % g.point_count):
         n += 1
         x = x * w % big
     return n
@@ -213,18 +219,6 @@ def _gl_point_perms(g: geom.Geometry) -> list:
             perm[i] = g.point_index(tuple(y))
         perms.append(perm)
     return perms
-
-
-def _flat_image_ok(g: geom.Geometry, image: list[int], k: int) -> bool:
-    """No k+2 of the image points may lie in a common k-flat: the test
-    reference for the candidates of :func:`_half_dim_candidates`."""
-    s = k + 2
-    if len(image) == s:
-        return g.rank_of(image) == s
-    for sub in itertools.combinations(sorted(image), s):
-        if g.rank_of(sub) != s:
-            return False
-    return True
 
 
 def _half_dim_candidates(g: geom.Geometry):

@@ -32,6 +32,7 @@ indices, and flats(d) the one row of all points.
 Projective lines through point 0 come from one numpy pass over the
 labelling field's log tables, and every other line is one of their
 Singer shifts x -> x + m that does not wrap past N, with least point m.
+A table of N entries names the line through 0 of each point.
 Lines and flats are cached read-only int32 arrays (flats(1) is lines()),
 and flats of more than MAX_FLAT_INCIDENCES points in all are refused.
 """
@@ -107,6 +108,7 @@ class Geometry:
         self._index_of = None
         self._lines = None
         self._lines0 = None
+        self._origin_ids = None
         self._flats = {}
 
     # -- counting -------------------------------------------------------
@@ -276,6 +278,19 @@ class Geometry:
             self._lines0 = rows.astype(np.int32)
             self._lines0.flags.writeable = False
         return self._lines0
+
+    def origin_line_ids(self) -> np.ndarray:
+        """Entry x, for every point x != 0, is the row of
+        :meth:`lines_through_origin` holding x; entry 0, on every row,
+        is -1.  Built once, read-only, after the cap check of
+        :meth:`lines_through_origin`."""
+        if self._origin_ids is None:
+            rows = self.lines_through_origin()
+            ids = np.full(self.point_count, -1, dtype=np.int32)
+            ids[rows[:, 1:]] = np.arange(len(rows), dtype=np.int32)[:, None]
+            ids.flags.writeable = False
+            self._origin_ids = ids
+        return self._origin_ids
 
     def _projective_lines(self) -> np.ndarray:
         """Every line as A_i + m, A the lines through 0, over the pairs

@@ -4,6 +4,7 @@ askew and half-dimension checks, determinism."""
 
 import contextlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from orthokit import check, geom
 from orthokit.build import BIG_SETS_TABLE, build_phi_family, build_phi_map, phi_space
 from orthokit.errors import GeometryMismatch, OddDimension
+from orthokit.gf import prime_factors
 
 
 def random_space(g, rng):
@@ -603,3 +605,83 @@ def test_failing_non_singer_family_builds_no_line_table(monkeypatch):
     monkeypatch.setattr(check, "_line_index", boom)
     v = check.are_mutually_orthogoval(fam)
     assert not v and v.witness == ref
+
+
+# ----------------------------------------------------------------------
+# the multiplier decider against the pair decider and the line oracle
+# ----------------------------------------------------------------------
+
+def _prime_powers(limit):
+    return [q for q in range(2, limit) if len(prime_factors(q)) == 1]
+
+
+# every PG(d, q), d >= 2, with N < 2,000; on PG(1, q) the one line is the
+# whole space, so every unit fails, and q < 10 stands for the rest
+MULTIPLIER_GEOMETRIES = [(1, q) for q in _prime_powers(10)] + [
+    (d, q) for d in range(2, 11) for q in _prime_powers(50)
+    if (q ** (d + 1) - 1) // (q - 1) < 2_000]
+# a passing unit costs the line oracle every line pair: on geometries
+# with more pairs than this it checks the failing units and the least
+# passing one
+_NAIVE_LINE_PAIRS = 10 ** 6
+
+
+def _units(n):
+    return [u for u in range(1, n) if math.gcd(u, n) == 1]
+
+
+def _multiplier_space(g, u):
+    n = g.point_count
+    return check.from_map(g, np.arange(n) * u % n)
+
+
+@pytest.mark.parametrize("d, q", MULTIPLIER_GEOMETRIES)
+def test_multiplier_decider_equals_pair_decider_on_every_unit(d, q):
+    # units mod N, not build_phi_map's exponents: it refuses u = 12 on
+    # PG(4, 3), a unit mod 121 but not mod 242
+    g = geom.projective(d, q)
+    std = check.standard(g)
+    for u in _units(g.point_count):
+        slow = check.is_k_orthogoval_pair(std, _multiplier_space(g, u), 2)
+        assert check.is_multiplier_orthomorphism(g, u) is bool(slow), u
+
+
+@pytest.mark.parametrize("d, q", [
+    (d, q) for d, q in MULTIPLIER_GEOMETRIES
+    if (q ** (d + 1) - 1) // (q - 1) < 150])
+def test_multiplier_decider_equals_line_oracle(d, q):
+    g = geom.projective(d, q)
+    std = check.standard(g)
+    passing_left = 1 if g.line_count ** 2 > _NAIVE_LINE_PAIRS else math.inf
+    for u in _units(g.point_count):
+        fast = check.is_multiplier_orthomorphism(g, u)
+        if fast:
+            if not passing_left:
+                continue
+            passing_left -= 1
+        slow = check.naive_k_orthogoval_pair(std, _multiplier_space(g, u), 2)
+        assert fast is bool(slow), u
+
+
+@pytest.mark.parametrize("q, r, w, n", [
+    (2, 5, 3, 5), (2, 7, 3, 17), (3, 5, 17, 9), (5, 5, 3, 6)])
+def test_multiplier_decider_negative_controls(q, r, w, n):
+    # the identity, and the first power past each big-sets chain, must fail
+    g = geom.projective(r - 1, q)
+    big, size = q ** r - 1, g.point_count
+    assert not check.is_multiplier_orthomorphism(g, 1)
+    assert all(check.is_multiplier_orthomorphism(g, pow(w, i, big) % size)
+               for i in range(1, n + 1))
+    past = pow(w, n + 1, big)
+    assert not check.is_multiplier_orthomorphism(g, past % size)
+    assert not check.is_k_orthogoval_pair(check.standard(g), phi_space(g, past), 2)
+
+
+def test_multiplier_decider_refuses_non_units():
+    g = geom.projective(4, 3)
+    for u in (0, 11, 121 + 22):
+        with pytest.raises(ValueError, match="not a unit"):
+            check.is_multiplier_orthomorphism(g, u)
+    # a unit given unreduced is reduced mod N
+    assert check.is_multiplier_orthomorphism(g, 12) is (
+        check.is_multiplier_orthomorphism(g, 12 + 121))

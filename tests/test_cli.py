@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -447,9 +449,13 @@ def test_mutated_bundle_gives_a_verdict_or_exit_3(phi_bundle_doc, tmp_path, edit
 
 @pytest.mark.parametrize("argv", [
     ("search", "exponent-scan", "--q", "2", "--r", "30", "--w-max", "3"),
+    # no exponent gets tested, and the geometry is still refused
+    ("search", "exponent-scan", "--q", "2", "--r", "30", "--w-max", "1"),
+    ("search", "power-chain", "--q", "2", "--r", "30", "--w", "1"),
     ("bound", "--kind", "projective", "--dim", "29", "--q", "2"),
     ("construct", "askew", "--k", "30", "--q", "2", "--out", "never.json"),
-], ids=["exponent-scan", "bound", "construct askew"])
+], ids=["exponent-scan", "exponent-scan w<=1", "power-chain w=1", "bound",
+        "construct askew"])
 def test_oversize_projective_input_exits_2_before_its_labelling_field(
         capsys, monkeypatch, tmp_path, argv):
     # GF(2^30), or a map over its 2^30 points, would take gigabytes: a
@@ -534,3 +540,24 @@ def test_pg1_labelling_field_above_its_cap_is_refused_before_it_is_built(
     assert "labeling field" in err and "enumeration cap" in err
     assert "Traceback" not in err
     assert not (tmp_path / "never.json").exists()
+
+
+def _readme_commands():
+    """The ``orthokit ...`` lines of README's "Command line" block, in
+    order, as argument lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("orthokit ")]
+
+
+def test_readme_command_block_runs_in_order(capsys, monkeypatch, tmp_path):
+    # the bundles the first lines write are read by the later ones
+    commands = _readme_commands()
+    assert len(commands) == 15
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ORTHOKIT_CHECKPOINT_DIR", raising=False)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

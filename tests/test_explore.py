@@ -75,6 +75,42 @@ def test_power_chain_rejects_non_coprime():
         explore.power_chain(3, 3, 2)  # gcd(2, 26) = 2
 
 
+# (q, r, w_max) of the scans in the tests and the benchmark; w_max = 3000
+# runs w past N = 781
+SCANS = [(5, 5, 10), (2, 5, 17), (2, 5, 8), (3, 5, 8), (5, 5, 8), (5, 5, 3000)]
+
+
+@pytest.mark.parametrize("q, r, w_max", SCANS)
+def test_scanned_power_maps_are_multipliers_by_w_mod_n(q, r, w_max):
+    # the scans decide the w-th power map as the multiplier w mod N
+    g = geom.projective(r - 1, q)
+    big = q ** r - 1
+    for w in range(2, w_max + 1):
+        if math.gcd(w, big) == 1:
+            assert check._singer_multiplier(phi_space(g, w)) == w % g.point_count
+
+
+@pytest.mark.parametrize("q, r, w", [(2, 5, 3), (2, 7, 3), (3, 5, 17),
+                                     (3, 7, 25), (4, 7, 11), (5, 5, 9)])
+def test_chained_power_maps_are_multipliers_by_x_mod_n(q, r, w):
+    g = geom.projective(r - 1, q)
+    big, x = q ** r - 1, w
+    for _ in range(explore.power_chain(q, r, w) + 1):
+        assert check._singer_multiplier(phi_space(g, x)) == x % g.point_count
+        x = x * w % big
+
+
+def test_scans_build_no_space_and_call_no_pair_decider(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a space or a pair check per exponent")
+    monkeypatch.setattr(check.Space, "__post_init__", boom)
+    monkeypatch.setattr(explore, "is_k_orthogoval_pair", boom)
+    monkeypatch.setattr(explore, "phi_space", boom)
+    assert explore.exponent_scan(5, 5, 10)["orthomorphisms"] == [3, 7, 9]
+    assert explore.power_chain(3, 7, 25) == 77
+    assert explore.power_chain(4, 7, 11) == 3
+
+
 def test_clique_search_exhaustive_and_deterministic():
     g = geom.projective(4, 2)
     ws = (3, 5, 7, 11, 13, 17)
@@ -156,6 +192,17 @@ def test_canonicity_rule_equals_gl_lex_min(d, q, longest):
                 == _lex_least_prefixes(perms, g.point_count, length))
 
 
+def _flat_image_ok(g, image, k):
+    """No k+2 of the image points may lie in a common k-flat."""
+    s = k + 2
+    if len(image) == s:
+        return g.rank_of(image) == s
+    for sub in itertools.combinations(sorted(image), s):
+        if g.rank_of(sub) != s:
+            return False
+    return True
+
+
 def _reference_candidates(g, path):
     """Oracle: the images up to the canonical top that leave every k-flat
     completed by the next point with no k+2 images in a common k-flat,
@@ -165,7 +212,7 @@ def _reference_candidates(g, path):
     flats = flats[flats[:, -1] == len(path)].tolist()
     top = min(explore._canonical_top(path, g.q) + 1, g.point_count)
     return [v for v in range(top) if v not in path and all(
-        explore._flat_image_ok(g, [(path + [v])[p] for p in f], k)
+        _flat_image_ok(g, [(path + [v])[p] for p in f], k)
         for f in flats)]
 
 
@@ -210,7 +257,7 @@ def test_span_table_negative_controls():
     # degenerate exactly when the four images xor to 0, so after 0, 1, 2
     # the image 3 is refused and only 4 (up to the canonical top) is left
     g = geom.affine(4, 2)
-    assert not explore._flat_image_ok(g, [0, 1, 2, 0 ^ 1 ^ 2], 2)
+    assert not _flat_image_ok(g, [0, 1, 2, 0 ^ 1 ^ 2], 2)
     assert explore._half_dim_candidates(g)([0, 1, 2]) == [4] == (
         _reference_candidates(g, [0, 1, 2]))
     # AG(2,4): the line {0, 1, 2, 3} completes at point 3, and its images

@@ -217,6 +217,18 @@ def test_projective_lines_equal_shift_sort_dedupe(make):
     assert (lines == ref).all()
 
 
+@pytest.mark.parametrize("make", [m for _, m in LINE_ORACLE_GEOMETRIES],
+                         ids=[name for name, _ in LINE_ORACLE_GEOMETRIES])
+def test_origin_line_ids_name_the_line_through_0(make):
+    g = make()
+    ids = g.origin_line_ids()
+    assert ids.dtype == np.int32 and not ids.flags.writeable
+    assert ids is g.origin_line_ids() and ids[0] == -1
+    A = g.lines_through_origin().tolist()
+    assert [tuple(A[i]) for i in ids[1:]] == [
+        g.line_through(0, x) for x in range(1, g.point_count)]
+
+
 def test_split_prime_power_by_trial_division_to_the_square_root():
     # the Mersenne prime 2^31 - 1 needs only 46,340 trial divisors
     assert geom._split_prime_power(2 ** 31 - 1) == (2 ** 31 - 1, 1)
@@ -542,6 +554,20 @@ def test_size_cap_applies_to_enumeration_only():
         g.points()
     with pytest.raises(BadDimension):
         g.lines()
+    with pytest.raises(BadDimension):
+        g.origin_line_ids()
+    assert g._lines0 is None and g._origin_ids is None
+
+
+def test_ag42_planes_are_the_zero_sum_4_subsets():
+    # a second route to the half-dimension flats of AG(4, 2): with base-2
+    # indices XOR is vector addition, a plane {a, a+x, a+y, a+x+y} sums to
+    # 0, and in a zero-sum 4-set each point is the sum of the other three,
+    # the fourth point of their plane
+    planes = geom.affine(4, 2).flats(2).tolist()
+    zero_sum = [list(s) for s in itertools.combinations(range(16), 4)
+                if s[0] ^ s[1] ^ s[2] ^ s[3] == 0]
+    assert len(planes) == 140 and planes == zero_sum
 
 
 def test_flat_incidence_cap_refuses_before_enumerating():
