@@ -13,10 +13,24 @@ triple the two lines share.
 
 Family checks at k=2 run off a triple index: one packed 64-bit key per
 colinear point triple, sorted globally so that a triple colinear in two
-spaces shows up as a duplicate.  One scan of all block pairs is the
-independent oracle ``naive_k_orthogoval_pair`` over lines, also deciding
-k <= 1 (every pair fails; the scan stops within the first line of
-``s``), and the half-dimension decider over k-flats.
+spaces shows up as a duplicate.
+
+One scan of all block pairs is the independent oracle
+``naive_k_orthogoval_pair`` over lines, also deciding k <= 1 (every pair
+fails; the scan stops at the first line of ``s``), and the
+half-dimension decider over k-flats.  It shares no table with the line
+index: one stable argsort of the standard blocks by point gives the ids
+of the blocks through each point, and every point of AG/PG lies on as
+many j-flats.  With w = t^-1 . s, gathering those rows at the w-images
+of a block's points and sorting them counts each t-block as often as
+its image meets the block's s-image, so an id repeated more than the
+limit is an overlap.  The first such row and its least such id are the
+first failing pair in standard order, s-blocks outer.  Chunks of rows
+start small and double up to about 2^20 ids, so a pair that fails early
+stays cheap.  A full scan costs about 6 ns per id gathered.  Measured
+on a 2-core x86 box against the frozenset double loop it replaced: the
+AG(3,4) char-p pair passes k=2 in 0.3 ms (was 34 ms), a full scan of
+PG(4,3)'s planes takes 18 ms (was 0.96 s), and PG(4,5)'s take 3.2 s.
 
 Singer reduction.  When every space is projective and its permutation
 is x -> u*x + c (mod N) on the Singer labels, as the power maps are,
@@ -70,6 +84,8 @@ from .geom import PROJECTIVE, Geometry
 _TRIPLE_CACHE_LIMIT = 2_000_000
 # matrix entries per working array of the askew decider
 _ASKEW_CHUNK = 1 << 20
+# block ids per working array of the block-pair scan
+_OVERLAP_CHUNK = 1 << 20
 
 
 @dataclass
@@ -203,11 +219,19 @@ def _singer_keys(spaces: list[Space]):
 
 def _line_of(space: Space, tri) -> tuple | None:
     """The line of ``space`` through the point triple, or None if the
-    triple is not colinear in it: ``line_through`` on the preimages,
-    mapped back through the permutation."""
+    triple is not colinear in it: the standard line through the
+    preimages a and b, mapped back through the permutation.  On a
+    projective space that line is the Singer shift by a of the line
+    through 0 and b - a; on an affine one it is ``line_through``."""
     inv = space.inverse()
     a, b, c = (int(inv[x]) for x in tri)
-    line = space.geometry.line_through(a, b)
+    g = space.geometry
+    if g.kind == PROJECTIVE:
+        n = g.point_count
+        line = ((g.lines_through_origin()[g.origin_line_ids()[(b - a) % n]]
+                 + a) % n).tolist()
+    else:
+        line = g.line_through(a, b)
     if c not in line:
         return None
     return tuple(sorted(int(space.perm[x]) for x in line))
@@ -221,18 +245,49 @@ def _check_same_geometry(spaces):
     return g
 
 
+def _check_k(k: int):
+    # lines meet in at least 0 points: a negative bound fails every pair
+    # with no witness to show for it
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
 def _first_overlap(s: Space, t: Space, blocks: np.ndarray, limit: int,
                    names: tuple) -> Verdict:
     """Intersect the images in s and t of every pair of standard blocks
     (rows of ``blocks``), s outer and t inner in row order.  The first
-    pair sharing more than ``limit`` points is the witness: ``names`` map
-    to the two blocks and their intersection, as sorted tuples."""
-    blocks_t = [frozenset(b) for b in t.perm[blocks].tolist()]
-    for a in map(frozenset, s.perm[blocks].tolist()):
-        for b in blocks_t:
-            if len(a & b) > limit:
-                return Verdict(False, dict(zip(names, (
-                    tuple(sorted(x)) for x in (a, b, a & b)))))
+    pair sharing more than ``limit`` >= 0 points is the witness: ``names``
+    map to the two blocks and their intersection, as sorted tuples.
+
+    The point x of a block goes to s(x), which lies on t's image of the
+    block j exactly when j passes through w(x), w = t^-1 . s.  So one
+    row of the standard blocks through each point of a block's w-image,
+    sorted, holds each t-block id as often as the two images share
+    points (see the module docstring)."""
+    count, size = blocks.shape
+    if limit >= size:
+        return Verdict(True)
+    # every point lies on as many blocks: one stable sort by point gives
+    # the ids of the blocks through each point as a row
+    through = (np.argsort(blocks.ravel(), kind="stable") // size).astype(
+        np.int32).reshape(len(s.perm), -1)
+    w = t.inverse()[s.perm]
+    width = size * through.shape[1]
+    most = max(1, _OVERLAP_CHUNK // width)
+    step, lo = min(4, most), 0
+    while lo < count:
+        ids = through[w[blocks[lo:lo + step]]].reshape(-1, width)
+        ids.sort(axis=1)
+        # an id seen more than limit times equals the one limit further on
+        hit = ids[:, limit:] == ids[:, :width - limit]
+        if hit.any():
+            row, col = divmod(int(np.argmax(hit)), hit.shape[1])
+            a = np.sort(s.perm[blocks[lo + row]]).tolist()
+            b = np.sort(t.perm[blocks[ids[row, col]]]).tolist()
+            return Verdict(False, dict(zip(names, (
+                tuple(a), tuple(b), tuple(sorted(set(a) & set(b)))))))
+        lo += step
+        step = min(2 * step, most)
     return Verdict(True)
 
 
@@ -243,6 +298,7 @@ def _first_overlap(s: Space, t: Space, blocks: np.ndarray, limit: int,
 def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
     """Every line of s meets every line of t in at most k points."""
     g = _check_same_geometry([s, t])
+    _check_k(k)
     if k >= g.points_per_line:
         return Verdict(True)
     if k <= 1:
@@ -305,6 +361,7 @@ def _pair_ids(table, lines, pairs, n: int) -> np.ndarray:
 def naive_k_orthogoval_pair(s: Space, t: Space, k: int) -> Verdict:
     """Oracle path: intersect every line pair directly."""
     g = _check_same_geometry([s, t])
+    _check_k(k)
     return _first_overlap(s, t, g.lines(), k, ("line_a", "line_b", "intersection"))
 
 
@@ -318,6 +375,7 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if len(spaces) < 2:
         raise ValueError("need at least 2 spaces")
     g = _check_same_geometry(spaces)
+    _check_k(k)
     if k >= g.points_per_line:
         return Verdict(True)  # no two lines share more points than a line has
     if k == 2:
@@ -506,24 +564,8 @@ def is_half_dimension_orthogoval(s: Space, t: Space) -> Verdict:
 
 
 # ----------------------------------------------------------------------
-# handy maps for tests and invariance checks
+# permutations
 # ----------------------------------------------------------------------
-
-def translation_map(g: Geometry, t_coords) -> np.ndarray:
-    """Index permutation of an affine translation."""
-    base = g.field
-    pts = g.points()
-    out = np.empty(g.point_count, dtype=np.int64)
-    for i, pt in enumerate(pts):
-        out[i] = g.point_index(tuple(base.add(a, b) for a, b in zip(pt, t_coords)))
-    return out
-
-
-def singer_shift(g: Geometry, c: int) -> np.ndarray:
-    """Multiplication of Singer labels by z^c: a projective collineation."""
-    n = g.point_count
-    return (np.arange(n) + c) % n
-
 
 def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Permutation composition: (outer . inner)(x) = outer[inner[x]]."""

@@ -58,9 +58,10 @@ MAX_POINTS = 10_000
 # a projective space's labelling field GF(q^(dim+1)) holds at most this
 # many elements; under the point cap only PG(1, q > 1024) exceeds it
 MAX_LABELING_FIELD = 1 << 20
-# flats() refuses arrays with more points in all: the frozensets the
-# half-dimension scan builds from them still take tens of bytes a point,
-# and deciding over millions of flats is out of reach
+# flats() refuses arrays with more points in all: a half-dimension scan
+# of a passing pair gathers about incidences^2 / points block ids, at some
+# 6 ns each (3.2 s over the 629,486 of PG(4,5)'s planes), so deciding
+# near the cap would take minutes
 MAX_FLAT_INCIDENCES = 1 << 22
 # coordinates per working array when flats are built from echelon bases
 _ECHELON_CHUNK = 1 << 18
@@ -104,7 +105,6 @@ class Geometry:
         self._embed = None
         self._coords = None
         self._homogeneous = None
-        self._labels = None
         self._index_of = None
         self._lines = None
         self._lines0 = None
@@ -196,7 +196,6 @@ class Geometry:
                 N = self.point_count
                 order = np.argsort(ext.log_array[labels] % N)
                 coords = list(map(tuple, vecs[order].tolist()))
-                self._labels = labels[order].tolist()
             self._coords = coords
             self._index_of = {c: i for i, c in enumerate(coords)}
         return self._coords
@@ -225,12 +224,6 @@ class Geometry:
                 x = tuple(self.field.mul(v2, s) for v2 in x)
                 break
         return self._index_of[x]
-
-    def singer_label(self, idx: int) -> int:
-        """Code in :attr:`labeling_field` of the label of the normalized
-        representative of a projective point."""
-        self.points()
-        return self._labels[idx]
 
     # -- lines ----------------------------------------------------------
 

@@ -6,6 +6,20 @@ import pytest
 from orthokit import check
 
 
+def _translation_map(g, t_coords):
+    """Index permutation of the affine translation x -> x + t_coords."""
+    base = g.field
+    out = np.empty(g.point_count, dtype=np.int64)
+    for i, pt in enumerate(g.points()):
+        out[i] = g.point_index(tuple(base.add(a, b) for a, b in zip(pt, t_coords)))
+    return out
+
+
+@pytest.fixture
+def translation_map():
+    return _translation_map
+
+
 @pytest.fixture
 def assert_additive():
     """Assert that a point map of an affine geometry is additive, read
@@ -22,6 +36,6 @@ def assert_additive():
                 t[i] = g.field.p ** j
                 image = pts[int(perm[g.point_index(t)])]
                 assert np.array_equal(
-                    check.compose(perm, check.translation_map(g, t)),
-                    check.compose(check.translation_map(g, image), perm))
+                    check.compose(perm, _translation_map(g, t)),
+                    check.compose(_translation_map(g, image), perm))
     return check_map

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthokit import check, geom
-from orthokit.build import BIG_SETS_TABLE, build_phi_family, build_phi_map, phi_space
+from orthokit.build import (
+    BIG_SETS_TABLE,
+    build_char_p_pair,
+    build_phi_family,
+    build_phi_map,
+    phi_space,
+)
 from orthokit.errors import GeometryMismatch, OddDimension
 from orthokit.gf import prime_factors
 
@@ -145,9 +151,17 @@ def reference_block_scan(s, t, blocks, limit, names):
     return check.Verdict(True)
 
 
+# half-dimension certificates of AG(2,3) and AG(2,4)
+HALF_DIM_CERTIFICATES = {
+    3: [0, 1, 3, 2, 4, 7, 6, 8, 5],
+    4: [0, 1, 4, 5, 2, 3, 6, 7, 9, 8, 13, 12, 11, 10, 15, 14],
+}
+
+
 @pytest.mark.parametrize("kind, d, q", [
-    ("affine", 2, 3), ("affine", 2, 4), ("affine", 3, 3), ("affine", 4, 2),
-    ("affine", 4, 3), ("projective", 2, 3), ("projective", 4, 2),
+    ("affine", 2, 3), ("affine", 2, 4), ("affine", 2, 7), ("affine", 2, 9),
+    ("affine", 3, 3), ("affine", 3, 4), ("affine", 4, 2), ("affine", 4, 3),
+    ("projective", 2, 3), ("projective", 2, 7), ("projective", 4, 2),
 ])
 def test_block_scan_equals_frozenset_reference(kind, d, q):
     g = (geom.affine if kind == "affine" else geom.projective)(d, q)
@@ -158,18 +172,26 @@ def test_block_scan_equals_frozenset_reference(kind, d, q):
              (random_space(g, rng), random_space(g, rng))]
     # negative control: the identity map fails at every k below the line
     pairs.append((std, check.from_map(g, np.arange(n))))
-    if kind == "affine" and d == 2 and q == 3:
+    char_p = None
+    if kind == "affine" and q in (4, 9) and d <= 3:
+        # positive control: the char-p pair holds exactly at k >= p
+        p = g.field.p
+        char_p = build_char_p_pair(p, 2, d)[:2]
+        pairs.append(char_p)
+    if kind == "affine" and d == 2 and q in HALF_DIM_CERTIFICATES:
         # positive control: a known half-dimension-orthogoval pair
-        pairs.append((std, check.from_map(g, [0, 1, 3, 2, 4, 7, 6, 8, 5])))
+        pairs.append((std, check.from_map(g, HALF_DIM_CERTIFICATES[q])))
     lines = g.lines()
     outcomes = set()
     for s, t in pairs:
-        for k in (1, 2, 3):
+        for k in (0, 1, 2, 3):
             got = check.naive_k_orthogoval_pair(s, t, k)
             want = reference_block_scan(
                 s, t, lines, k, ("line_a", "line_b", "intersection"))
             assert got == want, (k, got, want)
             outcomes.add(("naive", got.ok))
+            if (s, t) == char_p:
+                assert got.ok == (k >= g.field.p), k
         if d % 2 == 0:
             half = d // 2
             got = check.is_half_dimension_orthogoval(s, t)
@@ -179,10 +201,64 @@ def test_block_scan_equals_frozenset_reference(kind, d, q):
             assert got == want, (got, want)
             outcomes.add(("half", got.ok))
     assert ("naive", False) in outcomes
+    if char_p is not None:
+        assert ("naive", True) in outcomes
     if d % 2 == 0:
         assert ("half", False) in outcomes
-    if (kind, d, q) == ("affine", 2, 3):
+    if kind == "affine" and d == 2 and q in HALF_DIM_CERTIFICATES:
         assert ("half", True) in outcomes
+
+
+@pytest.mark.parametrize("chunk", [check._OVERLAP_CHUNK, 1],
+                         ids=["default", "one-id"])
+def test_block_scan_witness_beyond_the_first_chunk(monkeypatch, chunk):
+    # the first line of s to meet a line of t in 5 points is row 25, in
+    # the third chunk (rows 12..27) at the default size; with a chunk of
+    # one id the scan takes one row at a time
+    monkeypatch.setattr(check, "_OVERLAP_CHUNK", chunk)
+    g = geom.projective(2, 7)
+    s, t = check.standard(g), random_space(g, np.random.default_rng(0))
+    names = ("line_a", "line_b", "intersection")
+    got = check.naive_k_orthogoval_pair(s, t, 4)
+    assert not got
+    assert got == reference_block_scan(s, t, g.lines(), 4, names)
+    assert s.lines().tolist().index(list(got.witness["line_a"])) == 25
+    assert len(got.witness["intersection"]) == 5
+
+
+def test_negative_k_is_refused():
+    g = geom.affine(2, 3)
+    rng = np.random.default_rng(3)
+    s, t = random_space(g, rng), random_space(g, rng)
+    for decide in (check.is_k_orthogoval_pair, check.naive_k_orthogoval_pair):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            decide(s, t, -1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        check.are_mutually_orthogoval([s, t], -1)
+    # k = 0 keeps a real witness: two lines sharing a point
+    v = check.is_k_orthogoval_pair(s, t, 0)
+    assert not v and len(v.witness["intersection"]) >= 1
+    assert set(v.witness["intersection"]) <= (
+        set(v.witness["line_a"]) & set(v.witness["line_b"]))
+
+
+@pytest.mark.parametrize("d, q", [(2, 41), (4, 2), (6, 3)])
+def test_projective_line_of_equals_line_through(d, q):
+    # _line_of shifts the line through 0 and b - a by a; line_through
+    # builds the line through a and b one field operation at a time
+    g = geom.projective(d, q)
+    n = g.point_count
+    rng = np.random.default_rng(n)
+    t = random_space(g, rng)
+    for _ in range(300):
+        a, b = (int(x) for x in rng.choice(n, 2, replace=False))
+        want = g.line_through(a, b)
+        on = int(rng.choice([x for x in want if x not in (a, b)]))
+        off = int(rng.choice(sorted(set(range(n)) - set(want))))
+        tri = [int(t.perm[x]) for x in (a, b, on)]
+        assert check._line_of(t, tri) == tuple(sorted(
+            int(t.perm[x]) for x in want))
+        assert check._line_of(t, [int(t.perm[x]) for x in (a, b, off)]) is None
 
 
 def test_family_check_matches_pairwise():
@@ -250,14 +326,20 @@ def test_space_rejects_values_outside_the_point_range(perm):
         check.from_map(geom.affine(2, 3), perm)
 
 
-def test_translations_and_singer_shifts_are_collineations():
+def singer_shift(g, c):
+    """Multiplication of Singer labels by z^c: a projective collineation."""
+    n = g.point_count
+    return (np.arange(n) + c) % n
+
+
+def test_translations_and_singer_shifts_are_collineations(translation_map):
     g = geom.affine(3, 3)
-    perm = check.translation_map(g, (1, 2, 0))
+    perm = translation_map(g, (1, 2, 0))
     t = check.from_map(g, perm)
     assert ({frozenset(r) for r in t.lines().tolist()}
             == {frozenset(r) for r in check.standard(g).lines().tolist()})
     gp = geom.projective(2, 2)
-    t2 = check.from_map(gp, check.singer_shift(gp, 3))
+    t2 = check.from_map(gp, singer_shift(gp, 3))
     assert ({frozenset(r) for r in t2.lines().tolist()}
             == {frozenset(r) for r in check.standard(gp).lines().tolist()})
 
@@ -558,7 +640,7 @@ def test_reduced_checks_equal_triple_index_on_seeded_maps():
     g = geom.projective(2, 4)
     with full_index_off():
         assert not check.is_k_orthogoval_pair(
-            check.standard(g), check.from_map(g, check.singer_shift(g, 5)), 2)
+            check.standard(g), check.from_map(g, singer_shift(g, 5)), 2)
     assert outcomes == {True, False}
 
 

@@ -79,12 +79,24 @@ def test_verify_duplicate_space_fails_with_witness(tmp_path, capsys):
     assert "triple" in rep["witnesses"]["witness"]
 
 
+def test_verify_negative_k_is_a_usage_error(tmp_path, capsys):
+    # no two lines share fewer than 0 points, so k < 0 has no witness
+    from orthokit import bundle, check, geom
+    g = geom.affine(2, 3)
+    path = str(tmp_path / "pair.json")
+    bundle.write_bundle(path, [check.standard(g),
+                               check.from_map(g, [0, 1, 3, 2, 4, 7, 6, 8, 5])])
+    code, stdout, err = run(capsys, "verify", path, "--k", "-1")
+    assert (code, stdout) == (2, "")
+    assert "k must be >= 0" in err
+
+
 def test_verify_half_dim_over_flat_cap_is_refused(tmp_path, capsys):
     from orthokit import bundle, check, geom
     g = geom.projective(6, 3)
     path = str(tmp_path / "pg63.json")
-    bundle.write_bundle(path, [check.standard(g),
-                               check.from_map(g, check.singer_shift(g, 1))])
+    shift = list(range(1, g.point_count)) + [0]  # a Singer shift
+    bundle.write_bundle(path, [check.standard(g), check.from_map(g, shift)])
     code, _, err = run(capsys, "verify", path, "--property", "half-dim")
     assert code == 2
     assert "BAD_DIMENSION" in err and "flat enumeration cap" in err
