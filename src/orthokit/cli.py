@@ -21,7 +21,6 @@ from .build import (
     BIG_SETS_TABLE,
     build_char_p_pair,
     build_phi_family,
-    build_phi_map,
     build_askew_pair,
     catalog_entry,
     catalog_family,
@@ -204,10 +203,8 @@ def cmd_search(args) -> int:
         return EXIT_OK
 
     if args.task == "clique":
-        g = geom.projective(args.r - 1, args.q)
         ws = [int(w) for w in args.w_list.split(",")]
-        cands = [build_phi_map(g, w) for w in ws]
-        res = explore.clique_search(cands, g, budget=args.budget)
+        res = explore.clique_search(args.q, args.r, ws, budget=args.budget)
         report = run_report(
             "search",
             {"task": args.task, "q": args.q, "r": args.r, "w_list": ws,
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--w", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p = cs.add_parser("catalog")
     p.add_argument("--name", required=True, help=", ".join(catalog_names()))
     p = cs.add_parser("char-p")

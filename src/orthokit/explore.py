@@ -1,18 +1,19 @@
 """Search engines.
 
 Four task kinds: exponent scans for orthomorphism power maps, power
-chains (both decide each exponent as a multiplier of the Singer labels,
-with one gather over the lines through 0), branch-and-bound clique
-search over candidate bijections, and the exhaustive search over affine
-structures used for the half-dimension nonexistence question, reduced
-by GL(d, q) through a closed-form test of lex-least prefixes, reduced on
-the domain side by the affine maps of each subspace [0, q^r) a prefix
-completes, and pruned per node through a table of the spans of the
-standard k-flats' (k+1)-subsets; and one exact-cover routine, which
-finds the 840 line structures of AG(2, F_3) and their partition into
-seven.  All searches are deterministic: candidate orders are canonical
-and results never depend on timing.  Every certificate emitted here is
-re-verified through :mod:`orthokit.check` before it is reported.
+chains and branch-and-bound clique search over power maps (the three
+decide each exponent, or the ratio of two, as a multiplier of the Singer
+labels, with one gather over the lines through 0), and the exhaustive
+search over affine structures used for the half-dimension nonexistence
+question, reduced by GL(d, q) through a closed-form test of lex-least
+prefixes, reduced on the domain side by the affine maps of each subspace
+[0, q^r) a prefix completes, and pruned per node through a table of the
+spans of the standard k-flats' (k+1)-subsets; and one exact-cover
+routine, which finds the 840 line structures of AG(2, F_3) and their
+partition into seven.  All searches are deterministic: candidate orders
+are canonical and results never depend on timing.  Every certificate
+emitted here is re-verified through :mod:`orthokit.check` before it is
+reported.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .check import (
     Space,
     from_map,
     is_half_dimension_orthogoval,
-    is_k_orthogoval_pair,
     is_multiplier_orthomorphism,
     standard,
 )
@@ -115,7 +115,7 @@ def power_chain(q: int, r: int, w: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# maximum clique over candidate bijections
+# maximum clique over power maps
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -125,64 +125,69 @@ class CliqueResult:
     exhaustive: bool
 
 
-def clique_search(candidates: list, g: geom.Geometry,
+def clique_search(q: int, r: int, ws: list,
                   budget: int = None) -> CliqueResult:
-    """Largest found set of candidate maps whose induced spaces are
-    mutually orthogoval: exact branch-and-bound with greedy-coloring
-    bounds and canonical tie-breaking."""
-    spaces = [from_map(g, p) for p in candidates]
-    m = len(spaces)
+    """Largest found set of exponents in ``ws`` whose power maps carry
+    the standard PG(r-1, q) to mutually orthogoval spaces, as indices
+    into ``ws``, by exact branch-and-bound with greedy-colouring bounds.
+    The w-th power map is x -> u*x on the Singer labels, u = w mod N, and
+    multiplying every label by u_i^-1 carries (u_i S, u_j S) onto
+    (S, (u_j/u_i) S).  So i and j are adjacent exactly when x -> (u_j/u_i)*x
+    is an orthomorphism: one ``is_multiplier_orthomorphism`` call per
+    unordered pair, as orthogovality is symmetric, and no space built."""
+    g = geom.projective(r - 1, q)
+    g._check_cap()  # an oversize geometry is refused before any w
+    big, n = q ** r - 1, g.point_count
+    for w in ws:
+        if math.gcd(w, big) != 1:
+            raise NotCoprime(f"w = {w} shares a factor with {big}")
+    us = [w % n for w in ws]
+    m = len(us)
     adj = [[False] * m for _ in range(m)]
     for i, j in itertools.combinations(range(m), 2):
-        ok = bool(is_k_orthogoval_pair(spaces[i], spaces[j], 2))
+        ok = is_multiplier_orthomorphism(g, us[j] * pow(us[i], -1, n) % n)
         adj[i][j] = adj[j][i] = ok
 
     best: list[int] = []
     nodes = 0
     exhausted = True
 
-    class _Stop(Exception):
-        pass
-
     def color_sort(cand):
-        # greedy coloring; returns candidates with color numbers, ascending
-        colors = []
+        # greedy colouring, each vertex into the first class it has no
+        # edge into; (vertex, colour) pairs by colour, then vertex
         classes = []
         for v in cand:
-            placed = False
-            for ci, cls in enumerate(classes):
-                if all(not adj[v][u] for u in cls):
-                    cls.append(v)
-                    colors.append((v, ci + 1))
-                    placed = True
-                    break
-            if not placed:
+            cls = next((c for c in classes
+                        if not any(adj[v][u] for u in c)), None)
+            if cls is None:
                 classes.append([v])
-                colors.append((v, len(classes)))
-        colors.sort(key=lambda t: (t[1], t[0]))
-        return colors
+            else:
+                cls.append(v)
+        return [(v, c) for c, cls in enumerate(classes, 1) for v in sorted(cls)]
 
     def expand(clique, cand):
         nonlocal best, nodes, exhausted
-        for v, color in reversed(color_sort(cand)):
+        # taken from the highest colour down: the colour of v bounds a
+        # clique among v and the vertices not yet taken, the only ones
+        # left to extend it.  A budget stop returns from every level.
+        order = color_sort(cand)
+        while order:
+            v, color = order.pop()
             if len(clique) + color <= len(best):
                 return
             if budget is not None and nodes >= budget:
                 exhausted = False
-                raise _Stop
+                return
             nodes += 1
             new_clique = clique + [v]
-            new_cand = [u for u in cand if u > v and adj[v][u]]
+            new_cand = sorted(u for u, _ in order if adj[v][u])
             if not new_cand:
                 if len(new_clique) > len(best):
                     best = new_clique
             else:
                 expand(new_clique, new_cand)
 
-    try:
-        expand([], list(range(m)))
-    except _Stop:
-        pass
+    expand([], list(range(m)))
     return CliqueResult(members=sorted(best), nodes=nodes, exhaustive=exhausted)
 
 
@@ -394,9 +399,7 @@ def _canonical_top(path: list, q: int) -> int:
     return top
 
 
-def _checkpoint_path(d, q, override=None):
-    if override is not None:
-        return override
+def _checkpoint_path(d, q):
     root = os.environ.get("ORTHOKIT_CHECKPOINT_DIR")
     if not root:
         return None
@@ -456,7 +459,6 @@ def _load_checkpoint(cpath: str, task: dict, std: Space, candidates):
 
 
 def half_dim_exhaustive(d: int, q: int, budget: int = None,
-                        checkpoint_path: str = None,
                         max_certificates: int = 1) -> SearchResult:
     """Search all affine structures on the AG(d, q) point set for one
     forming a half-dimension-orthogoval pair with the standard space.
@@ -492,8 +494,9 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
 
     Raises OddDimension for odd ``d``, ValueError when
     ``max_certificates`` is below 1, and BudgetExceeded (with the partial
-    result attached) when the node budget runs out.  A checkpoint file
-    is written so the run can resume: on a budget stop, on the last
+    result attached) when the node budget runs out.  A checkpoint file,
+    half-dim-<d>-<q>.json in $ORTHOKIT_CHECKPOINT_DIR when that is set, is
+    written so the run can resume: on a budget stop, on the last
     certificate, at the end, and every _CHECKPOINT_EVERY nodes between.
     A finished checkpoint, or one already holding ``max_certificates``
     certificates, returns its stored result, and one of another task or
@@ -517,7 +520,7 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
             out = keep[len(path)](path, out)
         return out
 
-    cpath = _checkpoint_path(d, q, checkpoint_path)
+    cpath = _checkpoint_path(d, q)
     task = {"kind": "HALF_DIM_EXHAUSTIVE", "d": d, "q": q,
             "version": _SEARCH_VERSION}
 

@@ -504,6 +504,41 @@ def test_half_dim_identity_fails():
     assert not check.is_half_dimension_orthogoval(s, check.from_map(g, np.arange(9)))
 
 
+def _first_flat_holding(flats, pts):
+    """The first row of ``flats`` that contains every point of ``pts``."""
+    return next(f for f in flats if set(pts) <= set(f.tolist()))
+
+
+@pytest.mark.parametrize("kind, d, q", [("affine", 4, 3), ("affine", 4, 4),
+                                        ("affine", 6, 2), ("projective", 4, 2),
+                                        ("projective", 4, 3)])
+def test_dependent_set_argument_rules_out_half_dimension_mates(kind, d, q):
+    # In dimension d = 2k, a standard (k-1)-flat with k+1 points Y defeats
+    # every bijection pi: pi^-1(Y) lies in some standard k-flat F, a point
+    # z of pi(F) outside Y and Y span at most a standard k-flat G, and
+    # pi(F) and G share the k+2 points of Y and z.
+    g = (geom.affine if kind == "affine" else geom.projective)(d, q)
+    k, std = d // 2, check.standard(g)
+    rng = np.random.default_rng(d * 100 + q)
+    for _ in range(20):
+        perm = rng.permutation(g.point_count)
+        inv = np.argsort(perm)
+        y = g.flats(k - 1)[rng.integers(len(g.flats(k - 1)))][:k + 1].tolist()
+        image = perm[_first_flat_holding(g.flats(k), inv[y])]
+        z = next(x for x in image.tolist() if x not in y)
+        big = _first_flat_holding(g.flats(k), y + [z])
+        assert len(set(image.tolist()) & set(big.tolist())) >= k + 2
+        assert not check.is_half_dimension_orthogoval(
+            std, check.from_map(g, perm))
+
+
+@pytest.mark.parametrize("d, q", [(4, 2), (2, 3), (2, 5)])
+def test_dependent_set_argument_leaves_ag42_and_planes(d, q):
+    # no standard (k-1)-flat of these has k+1 points
+    k = d // 2
+    assert geom.affine(d, q).flats(k - 1).shape[1] < k + 1
+
+
 def test_half_dim_odd_dimension_rejected():
     g = geom.affine(3, 3)
     s = check.standard(g)

@@ -31,6 +31,15 @@ def test_construct_then_verify_phi(tmp_path, capsys):
     assert rep["inputs"]["spaces"] == 6
 
 
+def test_construct_phi_family_negative_n_exit_2(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    code, stdout, err = run(capsys, "construct", "phi-family", "--q", "2",
+                            "--r", "5", "--w", "3", "--n", "-1",
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "--n" in err and not out.exists()
+
+
 def test_construct_catalog_and_char_p(tmp_path, capsys):
     out = str(tmp_path / "c.json")
     assert run(capsys, "construct", "catalog", "--name", "PG3_F3_X2",

@@ -13,7 +13,8 @@ import pytest
 
 from orthokit import check, cli, explore, geom
 from orthokit.build import BIG_SETS_TABLE, build_phi_map, phi_space
-from orthokit.errors import BudgetExceeded, NotCoprime, OddDimension
+from orthokit.errors import (BadDimension, BudgetExceeded, NotCoprime,
+                             OddDimension)
 
 
 def test_exponent_scan_q5_r5():
@@ -100,23 +101,92 @@ def test_chained_power_maps_are_multipliers_by_x_mod_n(q, r, w):
         x = x * w % big
 
 
-def test_scans_build_no_space_and_call_no_pair_decider(monkeypatch):
+def test_scans_build_no_space_and_call_no_pair_decider(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise AssertionError("a space or a pair check per exponent")
+    cli.build_parser()  # its --name help loads the catalog's spaces once
     monkeypatch.setattr(check.Space, "__post_init__", boom)
-    monkeypatch.setattr(explore, "is_k_orthogoval_pair", boom)
+    monkeypatch.setattr(check, "is_k_orthogoval_pair", boom)
     monkeypatch.setattr(explore, "phi_space", boom)
     assert explore.exponent_scan(5, 5, 10)["orthomorphisms"] == [3, 7, 9]
     assert explore.power_chain(3, 7, 25) == 77
     assert explore.power_chain(4, 7, 11) == 3
+    assert explore.clique_search(2, 5, [3, 5, 11, 13, 17]).members == [1, 3, 4]
+    assert cli.main(["search", "clique", "--q", "2", "--r", "5",
+                     "--w-list", "3,5,11,13,17"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]["members"] == [
+        5, 13, 17]
+
+
+def _lift(u, q, r):
+    """An exponent w = u mod N coprime to q^r - 1, for a unit u mod N."""
+    n, big = (q ** r - 1) // (q - 1), q ** r - 1
+    return next(w for w in range(u, big + n, n) if math.gcd(w, big) == 1)
+
+
+@pytest.mark.parametrize("q, r, sample", [(2, 5, None), (4, 3, None),
+                                          (5, 3, None), (3, 5, 300),
+                                          (2, 7, 300)])
+def test_clique_adjacency_is_the_keyed_pair_decider(q, r, sample):
+    # u_i, u_j are adjacent exactly when the spaces of x -> u_i*x and
+    # x -> u_j*x are orthogoval; negative controls: (u, u) and (u, p*u)
+    g = geom.projective(r - 1, q)
+    n, p = g.point_count, g.field.p
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    pairs = list(itertools.combinations(units, 2))
+    if sample is not None:
+        pairs = random.Random(q * 100 + r).sample(pairs, sample)
+    pairs += [(u, u) for u in units[:5]] + [(u, p * u % n) for u in units[:5]]
+
+    def space(u):
+        return check.from_map(g, np.arange(n) * u % n)
+
+    for a, b in pairs:
+        want = bool(check.is_k_orthogoval_pair(space(a), space(b), 2))
+        got = explore.clique_search(q, r, [_lift(a, q, r), _lift(b, q, r)])
+        assert (len(got.members) == 2) == want, (q, r, a, b)
+        if a == b or b == p * a % n:
+            assert not want, (q, r, a, b)
+
+
+@pytest.mark.parametrize("q, r", [(2, 5), (4, 3), (3, 5)])
+def test_clique_search_finds_a_brute_force_maximum(q, r):
+    # the first 10 admissible exponents, then seeded samples of 10
+    g = geom.projective(r - 1, q)
+    big = q ** r - 1
+    admissible = [w for w in range(2, big) if math.gcd(w, big) == 1]
+    rng = random.Random(q * 100 + r)
+    sizes = []
+    for ws in [admissible[:10]] + [rng.sample(admissible, 10)
+                                   for _ in range(4)]:
+        spaces = [phi_space(g, w) for w in ws]
+        adj = {c for c in itertools.combinations(range(10), 2)
+               if check.is_k_orthogoval_pair(spaces[c[0]], spaces[c[1]], 2)}
+        best = max(len(c) for m in range(1, 11)
+                   for c in itertools.combinations(range(10), m)
+                   if all(e in adj for e in itertools.combinations(c, 2)))
+        res = explore.clique_search(q, r, ws)
+        assert res.exhaustive and len(res.members) == best, ws
+        if best >= 2:
+            assert bool(check.are_mutually_orthogoval(
+                [spaces[i] for i in res.members]))
+        sizes.append(best)
+    assert min(sizes) >= 2, sizes
+
+
+def test_clique_search_refuses_non_coprime_and_oversize():
+    with pytest.raises(NotCoprime):
+        explore.clique_search(2, 5, [3, 31])
+    with pytest.raises(BadDimension):
+        explore.clique_search(2, 40, [3])
 
 
 def test_clique_search_exhaustive_and_deterministic():
     g = geom.projective(4, 2)
     ws = (3, 5, 7, 11, 13, 17)
     cands = [build_phi_map(g, w) for w in ws]
-    r1 = explore.clique_search(cands, g)
-    r2 = explore.clique_search(cands, g)
+    r1 = explore.clique_search(2, 5, ws)
+    r2 = explore.clique_search(2, 5, ws)
     assert r1.exhaustive
     assert r1.members == r2.members and r1.nodes == r2.nodes
     # the members really are pairwise orthogoval
@@ -126,12 +196,11 @@ def test_clique_search_exhaustive_and_deterministic():
 
 
 def test_clique_budget():
-    # the full search visits 5 nodes; a budget B stops before node B+1
-    g = geom.projective(4, 2)
-    cands = [build_phi_map(g, w) for w in (3, 5, 7, 11, 13, 17)]
-    assert explore.clique_search(cands, g).nodes == 5
-    for budget, exhaustive in ((0, False), (1, False), (4, False), (5, True)):
-        r = explore.clique_search(cands, g, budget=budget)
+    # the full search visits 4 nodes; a budget B stops before node B+1
+    ws = (3, 5, 7, 11, 13, 17)
+    assert explore.clique_search(2, 5, ws).nodes == 4
+    for budget, exhaustive in ((0, False), (1, False), (3, False), (4, True)):
+        r = explore.clique_search(2, 5, ws, budget=budget)
         assert (r.nodes, r.exhaustive) == (budget, exhaustive)
 
 
@@ -483,17 +552,17 @@ def test_half_dim_budget_and_partial_result():
     assert res.certificates == []
 
 
-def test_half_dim_checkpoint_resume_matches_straight_run(tmp_path):
+def test_half_dim_checkpoint_resume_matches_straight_run(tmp_path,
+                                                         monkeypatch):
     full = explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9)
     assert full.exhaustive
     assert full.certificates  # AG(2, F_3) has orthogoval mates
-    cp = str(tmp_path / "cp.json")
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
     with pytest.raises(BudgetExceeded):
         explore.half_dim_exhaustive(2, 3, budget=full.nodes // 3,
-                                    max_certificates=10 ** 9,
-                                    checkpoint_path=cp)
-    resumed = explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9,
-                                          checkpoint_path=cp)
+                                    max_certificates=10 ** 9)
+    assert os.path.exists(tmp_path / "half-dim-2-3.json")
+    resumed = explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9)
     assert resumed.nodes == full.nodes
     assert resumed.certificates == full.certificates
 
@@ -509,16 +578,18 @@ def test_half_dim_checkpoint_env_var(tmp_path, monkeypatch):
     assert exc.value.result.nodes == 700
 
 
-def test_half_dim_ag42_resumes_through_budget_legs(tmp_path):
+def test_half_dim_ag42_resumes_through_budget_legs(tmp_path, monkeypatch):
     # each leg resumes the previous one's checkpoint and stops at its own
     # budget, until a leg finishes the straight run's search
-    cp = str(tmp_path / "cp.json")
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
     for budget in (350, 700):
         with pytest.raises(BudgetExceeded) as exc:
-            explore.half_dim_exhaustive(4, 2, budget=budget, checkpoint_path=cp)
+            explore.half_dim_exhaustive(4, 2, budget=budget)
         assert exc.value.result.nodes == budget
         assert not exc.value.result.exhaustive
-    res = explore.half_dim_exhaustive(4, 2, budget=1_100, checkpoint_path=cp)
+        saved = json.loads((tmp_path / "half-dim-4-2.json").read_text())
+        assert saved["nodes"] == budget
+    res = explore.half_dim_exhaustive(4, 2, budget=1_100)
     assert (res.exhaustive, res.certificates, res.nodes) == (True, [], 1_071)
 
 
@@ -552,7 +623,7 @@ def test_half_dim_rerun_after_certificate_stop(tmp_path, monkeypatch):
 
 def test_half_dim_periodic_checkpoint_resumes_exactly(tmp_path, monkeypatch):
     full = explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9)
-    cp = tmp_path / "cp.json"
+    cp = tmp_path / "half-dim-2-3.json"
     saved = []
     replace = os.replace
 
@@ -562,15 +633,14 @@ def test_half_dim_periodic_checkpoint_resumes_exactly(tmp_path, monkeypatch):
         if not saved:
             saved.append(cp.read_text())
 
-    monkeypatch.setattr(explore.os, "replace", keep_first)
-    monkeypatch.setattr(explore, "_CHECKPOINT_EVERY", 100)
-    explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9,
-                                checkpoint_path=str(cp))
-    monkeypatch.undo()
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
+    with monkeypatch.context() as m:
+        m.setattr(explore.os, "replace", keep_first)
+        m.setattr(explore, "_CHECKPOINT_EVERY", 100)
+        explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9)
     assert json.loads(saved[0])["nodes"] == 100
     cp.write_text(saved[0])
-    resumed = explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9,
-                                          checkpoint_path=str(cp))
+    resumed = explore.half_dim_exhaustive(2, 3, max_certificates=10 ** 9)
     assert (resumed.nodes, resumed.certificates) == (full.nodes,
                                                      full.certificates)
 
