@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = ss.add_parser("exponent-scan")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--w-max", type=int, required=True)
+    p.add_argument("--w-max", type=_int_at_least(1), required=True)
     p = ss.add_parser("power-chain")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)

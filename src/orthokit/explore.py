@@ -102,11 +102,11 @@ def power_chain(q: int, r: int, w: int) -> int:
     failure, or when x comes back to 1, the identity, after w's
     multiplicative order of steps.  Each step is one call of
     ``is_multiplier_orthomorphism`` on x mod N."""
+    g = geom.projective(r - 1, q)
+    g._check_cap()  # an oversize geometry is refused even if w = 1
     big = q ** r - 1
     if math.gcd(w, big) != 1:
         raise NotCoprime(f"w = {w} shares a factor with {big}")
-    g = geom.projective(r - 1, q)
-    g._check_cap()  # an oversize geometry is refused even if w = 1
     n, x = 0, w % big
     while x != 1 and is_multiplier_orthomorphism(g, x % g.point_count):
         n += 1
@@ -331,45 +331,66 @@ def _least_at_level(tables: tuple, p: list) -> bool:
     far, sum c_j q^j: the closed form of :func:`_canonical_top`.  A map s
     is set by its frame, the images of 0, 1, q, ..., q^(r-1), and the
     entries of positions [q^j, q^(j+1)) follow from the first j+1 of
-    them.  The frames are walked depth first; a branch stops as soon as
-    an entry exceeds that of p, and the test as soon as one is smaller.
-    The span of a branch's entries is kept as its points, listed by
-    entry, so no rank is computed and AGL(r, q) is never listed."""
+    them.  The frames are walked depth first and each entry is compared
+    as it is made: a branch stops as soon as an entry exceeds that of p,
+    and the test as soon as one is smaller.  The span of a branch's
+    entries is kept as a map from its points to their entries, so no rank
+    is computed and AGL(r, q) is never listed.
+
+    A last entry None is an image not yet chosen: a branch stops,
+    undecided, where it would read it before the last position, and the
+    frames with s(0) = q^r - 1 are skipped.  False is then sound for every
+    completion, as the smaller entry found never read it.  A frame whose
+    entries all equal p's, a None at the last position included, is an
+    automorphism g: p . g = A . p for an affine A on the image side that
+    keeps None, so p . g . s and p . s have the same left-canonical image
+    and stop at the same None.  So the frames with s(0) = a and
+    s(0) = g(a) give the same entries, and one first image a per orbit of
+    the automorphisms found so far is walked."""
     add, mul, neg = tables
     q, m = len(mul), len(p)
+    root = list(range(m))  # the least position known to share an orbit
 
-    def walk(dom, pts, ent):
-        # dom: the images under s of positions [0, w); pts and ent: the
-        # span of their images in p, as points by entry and back
+    def walk(dom, index):
+        # dom: the images under s of positions [0, w); index: the span of
+        # their images in p, each point mapped to its entry
         w = len(dom)
         if w == m:
+            for x, y in enumerate(dom):
+                x, y = root[x], root[y]
+                if x != y:
+                    root[:] = [min(x, y) if t in (x, y) else t for t in root]
             return True
         seen = set(dom)
-        na, no = neg[dom[0]], neg[pts[0]]
+        na, no = neg[dom[0]], neg[p[dom[0]]]
         for f in range(m):
             if f in seen:
                 continue
-            u = add[f][na]
-            more = [add[x][mul[c][u]] for c in range(1, q) for x in dom]
-            span, index = pts, ent
-            for i, s in enumerate(more, w):
-                z, top = p[s], len(span)
-                e = index.get(z, top)
+            u, span, i = add[f][na], index, w
+            while i < q * w:  # position i is dom[x] + c*u
+                c, x = divmod(i, w)
+                z, top = p[add[dom[x]][mul[c][u]]], len(span)
+                if z is None and i < m - 1:
+                    break
+                e = None if z is None else span.get(z, top)
                 if e != p[i]:
                     if e < p[i]:
                         return False
                     break
                 if e == top:
                     dz = add[z][no]
-                    span = span + [add[y][mul[c][dz]]
-                                   for c in range(1, q) for y in span]
-                    index = {y: j for j, y in enumerate(span)}
+                    span = span | {add[y][mul[c][dz]]: j + c * top
+                                   for c in range(1, q)
+                                   for y, j in span.items()}
+                i += 1
             else:
-                if not walk(dom + more, span, index):
+                more = [add[x][mul[c][u]] for c in range(1, q) for x in dom]
+                if not walk(dom + more, span):
                     return False
         return True
 
-    return all(walk([a], [p[a]], {p[a]: 0}) for a in range(m))
+    return all(walk([a], {p[a]: 0}) for a in range(m)
+               if p[a] is not None and root[a] == a)
 
 
 def _level_filters(g: geom.Geometry) -> list:
@@ -379,10 +400,14 @@ def _level_filters(g: geom.Geometry) -> list:
     candidate images that keeps those whose completed prefix
     :func:`_least_at_level` accepts.  The search applies it to non-empty
     candidate lists only: on AG(4, 3) nearly every list for point 8 is
-    empty, and a wrapper around the generator would cost a call each."""
+    empty, and a wrapper around the generator would cost a call each.
+    One walk of ``path + [None]`` comes first: a smaller image it finds
+    never reads the last image, so it drops every candidate at once."""
     tables = _vector_tables(g)
 
     def keep(path, images):
+        if not _least_at_level(tables, path + [None]):
+            return []
         return [v for v in images if _least_at_level(tables, path + [v])]
 
     levels = {g.q ** r - 1 for r in range(1, g.dim)}
@@ -487,10 +512,13 @@ def half_dim_exhaustive(d: int, q: int, budget: int = None,
     left-canonical image in the class, never below pi, and left-canonical
     images of prefixes are the prefixes of left-canonical images.  A run
     with no certificate still proves nonexistence, and the first
-    certificate, the least of all, is unchanged.  The full AG(4, 2) run
-    visits 1,071 nodes in about 0.05 s on a 2-core box (168,439 nodes
-    without the domain-side levels).  The search stacks are locals; a
-    save writes out path, idx, nodes and certificates.
+    certificate, the least of all, is unchanged.  Each path one point
+    short of D_r is walked once with its last image unknown, which drops
+    all its images when a smaller image turns up before it is read (see
+    :func:`_level_filters`).  The full AG(4, 2) run visits 1,071 nodes in
+    about 0.03 s on a 2-core box (168,439 nodes without the domain-side
+    levels).  The search stacks are locals; a save writes out path, idx,
+    nodes and certificates.
 
     Raises OddDimension for odd ``d``, ValueError when
     ``max_certificates`` is below 1, and BudgetExceeded (with the partial

@@ -303,11 +303,24 @@ def test_search_half_dim_odd_dimension_exit_2(capsys):
       "--max-certificates", "0"], "--max-certificates"),
     (["search", "half-dim", "--dim", "2", "--q", "3",
       "--max-certificates", "-1"], "--max-certificates"),
+    (["search", "exponent-scan", "--q", "2", "--r", "5", "--w-max", "-3"],
+     "--w-max"),
+    (["search", "exponent-scan", "--q", "2", "--r", "5", "--w-max", "0"],
+     "--w-max"),
 ])
 def test_impossible_search_limits_exit_2(capsys, argv, option):
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert option in err
+
+
+@pytest.mark.parametrize("r", ["0", "1"])
+def test_power_chain_reports_the_dimension_before_coprimality(capsys, r):
+    # q^r - 1 is 0 or 1, so the gcd test alone would blame w
+    code, stdout, err = run(capsys, "search", "power-chain", "--q", "2",
+                            "--r", r, "--w", "3")
+    assert (code, stdout) == (2, "")
+    assert "BAD_DIMENSION" in err and "NOT_COPRIME" not in err
 
 
 def test_reproduce_askew_and_catalog(capsys):

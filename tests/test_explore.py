@@ -501,6 +501,48 @@ def test_level_test_equals_brute_force_over_agl(d, q, r, count, kept):
     assert other > p and not explore._least_at_level(tables, other)
 
 
+@pytest.mark.parametrize("d,q,r,dropped,walked", [
+    (4, 2, 3, 103, 3), (2, 4, 1, 0, 1), (2, 5, 1, 7, 6)])
+def test_level_pretest_drops_only_what_brute_force_drops(d, q, r, dropped,
+                                                         walked):
+    # each path one point short of D_r, walked with its last image None:
+    # False must mean that AGL(r, q) drops every candidate, and the filter
+    # keeps exactly the candidates brute force keeps
+    g = geom.affine(d, q)
+    tables = explore._vector_tables(g)
+    keep = explore._level_filters(g)[q ** r - 1]
+    maps = _domain_maps(g, r)
+    paths = {}
+    for p in _level_prefixes(g, q ** r):
+        paths.setdefault(tuple(p[:-1]), []).append(p[-1])
+    outcomes = {False: 0, True: 0}
+    for path, images in paths.items():
+        path = list(path)
+        least = [v for v in images
+                 if all(_left_canonical(g, [(path + [v])[s] for s in sigma])
+                        >= path + [v] for sigma in maps)]
+        pretest = explore._least_at_level(tables, path + [None])
+        outcomes[pretest] += 1
+        assert pretest or not least, path
+        assert keep(path, images) == least, path
+    assert outcomes == {False: dropped, True: walked}
+
+
+@pytest.mark.parametrize("p", [[0, 1, 2, 3, 4, 5, 8, 14],
+                               [0, 1, 2, 4, 3, 5, 7, 8]])
+def test_level_test_walks_first_images_its_automorphisms_do_not_reach(p):
+    # p has automorphisms, yet only the first images 2 to 5 lead to a
+    # smaller image: joining orbits by a partial match would skip them
+    g = geom.affine(4, 2)
+    tables = explore._vector_tables(g)
+    images = [(_left_canonical(g, [p[s] for s in sigma]), sigma)
+              for sigma in _domain_maps(g, 3)]
+    assert sum(x == p for x, _ in images) > 1
+    assert {sigma[0] for x, sigma in images if x < p} == {2, 3, 4, 5}
+    assert not explore._least_at_level(tables, p)
+    assert explore._least_at_level(tables, min(images)[0])
+
+
 @pytest.mark.parametrize("d,q,count", [(4, 3, 12), (4, 4, 1)])
 def test_level_test_equals_brute_force_on_random_orbits(d, q, count):
     # two-frame walks with q > 2, on left-canonical injective sequences of
