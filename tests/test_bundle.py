@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orthokit import bundle, geom
-from orthokit.build import build_phi_family, catalog_family
-from orthokit.check import standard
+from orthokit.build import build_phi_family, catalog_family, phi_space
+from orthokit.check import from_map, standard
 from orthokit.errors import MalformedBundle
 
 
@@ -80,6 +82,12 @@ def test_cycles_accepted_on_read(tmp_path):
     lambda d: d["spaces"].__setitem__(0, {"cycles": [[0, 1], [1, 0]]}),
     lambda d: d["spaces"].__setitem__(0, {"cycles": [[0, 1], [0, 1]]}),
     lambda d: d["spaces"].__setitem__(0, {"cycles": [[2, 2]]}),
+    # a space name is a string or absent
+    lambda d: d["spaces"][0].update(name={"a": 1}),
+    lambda d: d["spaces"][0].update(name=3),
+    lambda d: d["spaces"][0].update(name=None),
+    lambda d: d["spaces"][0].update(name=["x"]),
+    lambda d: d["spaces"][0].update(name=False),
 ])
 def test_malformed_bundles_rejected(mangle):
     g = geom.affine(2, 3)
@@ -102,3 +110,140 @@ def test_mixed_geometries_rejected():
     b = standard(geom.affine(3, 3))
     with pytest.raises(MalformedBundle):
         bundle.bundle_dict([a, b])
+
+
+def test_missing_name_defaults_to_the_space_index():
+    doc = bundle.bundle_dict([standard(geom.affine(2, 3))] * 2)
+    del doc["spaces"][1]["name"]
+    spaces, _ = bundle.load_bundle(doc)
+    assert [s.name for s in spaces] == ["standard", "space[1]"]
+
+
+# ----------------------------------------------------------------------
+# the writer gives the bytes of canonical_json(bundle_dict(...))
+# ----------------------------------------------------------------------
+
+def assert_writes_oracle(path, spaces, provenance=None):
+    bundle.write_bundle(str(path), spaces, provenance)
+    oracle = bundle.canonical_json(bundle.bundle_dict(spaces, provenance))
+    assert path.read_bytes() == oracle.encode("ascii")
+
+
+def named(spaces, names):
+    return [from_map(s.geometry, s.perm, name=n) for s, n in zip(spaces, names)]
+
+
+def test_writer_equals_oracle_desc_basis_and_labeling_modulus(tmp_path):
+    g = geom.projective(3, 3, labeling_modulus=[2, 0, 0, 2, 1], basis="desc")
+    assert_writes_oracle(tmp_path / "b.json",
+                         [standard(g), phi_space(g, 1), phi_space(g, 7)])
+
+
+def test_writer_equals_oracle_catalog_family(tmp_path):
+    assert_writes_oracle(tmp_path / "b.json", catalog_family("AG3_F3_X8"),
+                         {"construction": "catalog",
+                          "parameters": {"name": "AG3_F3_X8"}})
+
+
+def test_writer_equals_oracle_after_a_cycle_form_read(tmp_path):
+    g = geom.affine(2, 3)
+    doc = bundle.bundle_dict([standard(g)] * 2)
+    doc["spaces"] = [{"name": "cyc", "cycles": [[0, 1, 2], [5, 8]]},
+                     {"cycles": []}]
+    spaces, prov = bundle.load_bundle(doc)
+    assert_writes_oracle(tmp_path / "b.json", spaces, prov)
+
+
+@pytest.mark.parametrize("name", ['say "x"', "back\\slash", "tab\tnul\x00",
+                                  "ëλ→ℤ", "\U0001d53d_q", ""])
+def test_writer_equals_oracle_on_awkward_names(tmp_path, name):
+    g = geom.affine(2, 3)
+    spaces = named([standard(g), standard(g)], [name, name + "!"])
+    assert_writes_oracle(tmp_path / "b.json", spaces)
+    back, _ = bundle.read_bundle(str(tmp_path / "b.json"))
+    assert [s.name for s in back] == [name, name + "!"]
+
+
+def test_writer_equals_oracle_on_nested_provenance(tmp_path):
+    prov = {"construction": "phi-family",
+            "parameters": {"q": 2, "w": [3, {"z": None, "a": [1.5, True]}],
+                           "nested": {"b": {"c": "\u00e9"}, "a": []}},
+            "reference": "x", "extra": {"y": 1, "x": 2}}
+    assert_writes_oracle(tmp_path / "b.json", build_phi_family(2, 5, 3, 5), prov)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(st.text(max_size=8), min_size=1, max_size=4))
+def test_writer_equals_oracle_on_random_names(tmp_path, names):
+    g = geom.affine(2, 3)
+    assert_writes_oracle(tmp_path / "b.json",
+                         named([standard(g)] * len(names), names))
+
+
+@pytest.mark.parametrize("refused", [
+    [],
+    [standard(geom.affine(2, 3)), standard(geom.affine(3, 3))],
+])
+def test_refused_write_keeps_the_existing_file(tmp_path, refused):
+    path = tmp_path / "b.json"
+    bundle.write_bundle(str(path), build_phi_family(2, 5, 3, 5))
+    before = path.read_bytes()
+    with pytest.raises(MalformedBundle):
+        bundle.write_bundle(str(path), refused)
+    assert path.read_bytes() == before
+
+
+# ----------------------------------------------------------------------
+# the batched read of permutation lists
+# ----------------------------------------------------------------------
+
+def _entry(value):
+    """Set the entry of the last space's permutation that equals value's
+    number to value itself, so only the type test can refuse it."""
+    def mangle(perms):
+        perms[2][perms[2].index(int(value))] = value
+    return mangle
+
+
+@pytest.mark.parametrize("space, mangle", [
+    (1, lambda perms: perms[1].pop()),
+    (1, lambda perms: perms[1].append(0)),
+    (2, lambda perms: perms[2].__setitem__(5, -1)),
+    (1, lambda perms: perms[1].__setitem__(4, 2 ** 70)),
+    (1, lambda perms: perms[1].__setitem__(4, -2 ** 70)),
+    (2, _entry(True)),
+    (2, _entry(3.0)),
+    (1, lambda perms: perms[1].__setitem__(0, perms[1][1])),
+    (0, lambda perms: perms[0].__setitem__(7, 27)),
+])
+def test_batched_read_refuses_a_bad_permutation(space, mangle):
+    doc = json.loads(json.dumps(
+        bundle.bundle_dict(catalog_family("AG3_F3_X8")[:3])))
+    mangle([item["permutation"] for item in doc["spaces"]])
+    with pytest.raises(MalformedBundle, match=f"space {space}"):
+        bundle.load_bundle(doc)
+
+
+def _cycles(perm):
+    """The cycles of a permutation, fixed points left out."""
+    seen, out = set(), []
+    for a in range(len(perm)):
+        cyc = []
+        while a not in seen:
+            seen.add(a)
+            cyc.append(a)
+            a = int(perm[a])
+        if len(cyc) > 1:
+            out.append(cyc)
+    return out
+
+
+def test_mixed_cycle_and_permutation_spaces_read_back():
+    fam = catalog_family("AG3_F3_X8")[:4]
+    doc = json.loads(json.dumps(bundle.bundle_dict(fam)))
+    for i in (0, 2):
+        doc["spaces"][i] = {"name": f"c{i}", "cycles": _cycles(fam[i].perm)}
+    spaces, _ = bundle.load_bundle(doc)
+    assert [s.name for s in spaces] == ["c0", fam[1].name, "c2", fam[3].name]
+    assert all(a.perm.tolist() == b.perm.tolist() for a, b in zip(fam, spaces))

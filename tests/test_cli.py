@@ -190,6 +190,19 @@ def test_malformed_header_exits_3(tmp_path, capsys, kind, key, value):
     assert "MALFORMED_BUNDLE" in err
 
 
+@pytest.mark.parametrize("name", [{"a": 1}, 7, None])
+def test_non_string_space_name_exits_3(tmp_path, capsys, name):
+    from orthokit import bundle
+    from orthokit.build import build_phi_family
+    doc = bundle.bundle_dict(build_phi_family(2, 5, 3, 5))
+    doc["spaces"][2]["name"] = name
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert (code, stdout) == (3, "")
+    assert "MALFORMED_BUNDLE" in err and "space 2" in err
+
+
 def test_construct_invalid_params_exit_2(tmp_path, capsys):
     out = str(tmp_path / "x.json")
     code, _, err = run(capsys, "construct", "askew", "--k", "3", "--q", "2",
