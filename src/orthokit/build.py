@@ -97,9 +97,10 @@ def build_char_p_pair(p: int, n: int, k: int) -> tuple[Space, Space, np.ndarray]
 def build_product_family(family_a: list[Space], family_b: list[Space]) -> list[Space]:
     """Componentwise products of two equally-sized mutually orthogoval
     affine families, giving a family on the dimension-sum space."""
-    if len(family_a) != len(family_b):
+    if not family_a or len(family_a) != len(family_b):
         raise SizeMismatch(
-            f"family sizes differ: {len(family_a)} vs {len(family_b)}")
+            f"need two non-empty families of one size, got "
+            f"{len(family_a)} and {len(family_b)}")
     ga, gb = family_a[0].geometry, family_b[0].geometry
     if ga.field != gb.field or ga.kind != "affine" or gb.kind != "affine":
         raise FieldMismatch("product construction needs affine spaces over one field")

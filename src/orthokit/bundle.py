@@ -13,14 +13,15 @@ time: the header and provenance are encoded by the same code, with the
 space list left empty, and each permutation is joined from one table of
 the N decimal point labels, made once per bundle.  The whole text is
 built, and every refusal raised, before the file is opened, so a
-refused write leaves an existing file as it was.  ``load_bundle`` runs
-a builtin type test on each permutation list (a bool is not an int),
-converts all of them with one ``np.array`` and checks range and
-bijection once on that S x N array; spaces given as cycles are checked
-one by one.  On the 78-space PG(6,3) family (1,093 points, a 343 kB
-file), best of 9 x 10 in one process on a 2-core box (Python 3.11,
-numpy 2.4): ``write_bundle`` 12.2 -> 3.4 ms, ``read_bundle`` 14.0 ->
-11.7 ms, of which ``json.load`` alone is about 7 ms.
+refused write leaves an existing file as it was.  ``load_bundle`` makes
+one pass over the spaces: a builtin type test on each permutation list
+(a bool is not an int), one ``np.array`` of it as int64, and ``Space``,
+the one permutation check, decides length, range and bijection; spaces
+given as cycles are checked for range and repeats first.  On the
+78-space PG(6,3) family (1,093 points, a 343 kB file), in one process
+on a 2-core box (Python 3.11, numpy 2.4), ``write_bundle`` takes about
+3.4 ms and ``read_bundle`` 12.5 ms (best of 5 per process, least over
+15 processes), of which ``json.load`` alone is about 7 ms.
 """
 
 from __future__ import annotations
@@ -177,34 +178,6 @@ def _space_perm(item: dict, n: int, i: int) -> np.ndarray:
     return perm_from_cycles(n, cycles)
 
 
-def _perm_rows(rows: list[list[int]], which: list[int], n: int) -> np.ndarray:
-    """The integer lists ``rows``, the permutations of spaces ``which``,
-    as one S x n array: one conversion, then one range and one bijection
-    check over the whole array."""
-    for i, row in zip(which, rows):
-        if len(row) != n:
-            raise MalformedBundle(
-                f"space {i}: permutation has {len(row)} entries, not {n}")
-    try:
-        perms = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    except OverflowError:
-        # an entry beyond int64 is out of range; find a row that has one
-        bad = [not 0 <= min(row) <= max(row) < n for row in rows]
-    else:
-        bad = (perms.min(axis=1) < 0) | (perms.max(axis=1) >= n)
-    if np.any(bad):
-        raise MalformedBundle(f"space {which[np.argmax(bad)]}: permutation "
-                              f"must be a list of integers in [0, {n})")
-    # n entries in [0, n) are a bijection when they hit every point
-    hit = np.zeros((len(rows), n), dtype=bool)
-    hit[np.arange(len(rows))[:, None], perms] = True
-    bad = ~hit.all(axis=1)
-    if bad.any():
-        raise MalformedBundle(f"space {which[np.argmax(bad)]}: permutation "
-                              f"is not a bijection on {n} points")
-    return perms
-
-
 def load_bundle(data) -> tuple[list[Space], dict]:
     """Spaces and provenance from a parsed bundle document."""
     if not isinstance(data, dict):
@@ -217,7 +190,7 @@ def load_bundle(data) -> tuple[list[Space], dict]:
     if not isinstance(raw, list) or not raw:
         raise MalformedBundle("bundle has no spaces")
     n = g.point_count
-    names, perms, rows, which = [], [], [], []
+    spaces = []
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise MalformedBundle(f"space {i} must be an object")
@@ -225,17 +198,19 @@ def load_bundle(data) -> tuple[list[Space], dict]:
         if not isinstance(name, str):
             raise MalformedBundle(f"space {i}: name must be a string, "
                                   f"got {type(name).__name__}")
-        names.append(name)
         if "permutation" in item:
-            rows.append(_int_list(item["permutation"], n,
-                                  f"space {i}: permutation"))
-            which.append(i)
-            perms.append(None)
+            row = _int_list(item["permutation"], n, f"space {i}: permutation")
+            try:
+                perm = np.array(row, dtype=np.int64)
+            except OverflowError:
+                raise MalformedBundle(f"space {i}: permutation must be a "
+                                      f"list of integers in [0, {n})")
         else:
-            perms.append(_space_perm(item, n, i))
-    for i, perm in zip(which, _perm_rows(rows, which, n)):
-        perms[i] = perm
-    spaces = [from_map(g, perm, name=name) for perm, name in zip(perms, names)]
+            perm = _space_perm(item, n, i)
+        try:
+            spaces.append(from_map(g, perm, name=name))
+        except ValueError as exc:
+            raise MalformedBundle(f"space {i}: {exc}")
     prov = data.get("provenance", {})
     if not isinstance(prov, dict):
         raise MalformedBundle("provenance must be an object")

@@ -98,12 +98,17 @@ class Space:
     _triples: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # a private read-only copy, so the cached triples cannot go stale
-        self.perm = np.array(self.perm, dtype=np.int64)
-        self.perm.flags.writeable = False
+        # the one permutation check, bundle reads included: integers only
+        # (a float or bool map is refused, not rounded), sorting to
+        # 0..n-1; kept as a private read-only int64 copy, so the cached
+        # triples cannot go stale
+        perm = np.array(self.perm)
         n = self.geometry.point_count
-        if not np.array_equal(np.sort(self.perm), np.arange(n)):
+        if perm.dtype.kind not in ("i", "u") or not np.array_equal(
+                np.sort(perm), np.arange(n)):
             raise ValueError("map is not a permutation of the point indices")
+        self.perm = perm.astype(np.int64, copy=False)
+        self.perm.flags.writeable = False
 
     @property
     def is_standard(self) -> bool:

@@ -84,6 +84,8 @@ def test_product_family_guards():
     fam = build.catalog_family("AG2_F3_X7")
     with pytest.raises(SizeMismatch):
         build.build_product_family(fam, fam[:3])
+    with pytest.raises(SizeMismatch):
+        build.build_product_family([], [])
     other = [check.standard(geom.affine(2, 2))] * 7
     with pytest.raises(FieldMismatch):
         build.build_product_family(fam, other)

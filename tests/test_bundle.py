@@ -195,7 +195,7 @@ def test_refused_write_keeps_the_existing_file(tmp_path, refused):
 
 
 # ----------------------------------------------------------------------
-# the batched read of permutation lists
+# a bad permutation list is refused by Space, and the refusal names its space
 # ----------------------------------------------------------------------
 
 def _entry(value):

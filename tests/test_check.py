@@ -326,6 +326,31 @@ def test_space_rejects_values_outside_the_point_range(perm):
         check.from_map(geom.affine(2, 3), perm)
 
 
+@pytest.mark.parametrize("perm", [
+    np.arange(9) + 0.5,
+    list(range(8)) + [8.0],
+    np.array(list(range(8)) + [2 ** 70], dtype=object),
+    np.array(list(range(8)) + [-2 ** 70], dtype=object),
+    np.arange(9) < 5,
+], ids=["float-array", "float-in-list", "object-2^70", "object--2^70", "bool"])
+def test_space_refuses_a_map_that_is_not_integers(perm):
+    # a float map is refused, not rounded down to the identity
+    with pytest.raises(ValueError, match="not a permutation"):
+        check.from_map(geom.affine(2, 3), perm)
+
+
+@pytest.mark.parametrize("perm", [
+    np.arange(9, dtype=np.int8)[::-1],
+    np.arange(9, dtype=np.uint16)[::-1],
+    np.arange(9, dtype=np.int64)[::-1],
+    list(range(9))[::-1],
+], ids=["int8", "uint16", "int64", "list"])
+def test_space_accepts_any_integer_map(perm):
+    s = check.from_map(geom.affine(2, 3), perm)
+    assert s.perm.dtype == np.int64
+    assert s.perm.tolist() == list(range(9))[::-1]
+
+
 def singer_shift(g, c):
     """Multiplication of Singer labels by z^c: a projective collineation."""
     n = g.point_count
@@ -802,3 +827,30 @@ def test_multiplier_decider_refuses_non_units():
     # a unit given unreduced is reduced mod N
     assert check.is_multiplier_orthomorphism(g, 12) is (
         check.is_multiplier_orthomorphism(g, 12 + 121))
+
+
+# when r = d + 1 is even, the subfield GF(q^2) is the line
+# L = {0, M, 2M, ..., qM}, M = N/(q+1), and every multiplier maps L onto
+# itself, so no x -> u*x is an orthomorphism: the paper's "one less than
+# a prime" at its simplest
+@pytest.mark.parametrize("d, q", [
+    (3, 2), (5, 2), (3, 3), (7, 2), (5, 3), (3, 4), (3, 5)])
+def test_subfield_line_fixes_every_multiplier_when_r_is_even(d, q):
+    g = geom.projective(d, q)
+    n = g.point_count
+    step = n // (q + 1)
+    line = list(range(0, n, step))
+    assert len(line) == q + 1
+    assert list(g.line_through(0, step)) == line
+    assert any(row.tolist() == line for row in g.lines())
+    for u in _units(n):
+        assert sorted(u * x % n for x in line) == line, u
+        assert not check.is_multiplier_orthomorphism(g, u), u
+
+
+def test_odd_r_keeps_multiplier_orthomorphisms():
+    # control: on PG(8, 2), r = 9 is odd and 189 of the 432 units pass
+    g = geom.projective(8, 2)
+    units = _units(g.point_count)
+    assert len(units) == 432
+    assert sum(check.is_multiplier_orthomorphism(g, u) for u in units) == 189
