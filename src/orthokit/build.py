@@ -69,23 +69,32 @@ def find_no_root_coeffs(field: GF, m: int) -> tuple[int, int]:
 def build_char_p_pair(p: int, n: int, k: int) -> tuple[Space, Space, np.ndarray]:
     """Pair of p-orthogoval AG(k, F_{p^n}) from the Frobenius-shear map
     (x_1, ..., x_k) -> (x_1^p - x_2, ..., x_{k-1}^p - x_k,
-                        x_k^p + A x_2 + B x_1)."""
+                        x_k^p + A x_2 + B x_1).
+
+    The map is taken on all points at once: their coordinates are the
+    base-q digits of the point indices, x^p is antilog(p log x) with 0
+    kept at 0, the shear is read off the field's add, mul and neg
+    tables, and the images are encoded back to base-q indices."""
     if k < 2:
         raise ValueError("need dimension k >= 2")
+    if n < 1:
+        raise ValueError(f"need extension degree n >= 1, got n = {n}")
     # a larger p is refused by the point cap, with no trial division
     if p <= geom.MAX_POINTS and not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     g = geom.affine(k, p ** n)
-    f = g.field
+    g._check_cap()
+    f, q = g.field, g.q
     m = (p ** k - 1) // (p - 1)
     A, B = find_no_root_coeffs(f, m)
-    perm = np.empty(g.point_count, dtype=np.int64)
-    for idx, x in enumerate(g.points()):
-        y = [f.sub(f.frobenius(x[i]), x[i + 1]) for i in range(k - 1)]
-        last = f.add(f.frobenius(x[k - 1]),
-                     f.add(f.mul(A, x[1]), f.mul(B, x[0])))
-        y.append(last)
-        perm[idx] = g.point_index(tuple(y))
+    add, mul, neg, _ = f.tables()
+    frob = np.zeros(q, dtype=np.int64)
+    frob[1:] = f.antilog_array[f.log_array[1:].astype(np.int64) * p % (q - 1)]
+    x = geom._base_q_digits(np.arange(g.point_count, dtype=np.int64), q, k)
+    y = frob[x]
+    y[:, :-1] = add[y[:, :-1], neg[x[:, 1:]]]
+    y[:, -1] = add[y[:, -1], add[mul[A, x[:, 1]], mul[B, x[:, 0]]]]
+    perm = geom._base_q_codes(y, q).astype(np.int64)
     image = from_map(g, perm, name=f"char{p}-image")
     return standard(g), image, perm
 

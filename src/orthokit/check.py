@@ -6,10 +6,11 @@ holding the line of ``s`` through it.  Gathering those ids for every
 point pair of a line of ``t`` counts, for each line of ``s``, the pairs
 the two lines share: a line of ``t`` meets a line of ``s`` in c >= 2
 points exactly when that line's id repeats C(c, 2) times in its row.
-One sort per row thus decides k-orthogovality for every k >= 2.  A
-failing pair at k=2 reads its witness off the same ids: sorted stably,
-a hit's first two point pairs are (p0, p1) and (p0, p2), the least
-triple the two lines share.
+One sort per row thus decides k-orthogovality for every k >= 2, and a
+pair with no repeat returns there; only a failing pair goes on to find
+its witness.  At k=2 it reads the witness off the same ids: sorted
+stably, a hit's first two point pairs are (p0, p1) and (p0, p2), the
+least triple the two lines share.
 
 Family checks at k=2 run off a triple index: one packed 64-bit key per
 colinear point triple, sorted globally so that a triple colinear in two
@@ -325,10 +326,10 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
     # pairs, so some id equals the one C(k, 2) places further on
     r = k * (k - 1) // 2
     hit = ids[:, r:] == ids[:, :-r]
+    if not hit.any():
+        return Verdict(True)
     hit[:, 1:] &= ~hit[:, :-1]  # one hit per (line of t, line of s)
     rows, cols = np.nonzero(hit)
-    if len(rows) == 0:
-        return Verdict(True)
     sids = ids[rows, cols]
     if k == 2:
         # a hit starts a run of one line's id; sorted stably, the run's

@@ -14,6 +14,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__, bounds, bundle, explore, geom
@@ -377,7 +378,10 @@ def _int_at_least(least: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parsing reads it and
+    leaves it as it was, so every :func:`main` call shares it."""
     ap = argparse.ArgumentParser(
         prog="orthokit",
         description="construct, verify, bound, and search families of "

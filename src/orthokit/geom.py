@@ -33,6 +33,9 @@ Projective lines through point 0 come from one numpy pass over the
 labelling field's log tables, and every other line is one of their
 Singer shifts x -> x + m that does not wrap past N, with least point m.
 A table of N entries names the line through 0 of each point.
+Echelon-built rows, each sorted, are put in lexicographic order by a
+sort on their first |(j-1)-flat| + 1 points, which no two distinct
+j-flats share.
 Lines and flats are cached read-only int32 arrays (flats(1) is lines()),
 and flats of more than MAX_FLAT_INCIDENCES points in all are refused.
 """
@@ -389,7 +392,10 @@ class Geometry:
         Projective: the normalised coefficient vectors give normalised
         points, mapped to Singer indices by one table over base-q codes.
         Fillings are taken in chunks of about _ECHELON_CHUNK coordinates,
-        so working memory stays small beside the result."""
+        so working memory stays small beside the result.  The sorted rows
+        are lexsorted on their first |(j-1)-flat| + 1 points only: two
+        distinct j-flats share at most a (j-1)-flat, so no two rows agree
+        that far, and the short key gives the order of the full one."""
         self._check_cap()
         q, affine_ = self.q, self.kind == AFFINE
         r, n = (j, self.dim) if affine_ else (j + 1, self.dim + 1)
@@ -434,7 +440,8 @@ class Geometry:
             raise ValueError(
                 f"{j}-flat enumeration produced {at}, expected {count}")
         out.sort(axis=1)
-        return out[np.lexsort(out.T[::-1])]
+        width = 1 if j == 0 else self._flat_shape(j - 1)[1] + 1
+        return out[np.lexsort(out[:, :width].T[::-1])]
 
     # -- identity --------------------------------------------------------
 

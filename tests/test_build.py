@@ -37,6 +37,33 @@ def test_char_p_pair_verifies(p, n, k, assert_additive):
     assert check.is_k_orthogoval_pair(s, t, p)
 
 
+def _char_p_perm_by_points(p, n, k):
+    """The Frobenius-shear map one point at a time, with the field's
+    scalar operations and a coordinate lookup per image."""
+    g = geom.affine(k, p ** n)
+    f = g.field
+    A, B = build.find_no_root_coeffs(f, (p ** k - 1) // (p - 1))
+    perm = np.empty(g.point_count, dtype=np.int64)
+    for idx, x in enumerate(g.points()):
+        y = [f.sub(f.frobenius(x[i]), x[i + 1]) for i in range(k - 1)]
+        y.append(f.add(f.frobenius(x[k - 1]),
+                       f.add(f.mul(A, x[1]), f.mul(B, x[0]))))
+        perm[idx] = g.point_index(tuple(y))
+    return perm
+
+
+@pytest.mark.parametrize("p,n,k", [
+    (2, 1, 2), (2, 1, 3), (2, 1, 5), (2, 2, 2), (2, 2, 3), (2, 2, 5),
+    (2, 3, 2), (2, 3, 3), (2, 4, 2), (2, 4, 3), (3, 1, 2), (3, 1, 5),
+    (3, 2, 2), (3, 2, 3), (3, 3, 2), (5, 1, 2), (5, 1, 4), (5, 2, 2),
+    (7, 1, 3), (11, 1, 2), (13, 1, 2), (13, 1, 3)])
+def test_char_p_map_equals_the_per_point_loop(p, n, k):
+    s, t, perm = build.build_char_p_pair(p, n, k)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, _char_p_perm_by_points(p, n, k))
+    assert s.is_standard and np.array_equal(t.perm, perm)
+
+
 def test_phi_map_is_index_multiplication():
     g = geom.projective(4, 2)
     perm = build.build_phi_map(g, 3)

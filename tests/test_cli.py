@@ -51,6 +51,28 @@ def test_construct_catalog_and_char_p(tmp_path, capsys):
     assert run(capsys, "verify", out2)[0] == 0
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_construct_char_p_degree_below_one_exit_2(tmp_path, capsys, n):
+    out = tmp_path / "c.json"
+    code, stdout, err = run(capsys, "construct", "char-p", "--p", "2",
+                            "--n", n, "--k", "2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert f"n >= 1, got n = {n}" in err and "prime power" not in err
+    assert not out.exists()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    first = ("bound", "--kind", "affine", "--dim", "3", "--q", "3")
+    runs = [run(capsys, *argv) for argv in
+            (first, ("bound", "--kind", "affine"), ("--version",), first)]
+    assert runs[0] == runs[3] and runs[0][0] == 0 and runs[0][1]
+    assert runs[1][0] == 2 and "--dim" in runs[1][2]
+    assert runs[2] == (0, cli.__version__ + "\n", "")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("size", [2, 3])
 def test_verify_family_with_two_point_lines(tmp_path, capsys, d, size):

@@ -2,6 +2,7 @@
 hand-checked incidences."""
 
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -414,6 +415,26 @@ def test_flats_counts_at_half_dimension(make, j, count):
     assert list(flats) == sorted(flats)
     for f in flats[::97]:
         assert g.rank_of(f) == j + 1
+
+
+@pytest.mark.parametrize("make,j,digest", [
+    (lambda: geom.affine(3, 9), 1, "a511a44c2730309b29660844c0f011a3fc7eb3c4"),
+    (lambda: geom.affine(2, 49), 1, "8ee1b96db34bbc3a0844f662208556af3fa7e6bf"),
+    (lambda: geom.affine(4, 5), 1, "e5283c85c8187cfd454559e0702989ce791cac53"),
+    (lambda: geom.affine(4, 3), 2, "83048a02798edad994f81de614c3943d286aefa7"),
+    (lambda: geom.projective(4, 4), 2,
+     "547e5aea0ef15e57ae83b03f6266ec09590f79e9"),
+    (lambda: geom.affine(6, 2), 3, "3e189d87156c030c2d58a9252f3f16fd52a7d58b"),
+    (lambda: geom.projective(2, 27), 1,
+     "bd19efecbd0c08522152c4f7c18d1082e99d4f3f"),
+], ids=["AG(3,9) lines", "AG(2,49) lines", "AG(4,5) lines", "AG(4,3) planes",
+        "PG(4,4) planes", "AG(6,2) 3-flats", "PG(2,27) lines"])
+def test_flats_are_in_full_row_order(make, j, digest):
+    # the short sort key must give the full-width order: checked directly,
+    # and against frozen digests of that order's int32 bytes
+    flats = make().flats(j)
+    assert np.array_equal(flats, flats[np.lexsort(flats.T[::-1])])
+    assert hashlib.sha1(flats.astype("<i4").tobytes()).hexdigest() == digest
 
 
 def test_flat_list_check_negative_controls():
