@@ -25,6 +25,7 @@ from .check import (
     standard,
 )
 from .errors import (
+    BadDimension,
     FieldMismatch,
     KPlus1NotPrime,
     NotCoprime,
@@ -82,7 +83,16 @@ def build_char_p_pair(p: int, n: int, k: int) -> tuple[Space, Space, np.ndarray]
     # a larger p is refused by the point cap, with no trial division
     if p <= geom.MAX_POINTS and not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    g = geom.affine(k, p ** n)
+    # p >= 2, so p^n passes the cap within 14 steps: refuse before p ** n
+    # is computed for a large n
+    q = 1
+    for _ in range(n):
+        q *= p
+        if q > geom.MAX_POINTS:
+            raise BadDimension(
+                f"q = p^n exceeds the enumeration cap of {geom.MAX_POINTS} "
+                f"points")
+    g = geom.affine(k, q)
     g._check_cap()
     f, q = g.field, g.q
     m = (p ** k - 1) // (p - 1)

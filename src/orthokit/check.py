@@ -6,15 +6,27 @@ holding the line of ``s`` through it.  Gathering those ids for every
 point pair of a line of ``t`` counts, for each line of ``s``, the pairs
 the two lines share: a line of ``t`` meets a line of ``s`` in c >= 2
 points exactly when that line's id repeats C(c, 2) times in its row.
-One sort per row thus decides k-orthogovality for every k >= 2, and a
-pair with no repeat returns there; only a failing pair goes on to find
-its witness.  At k=2 it reads the witness off the same ids: sorted
-stably, a hit's first two point pairs are (p0, p1) and (p0, p2), the
-least triple the two lines share.
+One sort per row thus decides k-orthogovality for every k >= 2.  At k=2
+it reads the witness off the same ids: sorted stably, a hit's first two
+point pairs are (p0, p1) and (p0, p2), the least triple the two lines
+share.  The working set is the table plus one chunk: the rows of t go
+in chunks of at most _OVERLAP_CHUNK ids, each keeping its least witness
+candidate (the least packed triple at k=2, else the least s-line and
+then t-line); at k=2 a chunk with a hit gathers its hit rows again for
+the stable sort.  The table and the ids are int16 while s has fewer
+than 2^15 lines, and a triple is packed in int64 (n^3 passes 2^31 at
+n = 1,291).  On a
+random PG(2,97) pair (2-core box) k=2 takes 4.2 s and 345 MB peak RSS,
+against 10.3 s and 1.6 GB for one dense pass over int32 ids; k=3 takes
+2.1 s and 310 MB (was 3.6 s, 770 MB).
 
 Family checks at k=2 run off a triple index: one packed 64-bit key per
 colinear point triple, sorted globally so that a triple colinear in two
-spaces shows up as a duplicate.
+spaces shows up as a duplicate.  A family whose index would pass
+_FAMILY_KEYS keys (1 GiB) is decided pair by pair instead: the least of
+the pairs' witness triples is the least shared triple, and its first
+two owners are found as the index finds them.  A two-space PG(2,97)
+family would need 2.9 billion keys (21.5 GiB).
 
 One scan of all block pairs is the independent oracle
 ``naive_k_orthogoval_pair`` over lines, also deciding k <= 1 (every pair
@@ -85,13 +97,18 @@ from .geom import PROJECTIVE, Geometry
 _TRIPLE_CACHE_LIMIT = 2_000_000
 # matrix entries per working array of the askew decider
 _ASKEW_CHUNK = 1 << 20
-# block ids per working array of the block-pair scan
+# block ids per working array of the block-pair scan, and point-pair ids
+# per working array of the pair decider
 _OVERLAP_CHUNK = 1 << 20
+# packed keys (8 bytes each) a k=2 family's triple index may hold; past
+# it, the family is decided pair by pair
+_FAMILY_KEYS = 1 << 27
 
 
-@dataclass
+@dataclass(eq=False)
 class Space:
-    """A geometry together with a point bijection from the standard space."""
+    """A geometry together with a point bijection from the standard space.
+    Spaces compare by identity: the map is an array."""
 
     geometry: Geometry
     perm: np.ndarray
@@ -121,7 +138,8 @@ class Space:
         return inv
 
     def lines(self) -> np.ndarray:
-        out = self.perm[self.geometry.lines()]
+        """The images of the standard lines, as sorted int32 rows."""
+        out = self.perm.astype(np.int32)[self.geometry.lines()]
         out.sort(axis=1)
         return out
 
@@ -159,14 +177,16 @@ class Verdict:
 
 def _line_index(space: Space) -> tuple[np.ndarray, np.ndarray]:
     """The space's lines, and a flat n*n table whose entry a*n+b, for
-    points a<b, is the row of the line through a and b.  Entries with
-    a>=b are never written."""
+    points a<b, is the row of the line through a and b: int16 when the
+    rows fit, so the table and the ids gathered from it are half as
+    large.  Entries with a>=b are never written."""
     lines = space.lines()
     n = space.geometry.point_count
-    table = np.empty(n * n, dtype=np.int32)
-    rows = np.arange(len(lines), dtype=np.int32)
-    for i, j in itertools.combinations(range(lines.shape[1]), 2):
-        table[lines[:, i] * n + lines[:, j]] = rows
+    dtype = np.int16 if len(lines) <= np.iinfo(np.int16).max else np.int32
+    table = np.empty(n * n, dtype=dtype)
+    rows = np.arange(len(lines), dtype=dtype)
+    for i in range(lines.shape[1] - 1):
+        table[lines[:, i, None] * n + lines[:, i + 1:]] = rows[:, None]
     return lines, table
 
 
@@ -316,38 +336,18 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
             return Verdict(True)
         return Verdict(False, {key: witness[key]
                                for key in ("triple", "line_a", "line_b")})
-    n = g.point_count
     ls, table = _line_index(s)
     lt = t.lines()
-    pairs = np.array(list(itertools.combinations(range(lt.shape[1]), 2)))
-    ids = _pair_ids(table, lt, pairs, n)
-    ids.sort(axis=1)
-    # lines meeting in more than k points share more than C(k, 2) point
-    # pairs, so some id equals the one C(k, 2) places further on
-    r = k * (k - 1) // 2
-    hit = ids[:, r:] == ids[:, :-r]
-    if not hit.any():
+    best = _least_hit(table, lt, k, g.point_count)
+    if best is None:
         return Verdict(True)
-    hit[:, 1:] &= ~hit[:, :-1]  # one hit per (line of t, line of s)
-    rows, cols = np.nonzero(hit)
-    sids = ids[rows, cols]
     if k == 2:
-        # a hit starts a run of one line's id; sorted stably, the run's
-        # point pairs keep their combinations order, so it starts with
-        # (p0, p1), (p0, p2): the least triple the two lines share
-        hit_rows, at = np.unique(rows, return_inverse=True)
-        order = np.argsort(_pair_ids(table, lt[hit_rows], pairs, n),
-                           axis=1, kind="stable")
-        pos = np.column_stack([pairs[order[at, cols]],
-                               pairs[order[at, cols + 1], 1]])
-        tri = lt[rows[:, None], pos]
-        first = np.argmin((tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2])
-        return Verdict(False, {"triple": tuple(tri[first].tolist()),
-                               "line_a": tuple(ls[sids[first]].tolist()),
-                               "line_b": tuple(lt[rows[first]].tolist())})
-    # the naive oracle's witness: least line of s, then least line of t
-    first = np.lexsort((rows, sids))[0]
-    a, b = ls[sids[first]].tolist(), lt[rows[first]].tolist()
+        key, sid, row = best
+        return Verdict(False, {"triple": unpack_triple(key, g.point_count),
+                               "line_a": tuple(ls[sid].tolist()),
+                               "line_b": tuple(lt[row].tolist())})
+    sid, row = best
+    a, b = ls[sid].tolist(), lt[row].tolist()
     return Verdict(False, {
         "line_a": tuple(a),
         "line_b": tuple(b),
@@ -355,12 +355,65 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
     })
 
 
-def _pair_ids(table, lines, pairs, n: int) -> np.ndarray:
+def _least_hit(table, lt, k: int, n: int):
+    """The least line pair of s and t (``table`` from :func:`_line_index`
+    of s, ``lt`` the lines of t) sharing more than k points, or None: at
+    k=2 as (packed least shared triple, s-line id, t-row), else as
+    (s-line id, t-row).  The rows of ``lt`` go in chunks of at most
+    _OVERLAP_CHUNK ids, each keeping its least candidate; both are global
+    minima, so every chunk is scanned."""
+    pairs = np.array(list(itertools.combinations(range(lt.shape[1]), 2)))
+    # lines meeting in more than k points share more than C(k, 2) point
+    # pairs, so some id equals the one C(k, 2) places further on
+    r = k * (k - 1) // 2
+    step = max(1, _OVERLAP_CHUNK // len(pairs))
+    best = None
+    for lo in range(0, len(lt), step):
+        chunk = lt[lo:lo + step]
+        ids = _pair_ids(table, chunk, n)
+        ids.sort(axis=1)
+        hit = ids[:, r:] == ids[:, :-r]
+        if not hit.any():
+            continue
+        if k == 2:
+            hit[:, 1:] &= ~hit[:, :-1]  # one hit per (line of t, line of s)
+        rows, cols = np.nonzero(hit)
+        sids = ids[rows, cols]
+        if k == 2:
+            # a hit starts a run of one line's id; sorted stably, the run's
+            # point pairs keep their combinations order, so it starts with
+            # (p0, p1), (p0, p2): the least triple the two lines share
+            hit_rows, at = np.unique(rows, return_inverse=True)
+            order = np.argsort(_pair_ids(table, chunk[hit_rows], n),
+                               axis=1, kind="stable")
+            pos = np.column_stack([pairs[order[at, cols]],
+                                   pairs[order[at, cols + 1], 1]])
+            # int64 before packing: n^3 overflows int32 from n = 1291
+            tri = chunk[rows[:, None], pos].astype(np.int64)
+            key = (tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2]
+            first = int(np.argmin(key))
+            cand = (int(key[first]), int(sids[first]), lo + int(rows[first]))
+        else:
+            # the naive oracle's witness: least line of s, then least line
+            # of t; nonzero lists hits row by row, so argmin takes both
+            first = int(np.argmin(sids))
+            cand = (int(sids[first]), lo + int(rows[first]))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _pair_ids(table, lines, n: int) -> np.ndarray:
     """Per row of ``lines``, the line ids in ``table`` (see
-    :func:`_line_index`) of its point pairs at the positions ``pairs``."""
-    ids = np.empty((len(lines), len(pairs)), dtype=np.int32)
-    for c, (i, j) in enumerate(pairs):
-        ids[:, c] = table[lines[:, i] * n + lines[:, j]]
+    :func:`_line_index`) of its point pairs in combinations order.  The
+    pairs (i, j > i) of one position i come in one gather, each row's
+    from one row of the table."""
+    b = lines.shape[1]
+    ids = np.empty((len(lines), b * (b - 1) // 2), dtype=table.dtype)
+    at = 0
+    for i in range(b - 1):
+        ids[:, at:at + b - 1 - i] = table[lines[:, i, None] * n + lines[:, i + 1:]]
+        at += b - 1 - i
     return ids
 
 
@@ -385,7 +438,12 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if k >= g.points_per_line:
         return Verdict(True)  # no two lines share more points than a line has
     if k == 2:
-        witness = _least_shared_triple(spaces, g, _singer_keys(spaces))
+        keys = _singer_keys(spaces)
+        if keys is None and len(spaces) * g.line_count * _c3(
+                g.points_per_line) > _FAMILY_KEYS:
+            witness = _least_pairwise_triple(spaces)
+        else:
+            witness = _least_shared_triple(spaces, g, keys)
         return Verdict(witness is None, witness)
     for i, j in itertools.combinations(range(len(spaces)), 2):
         v = is_k_orthogoval_pair(spaces[i], spaces[j], k)
@@ -403,8 +461,7 @@ def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
     each space's keys through point 0, or None for every space's full
     triple index.  All keys go into one buffer, sorted once, and its
     least duplicate is the triple.  Each space's keys are packed once:
-    the owners are found by testing the triple against each space's
-    lines directly."""
+    the owners come from :func:`_owners`."""
     if keys is None:
         per_space = g.line_count * _c3(g.points_per_line)
         keys = (s.triples() for s in spaces)
@@ -421,6 +478,22 @@ def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
         return None
     tri = unpack_triple(buf[at], g.point_count)
     del buf, eq
+    return _owners(spaces, tri)
+
+
+def _least_pairwise_triple(spaces: list[Space]):
+    """``_least_shared_triple`` for a family whose triple index would not
+    fit: the least of the pair deciders' k=2 witnesses, each the least
+    triple its two spaces share, with its first two owners."""
+    witnesses = (is_k_orthogoval_pair(a, b, 2).witness
+                 for a, b in itertools.combinations(spaces, 2))
+    tri = min((w["triple"] for w in witnesses if w), default=None)
+    return None if tri is None else _owners(spaces, tri)
+
+
+def _owners(spaces: list[Space], tri) -> dict:
+    """The witness of a triple shared by the family: its first two owners,
+    found by testing it against each space's lines directly."""
     lines = ((i, _line_of(s, tri)) for i, s in enumerate(spaces))
     (i, line_a), (j, line_b) = itertools.islice(
         ((i, line) for i, line in lines if line is not None), 2)

@@ -7,8 +7,8 @@ with --format table.  ``--workers`` is still accepted and ignored: every
 check runs in one thread.
 
 Exit codes: 0 success / property holds, 1 property fails, 2 usage
-error, 3 malformed input or a file that cannot be read or written, 4
-budget exceeded.
+error or out of memory, 3 malformed input or a file that cannot be read
+or written, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -492,6 +492,11 @@ def main(argv=None) -> int:
     except (OrthokitError, ValueError) as exc:
         code = getattr(exc, "code", "INVALID")
         print(f"error [{code}]: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # too large for this machine, like an input over a cap: a usage
+        # error, never exit 1, which would read as "property fails"
+        print(f"error [OUT_OF_MEMORY]: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -94,8 +94,8 @@ class Geometry:
                 # every geometry over GF(q) has at least q points: refuse
                 # before the field's tables are built
                 raise BadDimension(
-                    f"q = {q} exceeds the enumeration cap of {MAX_POINTS} "
-                    f"points")
+                    f"q = {_shown(q)} exceeds the enumeration cap of "
+                    f"{MAX_POINTS} points")
             p, e = _split_prime_power(q)
             field = field_create(p, e)
         self.kind = kind
@@ -173,16 +173,17 @@ class Geometry:
         # counting is closed-form at any size; enumeration is capped
         if self.point_count > MAX_POINTS:
             raise BadDimension(
-                f"geometry has {self.point_count} points; "
+                f"geometry has {_shown(self.point_count)} points; "
                 f"enumeration cap is {MAX_POINTS}")
         labels = self.q ** (self.dim + 1)
         if self.kind == PROJECTIVE and labels > MAX_LABELING_FIELD:
             raise BadDimension(
-                f"labeling field has {labels} elements; "
+                f"labeling field has {_shown(labels)} elements; "
                 f"enumeration cap is {MAX_LABELING_FIELD}")
 
-    def points(self) -> list[tuple[int, ...]]:
-        """Coordinate tuples in canonical index order.  Projective points
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """Coordinate tuples in canonical index order, as the cached
+        tuple itself, so no caller can reorder it.  Projective points
         are the normalised vectors, placed by the label map of
         :meth:`_basis_matrix`."""
         if self._coords is None:
@@ -199,7 +200,7 @@ class Geometry:
                 N = self.point_count
                 order = np.argsort(ext.log_array[labels] % N)
                 coords = list(map(tuple, vecs[order].tolist()))
-            self._coords = coords
+            self._coords = tuple(coords)
             self._index_of = {c: i for i, c in enumerate(coords)}
         return self._coords
 
@@ -479,6 +480,12 @@ def projective(dim: int, q: int, labeling_modulus=None, basis="phi") -> Geometry
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
+
+def _shown(x: int) -> str:
+    """x in decimal for a message, or its size when it is too long to
+    print (str() refuses ints of more than 4,300 digits)."""
+    return str(x) if x.bit_length() <= 64 else f"about 2^{x.bit_length() - 1}"
+
 
 def _split_prime_power(q: int) -> tuple[int, int]:
     """(p, e) with q = p^e, p the only prime factor of q."""

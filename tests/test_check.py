@@ -136,6 +136,114 @@ def test_linear_maps_agree_with_naive(assert_additive):
                 assert fast.witness == slow.witness
 
 
+def dense_pair_reference(s, t, k):
+    """The reference for the pair decider's chunked scan: the dense scan it
+    replaced, one int32 n*n table of s's line rows and every point pair
+    id of every line of t gathered, pair by pair, and sorted at once; the
+    k=2 witness from a stable re-sort of the hit lines' ids, packed as
+    int64; else the least line of s, then of t."""
+    g = s.geometry
+    n = g.point_count
+    if k >= g.points_per_line:
+        return check.Verdict(True)
+    ls, lt = (np.sort(x.perm[g.lines()], axis=1) for x in (s, t))
+    table = np.empty(n * n, dtype=np.int32)
+    pairs = np.array(list(itertools.combinations(range(ls.shape[1]), 2)))
+    for i, j in pairs:
+        table[ls[:, i] * n + ls[:, j]] = np.arange(len(ls), dtype=np.int32)
+
+    def pair_ids(lines):
+        ids = np.empty((len(lines), len(pairs)), dtype=np.int32)
+        for c, (i, j) in enumerate(pairs):
+            ids[:, c] = table[lines[:, i] * n + lines[:, j]]
+        return ids
+
+    ids = pair_ids(lt)
+    ids.sort(axis=1)
+    r = k * (k - 1) // 2
+    hit = ids[:, r:] == ids[:, :-r]
+    if not hit.any():
+        return check.Verdict(True)
+    hit[:, 1:] &= ~hit[:, :-1]
+    rows, cols = np.nonzero(hit)
+    sids = ids[rows, cols]
+    if k == 2:
+        hit_rows, at = np.unique(rows, return_inverse=True)
+        order = np.argsort(pair_ids(lt[hit_rows]), axis=1, kind="stable")
+        pos = np.column_stack([pairs[order[at, cols]],
+                               pairs[order[at, cols + 1], 1]])
+        tri = lt[rows[:, None], pos].astype(np.int64)
+        first = np.argmin((tri[:, 0] * n + tri[:, 1]) * n + tri[:, 2])
+        return check.Verdict(False, {"triple": tuple(tri[first].tolist()),
+                                     "line_a": tuple(ls[sids[first]].tolist()),
+                                     "line_b": tuple(lt[rows[first]].tolist())})
+    first = np.lexsort((rows, sids))[0]
+    a, b = ls[sids[first]].tolist(), lt[rows[first]].tolist()
+    return check.Verdict(False, {"line_a": tuple(a), "line_b": tuple(b),
+                                 "intersection": tuple(sorted(set(a) & set(b)))})
+
+
+def assert_pair_equals_dense_reference(s, t, outcomes):
+    for a, b in ((s, t), (t, s)):
+        for k in (2, 3, 4):
+            got = check.is_k_orthogoval_pair(a, b, k)
+            assert got == dense_pair_reference(a, b, k), k
+            outcomes.add((k, got.ok))
+
+
+# AG and PG planes and 3-spaces, AG(4,3) and PG(4,2)
+DENSE_REFERENCE_GEOMETRIES = [
+    ("affine", 2, 3), ("affine", 2, 4), ("affine", 2, 5), ("affine", 2, 7),
+    ("affine", 2, 8), ("affine", 2, 9), ("affine", 3, 3), ("affine", 3, 4),
+    ("affine", 3, 5), ("affine", 4, 3), ("projective", 2, 2),
+    ("projective", 2, 3), ("projective", 2, 4), ("projective", 2, 5),
+    ("projective", 2, 7), ("projective", 3, 2), ("projective", 3, 3),
+    ("projective", 3, 4), ("projective", 4, 2),
+]
+
+
+@pytest.mark.parametrize("chunk", [check._OVERLAP_CHUNK, 1],
+                         ids=["default", "one-line"])
+@pytest.mark.parametrize("kind, d, q", DENSE_REFERENCE_GEOMETRIES)
+def test_pair_decider_equals_dense_reference(monkeypatch, chunk, kind, d, q):
+    # a chunk of one id makes every line of t its own chunk
+    monkeypatch.setattr(check, "_OVERLAP_CHUNK", chunk)
+    g = (geom.affine if kind == "affine" else geom.projective)(d, q)
+    rng = np.random.default_rng(d * 1000 + q)
+    std = check.standard(g)
+    outcomes = set()
+    for s, t in ((std, random_space(g, rng)),
+                 (random_space(g, rng), random_space(g, rng))):
+        assert check._singer_keys([s, t]) is None
+        assert_pair_equals_dense_reference(s, t, outcomes)
+    assert (2, False) in outcomes
+
+
+def test_pair_witness_packs_triples_past_int32():
+    # PG(2,37) has n^3 > 2^31: a triple packed in int32 would wrap, and
+    # the least key would name another triple
+    g = geom.projective(2, 37)
+    s, t = check.standard(g), random_space(g, np.random.default_rng(37))
+    for a, b in ((s, t), (t, s)):
+        assert check.is_k_orthogoval_pair(a, b, 2) == dense_pair_reference(a, b, 2)
+
+
+@pytest.mark.parametrize("chunk", [check._OVERLAP_CHUNK, 1],
+                         ids=["default", "one-line"])
+def test_pair_decider_equals_dense_reference_on_char_p_pairs(monkeypatch, chunk):
+    monkeypatch.setattr(check, "_OVERLAP_CHUNK", chunk)
+    outcomes = set()
+    for p, n, k in ((2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2),
+                    (3, 1, 2), (3, 1, 3), (3, 2, 2), (3, 2, 3), (5, 1, 2),
+                    (5, 1, 3)):
+        if chunk == 1 and (p, n, k) == (3, 2, 3):
+            continue  # AG(3,9): 7,371 one-line chunks a call, 3 s in all
+        s, t, _ = build_char_p_pair(p, n, k)
+        assert_pair_equals_dense_reference(s, t, outcomes)
+    # the pairs hold exactly at k >= p, so both verdicts show at k=2 and 3
+    assert outcomes >= {(k, v) for k in (2, 3) for v in (True, False)}
+
+
 def reference_block_scan(s, t, blocks, limit, names):
     """The reference for ``check._first_overlap``: the frozenset scan it
     replaced, each block's image built one point at a time, s-blocks
@@ -316,6 +424,16 @@ def test_space_perm_is_a_read_only_copy():
     assert s.is_standard
     with pytest.raises(ValueError):
         s.perm[0] = 1
+
+
+def test_spaces_compare_by_identity():
+    # the map is an array, so == compares the objects, never their maps
+    g = geom.affine(2, 3)
+    s = check.standard(g)
+    assert s == s and not (s != s)
+    assert check.standard(g) != check.standard(g)
+    assert check.standard(geom.affine(2, 3)) != check.standard(geom.affine(2, 3))
+    assert len({s, check.standard(g)}) == 2  # and they hash
 
 
 @pytest.mark.parametrize("perm", [np.arange(9) - 1, np.arange(1, 10)],
@@ -747,6 +865,62 @@ def test_failing_non_singer_family_builds_no_line_table(monkeypatch):
     monkeypatch.setattr(check, "_line_index", boom)
     v = check.are_mutually_orthogoval(fam)
     assert not v and v.witness == ref
+
+
+def _fallback_families(rng):
+    from orthokit.build import catalog_family, catalog_names
+    # the catalog families hold; random families fail, and so do families
+    # with a copied space, which must name the copy's first owner
+    fams = [catalog_family(name) for name in catalog_names()]
+    for g in (geom.affine(2, 3), geom.affine(2, 5), geom.affine(3, 3),
+              geom.projective(2, 3), geom.projective(3, 2)):
+        for size in (2, 3, 4):
+            fams.append([random_space(g, rng) for _ in range(size)])
+        t = random_space(g, rng)
+        fams.append([check.standard(g), t, random_space(g, rng),
+                     check.from_map(g, t.perm, name="copy")])
+    # multiplier spaces among others: the pairs of two of them take the
+    # Singer path
+    g = geom.projective(4, 2)
+    fams.append([check.standard(g), phi_space(g, 3), random_space(g, rng),
+                 phi_space(g, 5)])
+    return fams
+
+
+def test_pairwise_family_fallback_equals_the_triple_index(monkeypatch):
+    fams = _fallback_families(np.random.default_rng(20261019))
+    want = [check.are_mutually_orthogoval(fam) for fam in fams]
+    assert {v.ok for v in want} == {True, False}
+
+    def boom(*args):
+        raise AssertionError("the fallback packed a triple index")
+    monkeypatch.setattr(check, "_FAMILY_KEYS", 0)
+    monkeypatch.setattr(check, "packed_triples", boom)
+    for fam, v in zip(fams, want):
+        assert check._singer_keys(fam) is None
+        got = check.are_mutually_orthogoval(fam)
+        assert got == v, fam[0].geometry
+
+
+def test_family_key_budget_is_checked_before_packing(monkeypatch):
+    # a family exactly at the budget packs its index; one key more and it
+    # goes pair by pair
+    g = geom.affine(2, 3)
+    fam = [check.standard(g), random_space(g, np.random.default_rng(3))]
+    keys = len(fam) * g.line_count * check._c3(g.points_per_line)
+    pairs = []
+    pair = check.is_k_orthogoval_pair
+
+    def counting(*args):
+        pairs.append(1)
+        return pair(*args)
+    monkeypatch.setattr(check, "is_k_orthogoval_pair", counting)
+    monkeypatch.setattr(check, "_FAMILY_KEYS", keys)
+    check.are_mutually_orthogoval(fam)
+    assert pairs == []
+    monkeypatch.setattr(check, "_FAMILY_KEYS", keys - 1)
+    check.are_mutually_orthogoval(fam)
+    assert pairs == [1]
 
 
 # ----------------------------------------------------------------------

@@ -61,6 +61,33 @@ def test_construct_char_p_degree_below_one_exit_2(tmp_path, capsys, n):
     assert not out.exists()
 
 
+def test_construct_char_p_refuses_a_huge_degree_by_the_cap(tmp_path, capsys):
+    # 3^10000 has 4,772 digits: refused before it is computed or printed
+    out = tmp_path / "c.json"
+    code, stdout, err = run(capsys, "construct", "char-p", "--p", "3",
+                            "--n", "10000", "--k", "2", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "BAD_DIMENSION" in err and "enumeration cap" in err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # exit 1 would read as "property fails"
+    from orthokit import bundle, check, geom
+    g = geom.affine(2, 3)
+    path = str(tmp_path / "pair.json")
+    bundle.write_bundle(path, [check.standard(g),
+                               check.from_map(g, [0, 1, 3, 2, 4, 7, 6, 8, 5])])
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 21.5 GiB")
+    monkeypatch.setattr(check, "packed_triples", no_memory)
+    code, stdout, err = run(capsys, "verify", path)
+    assert (code, stdout) == (2, "")
+    assert err == "error [OUT_OF_MEMORY]: Unable to allocate 21.5 GiB\n"
+    assert "Traceback" not in err
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     cli.build_parser.cache_clear()
     first = ("bound", "--kind", "affine", "--dim", "3", "--q", "3")

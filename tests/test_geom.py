@@ -589,6 +589,28 @@ def test_size_cap_applies_to_enumeration_only():
     assert g._lines0 is None and g._origin_ids is None
 
 
+@pytest.mark.parametrize("make", [geom.affine, geom.projective])
+def test_cached_points_cannot_change_through_the_returned_value(make):
+    g = make(2, 3)
+    pts = g.points()
+    assert isinstance(pts, tuple) and g.points() is pts
+    with pytest.raises(AttributeError):
+        pts.reverse()
+    with pytest.raises(TypeError):
+        pts[0] = pts[1]
+    first, last = pts[0], pts[-1]
+    assert g.homogeneous()[-1, -len(last):].tolist() == list(last)
+    assert g.point_index(first) == 0 and g.point_index(last) == len(pts) - 1
+
+
+def test_a_q_too_long_to_print_is_refused_by_the_cap():
+    # str() refuses ints of over 4,300 digits: the message must not need it
+    with pytest.raises(BadDimension, match="enumeration cap"):
+        geom.affine(2, 3 ** 10000)
+    with pytest.raises(BadDimension, match="enumeration cap"):
+        geom.affine(10000, 3).points()
+
+
 def test_ag42_planes_are_the_zero_sum_4_subsets():
     # a second route to the half-dimension flats of AG(4, 2): with base-2
     # indices XOR is vector addition, a plane {a, a+x, a+y, a+x+y} sums to
