@@ -146,7 +146,23 @@ def _geometry_from_header(header: dict) -> geom.Geometry:
             g._basis_matrix()
     except (KeyError, OrthokitError, TypeError, ValueError) as exc:
         raise MalformedBundle(f"geometry header is malformed: {exc}")
+    _check_primitive(fdesc, g.field, "field")
+    if kind == geom.PROJECTIVE:
+        _check_primitive(labeling, g.labeling_field, "labeling")
     return g
+
+
+def _check_primitive(desc: dict, field: GF, what: str):
+    """A header's ``primitive``, when given, must be the one the field
+    fixes: the labelling field's primitive fixes the Singer labels, so
+    another one would silently reinterpret every permutation."""
+    if "primitive" not in desc:
+        return
+    value, want = desc["primitive"], field.describe()["primitive"]
+    if type(value) is not list or not set(map(type, value)) <= {int} or (
+            value != want):
+        raise MalformedBundle(f"header {what} primitive {value!r} disagrees "
+                              f"with the field's {want}")
 
 
 def _int_list(value, n: int, what: str) -> list[int]:

@@ -484,11 +484,27 @@ def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
 def _least_pairwise_triple(spaces: list[Space]):
     """``_least_shared_triple`` for a family whose triple index would not
     fit: the least of the pair deciders' k=2 witnesses, each the least
-    triple its two spaces share, with its first two owners."""
-    witnesses = (is_k_orthogoval_pair(a, b, 2).witness
-                 for a, b in itertools.combinations(spaces, 2))
-    tri = min((w["triple"] for w in witnesses if w), default=None)
-    return None if tri is None else _owners(spaces, tri)
+    triple its two spaces share, with its first two owners.  Space i's
+    line index is built once for all j > i, and only one is alive at a
+    time; a pair of two multipliers keeps the Singer path."""
+    g = spaces[0].geometry
+    n = g.point_count
+    best = None
+    for i, s in enumerate(spaces):
+        table = None
+        for t in spaces[i + 1:]:
+            keys = _singer_keys([s, t])
+            if keys is not None:
+                w = _least_shared_triple([s, t], g, keys)
+                tri = None if w is None else w["triple"]
+            else:
+                if table is None:
+                    table = _line_index(s)[1]
+                hit = _least_hit(table, t.lines(), 2, n)
+                tri = None if hit is None else unpack_triple(hit[0], n)
+            if tri is not None and (best is None or tri < best):
+                best = tri
+    return None if best is None else _owners(spaces, best)
 
 
 def _owners(spaces: list[Space], tri) -> dict:

@@ -315,10 +315,10 @@ class Geometry:
             return tuple(sorted(out))
         ext = self.labeling_field
         N = self.point_count
-        la, lb = ext.antilog_table[a % N], ext.antilog_table[b % N]
+        la, lb = ext.antilog(a % N), ext.antilog(b % N)
         members = {a % N, b % N}
         for c in range(1, base.order):
-            members.add(ext.log_table[ext.add(la, ext.mul(self.embed(c), lb))] % N)
+            members.add(ext.log(ext.add(la, ext.mul(self.embed(c), lb))) % N)
         return tuple(sorted(members))
 
     # -- rank and flats --------------------------------------------------
@@ -509,7 +509,7 @@ def _embedding(base: GF, ext: GF) -> tuple[int, ...]:
     # the powers z^(N i).  Only a degree-1 modulus x has the root 0.
     step = (ext.order - 1) // (base.order - 1)
     root = None
-    for t in sorted([0, *ext.antilog_table[::step]]):
+    for t in sorted([0, *ext.antilog_array[::step].tolist()]):
         acc = 0
         for c in reversed(base.modulus):
             acc = ext.add(ext.mul(acc, t), c % p)

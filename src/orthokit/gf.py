@@ -3,10 +3,11 @@
 Field elements are integer codes in ``[0, p^n)``, and a ``GF`` owns all
 arithmetic on them: the base-p digits of a code are the coefficients of
 z^0 .. z^{n-1}.  Scalar multiplication and inversion go through discrete
-log / antilog tables built at construction time, kept both as lists and
-as read-only numpy arrays; ``tables()`` gives read-only numpy add, mul,
-neg and inv tables for batched work.  A field object is immutable and
-cheap to share.
+log / antilog tables built at construction time, in bounded blocks, and
+kept once, as read-only numpy arrays (``log_array``, ``antilog_array``)
+that the scalar methods read through memoryviews; ``tables()`` gives
+read-only numpy add, mul, neg and inv tables for batched work.  A field
+object is immutable and cheap to share.
 
 Conventions (all deterministic, recorded in serialized output):
   * AUTO modulus = the monic primitive polynomial of degree n with the
@@ -22,6 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivideByZero, LogOfZero, NotPrime, ReducibleModulus
+
+# powers of the primitive element per block of the antilog table build
+_TABLE_BLOCK = 1 << 13
 
 
 def is_prime(m: int) -> bool:
@@ -192,30 +196,42 @@ class GF:
         raise ReducibleModulus("no primitive element")  # pragma: no cover
 
     def _build_tables(self):
-        """Antilog table by doubling, as rows of F_p digits: powers m..2m-1
-        of the primitive element g are powers 0..m-1 times the F_p matrix
-        of multiplication by g^m, which is squared at each step."""
+        """Antilog table in blocks of B powers of the primitive element g,
+        as rows of F_p digits, B the least power of two at or above
+        min(_TABLE_BLOCK, q - 1).  Powers 0..B-1 come by doubling: powers
+        m..2m-1 are powers 0..m-1 times the F_p matrix of multiplication
+        by g^m, which is squared at each step.  Each later block is the
+        block before it times the matrix of g^B, so the working set is
+        one B x n block besides the two tables."""
         p, n, q = self.p, self.n, self.order
         # row j holds the digits of g * z^j, so digits(x) @ mat = digits(x*g)
         mat = np.array([self._digits(self._mul_raw(self.primitive, p ** j))
                         for j in range(n)], dtype=np.int64)
         rows = np.zeros((1, n), dtype=np.int64)
         rows[0, 0] = 1
-        while len(rows) < q - 1:
+        while len(rows) < min(_TABLE_BLOCK, q - 1):
             rows = np.concatenate([rows, rows @ mat % p])
             mat = mat @ mat % p
+        block = len(rows)
+        weights = p ** np.arange(n, dtype=np.int64)
         # the smallest signed type that holds a code, as log[0] is -1;
         # sums of logs need a wider type
         dtype = np.min_scalar_type(-q)
-        codes = (rows[:q - 1] @ p ** np.arange(n, dtype=np.int64)).astype(dtype)
+        codes = np.empty(q - 1, dtype=dtype)
         log = np.full(q, -1, dtype=dtype)
-        log[codes] = np.arange(q - 1)
-        if (log[1:] < 0).any():
+        for lo in range(0, q - 1, block):
+            if lo:
+                rows = rows @ mat % p
+            part = codes[lo:lo + block]
+            part[:] = rows[:len(part)] @ weights
+            log[part] = np.arange(lo, lo + len(part))
+        if log[1:].min() < 0:
             raise ReducibleModulus("primitive element order mismatch")  # pragma: no cover
         codes.flags.writeable = log.flags.writeable = False
         self.antilog_array, self.log_array = codes, log
-        self.antilog_table = codes.tolist()
-        self.log_table = log.tolist()
+        # the scalar methods read the arrays through read-only views, which
+        # index to Python ints with no copy
+        self._antilog, self._log = memoryview(codes), memoryview(log)
 
     # -- public integer-code arithmetic ---------------------------------
 
@@ -250,19 +266,19 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.antilog_table[(self.log_table[a] + self.log_table[b]) % (self.order - 1)]
+        return self._antilog[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivideByZero("inverse of zero")
-        return self.antilog_table[(-self.log_table[a]) % (self.order - 1)]
+        return self._antilog[(-self._log[a]) % (self.order - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise DivideByZero("negative power of zero")
             return 1 if e == 0 else 0
-        return self.antilog_table[(self.log_table[a] * e) % (self.order - 1)]
+        return self._antilog[(self._log[a] * e) % (self.order - 1)]
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
@@ -270,10 +286,10 @@ class GF:
     def log(self, a: int) -> int:
         if a == 0:
             raise LogOfZero("discrete log of zero")
-        return self.log_table[a]
+        return self._log[a]
 
     def antilog(self, e: int) -> int:
-        return self.antilog_table[e % (self.order - 1)]
+        return self._antilog[e % (self.order - 1)]
 
     def tables(self) -> tuple[np.ndarray, ...]:
         """(add, mul, neg, inv) over all codes, in the smallest unsigned

@@ -98,6 +98,28 @@ def test_malformed_bundles_rejected(mangle):
         bundle.load_bundle(doc)
 
 
+@pytest.mark.parametrize("g, part", [
+    (geom.affine(2, 9), "field"),
+    (geom.projective(2, 3), "field"),
+    (geom.projective(2, 3), "labeling"),
+    (geom.projective(2, 4), "labeling"),
+])
+def test_header_primitive_must_be_the_fields(g, part):
+    # the labelling field's primitive fixes the Singer labels, so another
+    # one would reinterpret every permutation; an absent key is accepted
+    doc = json.loads(json.dumps(bundle.bundle_dict([standard(g), standard(g)])))
+    desc = doc["header"][part]
+    right = desc["primitive"]
+    for wrong in ([(c + 1) % desc["p"] for c in right], right + [0],
+                  [bool(c) for c in right], "x", None):
+        desc["primitive"] = wrong
+        with pytest.raises(MalformedBundle, match="primitive"):
+            bundle.load_bundle(doc)
+    del desc["primitive"]
+    spaces, _ = bundle.load_bundle(doc)
+    assert spaces[0].geometry.same_as(g)
+
+
 def test_not_json_file(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{nope")

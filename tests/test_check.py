@@ -909,18 +909,40 @@ def test_family_key_budget_is_checked_before_packing(monkeypatch):
     fam = [check.standard(g), random_space(g, np.random.default_rng(3))]
     keys = len(fam) * g.line_count * check._c3(g.points_per_line)
     pairs = []
-    pair = check.is_k_orthogoval_pair
+    hit = check._least_hit
 
     def counting(*args):
         pairs.append(1)
-        return pair(*args)
-    monkeypatch.setattr(check, "is_k_orthogoval_pair", counting)
+        return hit(*args)
+    monkeypatch.setattr(check, "_least_hit", counting)
     monkeypatch.setattr(check, "_FAMILY_KEYS", keys)
     check.are_mutually_orthogoval(fam)
     assert pairs == []
     monkeypatch.setattr(check, "_FAMILY_KEYS", keys - 1)
     check.are_mutually_orthogoval(fam)
     assert pairs == [1]
+
+
+def test_pairwise_fallback_builds_one_line_index_per_space(monkeypatch):
+    # space i's index serves every j > i, so a 4-space family builds 3
+    # indices for its 6 pairs, and a pair of two multipliers builds none
+    calls = []
+    index = check._line_index
+
+    def counting(space):
+        calls.append(space)
+        return index(space)
+    monkeypatch.setattr(check, "_FAMILY_KEYS", 0)
+    monkeypatch.setattr(check, "_line_index", counting)
+    g = geom.projective(3, 2)
+    rng = np.random.default_rng(5)
+    fam = [random_space(g, rng) for _ in range(4)]
+    assert check.are_mutually_orthogoval(fam).witness == family_reference(fam)
+    assert calls == fam[:3]
+    calls.clear()
+    fam = [random_space(g, rng), check.standard(g), phi_space(g, 2)]
+    assert check.are_mutually_orthogoval(fam).witness == family_reference(fam)
+    assert calls == fam[:1]
 
 
 # ----------------------------------------------------------------------

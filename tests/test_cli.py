@@ -181,6 +181,22 @@ def test_verify_malformed_bundle(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 3
 
 
+def test_verify_refuses_a_header_primitive_the_field_does_not_have(
+        tmp_path, capsys):
+    import json
+    path = tmp_path / "c.json"
+    assert run(capsys, "construct", "char-p", "--p", "3", "--n", "2",
+               "--k", "3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    assert doc["header"]["field"]["primitive"] == [0, 1]
+    doc["header"]["field"]["primitive"] = [0, 5]
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "verify", str(path), "--k", "3")
+    assert (code, stdout) == (3, "")
+    assert "MALFORMED_BUNDLE" in err and "primitive" in err
+    assert "Traceback" not in err
+
+
 def test_verify_non_utf8_bundle_exits_3(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"format_version": 1, "name": "\xe9"}')

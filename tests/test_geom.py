@@ -164,10 +164,10 @@ def loop_lines_through_origin(g):
     scalars = [g.embed(c) for c in range(1, g.q)]
     rows = []
     for j in range(1, N):
-        zj = ext.antilog_table[j]
+        zj = ext.antilog(j)
         members = [0, j]
         for s in scalars:
-            members.append(ext.log_table[ext.add(1, ext.mul(s, zj))] % N)
+            members.append(ext.log(ext.add(1, ext.mul(s, zj))) % N)
         if min(members[1:]) == j:
             rows.append(sorted(members))
     return np.array(rows, dtype=np.int32)

@@ -1,5 +1,7 @@
 """Field arithmetic against independent oracles and algebraic laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,19 +180,22 @@ def sequential_tables(f):
                          + [(3, n) for n in range(1, 8)] + [(5, 5)])
 def test_doubled_tables_match_sequential_walk(p, n):
     f = gf.field_create(p, n)
-    assert (f.antilog_table, f.log_table) == sequential_tables(f)
-    assert f.antilog_array.tolist() == f.antilog_table
-    assert f.log_array.tolist() == f.log_table
+    antilog, log = sequential_tables(f)
+    assert (f.antilog_array.tolist(), f.log_array.tolist()) == (antilog, log)
+    assert [f.antilog(e) for e in range(f.order - 1)] == antilog
+    assert [f.log(a) for a in range(1, f.order)] == log[1:]
 
 
 @pytest.mark.parametrize("p, n, dtype", [
     (2, 7, np.int8), (2, 8, np.int16), (3, 9, np.int16), (2, 16, np.int32)])
 def test_table_arrays_are_read_only_in_the_least_signed_type(p, n, dtype):
     f = gf.field_create(p, n)
-    for table, array in ((f.antilog_table, f.antilog_array),
-                         (f.log_table, f.log_array)):
+    for array in (f.antilog_array, f.log_array):
         assert array.dtype == dtype and not array.flags.writeable
-        assert array.tolist() == table
+        with pytest.raises(ValueError):
+            array[1] = 1
+    assert f.antilog_array.tolist() == [f.antilog(e) for e in range(f.order - 1)]
+    assert f.log_array[1:].tolist() == [f.log(a) for a in range(1, f.order)]
     assert f.log_array[0] == -1
     assert f.antilog_array.max() == f.order - 1
 
@@ -203,4 +208,43 @@ def test_table_arrays_are_read_only_in_the_least_signed_type(p, n, dtype):
 def test_doubled_tables_with_a_primitive_other_than_z(p, n, modulus, primitive):
     f = gf.field_create(p, n, modulus)
     assert f.primitive == primitive != p
-    assert (f.antilog_table, f.log_table) == sequential_tables(f)
+    assert (f.antilog_array.tolist(), f.log_array.tolist()) == sequential_tables(f)
+
+
+PRIMITIVE_NOT_Z = [(2, 4, (1, 1, 1, 1, 1)), (3, 2, (1, 0, 1)),
+                   (2, 6, (1, 0, 0, 1, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 5), (3, 4), (5, 3),
+                                  (7, 2), *PRIMITIVE_NOT_Z])
+def test_blocked_tables_match_sequential_walk(monkeypatch, block, spec):
+    # blocks of 1, 2, 4 and 8 powers (3 and 5 round up to a power of
+    # two), most not dividing q - 1, so the last block is partial
+    monkeypatch.setattr(gf, "_TABLE_BLOCK", block)
+    f = gf.GF(*spec)
+    assert (f.antilog_array.tolist(), f.log_array.tolist()) == sequential_tables(f)
+
+
+@pytest.mark.parametrize("p, n", [(97, 3), (3, 13)])
+def test_table_build_memory_is_bounded_by_the_tables(p, n):
+    # the working set is one block of digits besides the two tables: the
+    # whole digit matrix of GF(3^13) would peak above 400 MB
+    tracemalloc.start()
+    try:
+        f = gf.GF(p, n)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = f.antilog_array.nbytes + f.log_array.nbytes
+    assert peak <= 2 * tables + (8 << 20)
+    assert tables <= kept <= tables + (1 << 20)
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (2, 8), (3, 9), (2, 16)])
+def test_scalar_methods_return_python_ints(p, n):
+    f = gf.field_create(p, n)
+    a, b = f.order - 1, 2
+    for value in (f.mul(a, b), f.inv(a), f.pow(a, 5), f.frobenius(a),
+                  f.log(a), f.antilog(7), f.add(a, b), f.sub(a, b), f.neg(a)):
+        assert type(value) is int
