@@ -449,7 +449,9 @@ def _load_checkpoint(cpath: str, task: dict, std: Space, candidates):
     try:
         with open(cpath) as fh:
             saved = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # a ValueError is undecodable bytes, bad JSON or an integer past
+        # Python's digit limit; nesting past the recursion limit is the last
         raise bad(f"unreadable: {exc}")
     if not isinstance(saved, dict) or saved.get("task") != task:
         raise bad(f"not a checkpoint of {task}; delete it to start over")

@@ -18,6 +18,7 @@ Conventions (all deterministic, recorded in serialized output):
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -105,7 +106,7 @@ class GF:
         if modulus is None:
             modulus = self._auto_modulus()
         else:
-            modulus = tuple(c % p for c in modulus)
+            modulus = tuple(operator.index(c) % p for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree n")
             if not _irreducible(modulus, p):
@@ -351,5 +352,8 @@ def _cached_field(p: int, n: int, modulus) -> GF:
 
 
 def field_create(p: int, n: int, modulus=AUTO) -> GF:
-    key = tuple(c % p for c in modulus) if modulus is not None else None
+    # integer coefficients only: 1.0 == 1, so a float modulus would share
+    # the integer one's cache key and leave its floats in that field
+    key = (tuple(operator.index(c) % p for c in modulus)
+           if modulus is not None else None)
     return _cached_field(p, n, key)

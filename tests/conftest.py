@@ -1,9 +1,12 @@
 """Shared test helpers."""
 
+import json
+
 import numpy as np
 import pytest
 
-from orthokit import check
+from orthokit import bundle, check
+from orthokit.errors import MalformedBundle
 
 
 def _translation_map(g, t_coords):
@@ -39,3 +42,34 @@ def assert_additive():
                     check.compose(perm, _translation_map(g, t)),
                     check.compose(_translation_map(g, image), perm))
     return check_map
+
+
+def _read_outcome(read):
+    """What a bundle read gives: the names, permutations and provenance,
+    or the class of its refusal."""
+    try:
+        spaces, prov = read()
+    except Exception as exc:
+        return type(exc)
+    return [s.name for s in spaces], [s.perm.tolist() for s in spaces], prov
+
+
+@pytest.fixture
+def assert_reads_like_json(tmp_path):
+    """Assert that ``read_bundle`` of a file holding ``text`` gives what
+    ``load_bundle(json.loads(text))`` gives, and return that."""
+    def check_text(text):
+        path = tmp_path / "read-like-json.json"
+        path.write_bytes(text.encode("utf-8"))
+
+        def oracle():
+            try:
+                data = json.loads(text)
+            except ValueError as exc:
+                raise MalformedBundle(str(exc))
+            return bundle.load_bundle(data)
+
+        want = _read_outcome(oracle)
+        assert _read_outcome(lambda: bundle.read_bundle(str(path))) == want
+        return want
+    return check_text

@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orthokit import bundle, geom
-from orthokit.build import build_phi_family, catalog_family, phi_space
+from orthokit import bundle, geom, gf
+from orthokit.build import (build_phi_family, catalog_family, catalog_names,
+                            phi_space)
 from orthokit.check import from_map, standard
 from orthokit.errors import MalformedBundle
 
@@ -118,6 +120,36 @@ def test_header_primitive_must_be_the_fields(g, part):
     del desc["primitive"]
     spaces, _ = bundle.load_bundle(doc)
     assert spaces[0].geometry.same_as(g)
+
+
+@pytest.mark.parametrize("part", ["field", "labeling"])
+def test_header_moduli_must_be_integer_lists(part):
+    g = geom.projective(2, 4)
+    doc = json.loads(json.dumps(bundle.bundle_dict([standard(g)])))
+    right = doc["header"][part]["modulus"]
+    for wrong in ([float(c) for c in right], [bool(c) for c in right],
+                  right[:-1] + [1.0], "x", {"0": 1}):
+        doc["header"][part]["modulus"] = wrong
+        with pytest.raises(MalformedBundle, match="moduli"):
+            bundle.load_bundle(doc)
+
+
+def test_refused_float_modulus_leaves_the_field_cache_as_it_was(tmp_path):
+    # 1.0 == 1, so a float labelling modulus once built a field cached
+    # under the integer key, and a later canonical read got its floats
+    g = geom.projective(2, 4)
+    text = bundle.canonical_json(bundle.bundle_dict([standard(g)]))
+    doc = json.loads(text)
+    doc["header"]["labeling"]["modulus"] = [
+        float(c) for c in doc["header"]["labeling"]["modulus"]]
+    (tmp_path / "float.json").write_text(json.dumps(doc))
+    (tmp_path / "canon.json").write_text(text)
+    gf._cached_field.cache_clear()
+    with pytest.raises(MalformedBundle, match="moduli"):
+        bundle.read_bundle(str(tmp_path / "float.json"))
+    spaces, prov = bundle.read_bundle(str(tmp_path / "canon.json"))
+    bundle.write_bundle(str(tmp_path / "again.json"), spaces, prov)
+    assert (tmp_path / "again.json").read_text() == text
 
 
 def test_not_json_file(tmp_path):
@@ -269,3 +301,169 @@ def test_mixed_cycle_and_permutation_spaces_read_back():
     spaces, _ = bundle.load_bundle(doc)
     assert [s.name for s in spaces] == ["c0", fam[1].name, "c2", fam[3].name]
     assert all(a.perm.tolist() == b.perm.tolist() for a, b in zip(fam, spaces))
+
+
+# ----------------------------------------------------------------------
+# read_bundle against the oracle load_bundle(json.loads(text))
+# ----------------------------------------------------------------------
+
+LAYOUTS = {
+    "canonical": bundle.canonical_json,
+    "json.dumps": json.dumps,
+    "indent=2": lambda doc: json.dumps(doc, indent=2),
+}
+FAMILIES = {name: lambda name=name: catalog_family(name)
+            for name in catalog_names()}
+FAMILIES["PG(6,3) phi x78"] = lambda: build_phi_family(3, 7, 25, 77)
+
+
+def _listed(doc, path=()):
+    """A document of ``bundle._parse`` as json.loads gives it: each int64
+    row made a list, where it must be a space's permutation."""
+    if isinstance(doc, np.ndarray):
+        assert path[::2] == ("spaces", "permutation"), path
+        assert doc.dtype == np.int64
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _listed(v, path + (k,)) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_listed(v, path + (i,)) for i, v in enumerate(doc)]
+    return doc
+
+
+def assert_parses_like_json(text):
+    """``bundle._parse(text)`` is ``json.loads(text)`` but for its int64
+    rows, down to key order and number types, or raises what it raises."""
+    def outcome(parse):
+        try:
+            return json.dumps(_listed(parse(text)))
+        except ValueError as exc:
+            return type(exc), str(exc)
+    assert outcome(bundle._parse) == outcome(json.loads)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reader_equals_oracle_on_every_family(assert_reads_like_json,
+                                              family, layout):
+    fam = FAMILIES[family]()
+    text = LAYOUTS[layout](bundle.bundle_dict(fam, {"construction": family}))
+    names, perms, prov = assert_reads_like_json(text)
+    assert names == [s.name for s in fam]
+    assert perms == [s.perm.tolist() for s in fam]
+    assert prov["construction"] == family
+    # every row took the numpy path
+    rows = [item["permutation"] for item in bundle._parse(text)["spaces"]]
+    assert all(type(row) is np.ndarray for row in rows)
+    assert_parses_like_json(text)
+
+
+@pytest.mark.parametrize("body, row", [
+    ("0", [0]), ("0,10,0", [0, 10, 0]), (" 1 ,\t2\r\n", [1, 2]),
+    ("1" * 18, [int("1" * 18)]),
+])
+def test_int_row_reads_plain_integers(body, row):
+    assert bundle._int_row(body).tolist() == row
+
+
+@pytest.mark.parametrize("body", [
+    "0,01", "00", "-0", "+1", "1 2", "1\n0", "", " ", "\n\n", "1,,2", ",1",
+    "1,", "1.0", "1e0", "NaN", '"1"', "[0]", "\uff11", "1\f2", "1" * 19,
+    "9" * 25,
+])
+def test_int_row_leaves_any_other_body_to_json(body):
+    # numpy would misread or half-read each of these
+    assert bundle._int_row(body) is None
+
+
+def _two_spaces():
+    g = geom.affine(2, 3)
+    return bundle.canonical_json(bundle.bundle_dict(
+        named([standard(g), standard(g)], ["a", "b"]), {"reference": "r"}))
+
+
+ROW = "[0,1,2,3,4,5,6,7,8]"
+FIRST = '{"name":"a","permutation":' + ROW + "}"
+
+
+def _row(new):
+    return lambda text: text.replace(ROW, new, 1)
+
+
+def _sub(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+RAW_EDITS = {
+    "leading zero": _row("[0,01,2,3,4,5,6,7,8]"),
+    "leading zero first": _row("[00,1,2,3,4,5,6,7,8]"),
+    "leading zero last": _row("[0,1,2,3,4,5,6,7,08]"),
+    "minus zero": _row("[-0,1,2,3,4,5,6,7,8]"),
+    "plus sign": _row("[0,+1,2,3,4,5,6,7,8]"),
+    "18 digits": _row("[0,1,2,3,4,5,6,7,100000000000000008]"),
+    "19 digits": _row("[0,1,2,3,4,5,6,7,1000000000000000008]"),
+    "19 digits in int64": _row("[0,1,2,3,4,5,6,7,9223372036854775807]"),
+    "25 digits": _row("[0,1,2,3,4,5,6,7,1000000000000000000000008]"),
+    "space inside an entry": _row("[0,1 2,3,4,5,6,7,8]"),
+    "newline before a comma": _row("[0,1,2,3,4,5,6,7\n,8]"),
+    "whitespace around entries": _row("[ 0 ,\t1,\r\n2 , 3,4,5,6,7,8\n ]"),
+    "whitespace split entry": _row("[0,1,2,3,4,5,6,7,1\n0]"),
+    "empty": _row("[]"),
+    "blank": _row("[ ]"),
+    "blank lines": _row("[\n\n]"),
+    "double comma": _row("[0,1,,2,3,4,5,6,7,8]"),
+    "leading comma": _row("[,0,1,2,3,4,5,6,7,8]"),
+    "trailing comma": _row("[0,1,2,3,4,5,6,7,8,]"),
+    "float": _row("[0,1.0,2,3,4,5,6,7,8]"),
+    "exponent": _row("[0,1e0,2,3,4,5,6,7,8]"),
+    "bool": _row("[0,true,2,3,4,5,6,7,8]"),
+    "NaN": _row("[0,NaN,2,3,4,5,6,7,8]"),
+    "Infinity": _row("[0,1,2,3,4,5,6,7,Infinity]"),
+    "a string holding a bracket": _row('[0,"]",2,3,4,5,6,7,8]'),
+    "nested": _row("[[0],1,2,3,4,5,6,7,8]"),
+    "full-width digit": _row("[0,\uff11,2,3,4,5,6,7,8]"),
+    "unclosed row": lambda text: text[:text.index(ROW) + 6],
+    "row as a string": _row('"0,1,2,3,4,5,6,7,8"'),
+    "duplicate permutation": _sub(FIRST, FIRST[:-1] + ',"permutation":'
+                                  + "[1,0,2,3,4,5,6,7,8]}"),
+    "duplicate spaces, the last kept": _sub('"spaces":[',
+                                            '"spaces":[],"spaces":['),
+    "duplicate spaces, empty last": lambda text: text[:-2] + ',"spaces":[]}\n',
+    "permutation in the provenance":
+        _sub('"provenance":{', '"provenance":{"permutation":[0,1],'),
+    "permutation in the header": _sub('"header":{',
+                                      '"header":{"permutation":[0,1],'),
+    "escaped key": _sub('"permutation"', '"permut\\u0061tion"'),
+    "non-ASCII name": _sub('"name":"a"', '"name":"\u00ebλ→ℤ"'),
+    "tab in a name": _sub('"name":"a"', '"name":"a\tb"'),
+    "space not an object": _sub(FIRST, ROW),
+    "spaces not a list":
+        lambda text: text[:text.index('"spaces":')] + '"spaces":{}}',
+    "trailing data": lambda text: text + "x",
+    "trailing object": lambda text: text + "{}",
+    "trailing whitespace": lambda text: text + " \n\t",
+    "leading whitespace": lambda text: "\r\n " + text,
+    "byte order mark": lambda text: "\ufeff" + text,
+    "truncated": lambda text: text[:-10],
+    "empty text": lambda text: "",
+    "root a list": lambda text: "[" + text + "]",
+    "integer past the digit limit": _sub('"reference":"r"',
+                                         '"reference":' + "1" * 5000),
+}
+
+
+@pytest.mark.parametrize("edit", RAW_EDITS)
+def test_reader_equals_oracle_on_raw_text(assert_reads_like_json, edit):
+    text = RAW_EDITS[edit](_two_spaces())
+    assert text != _two_spaces()
+    assert_reads_like_json(text)
+    assert_parses_like_json(text)
+
+
+def test_nesting_past_the_recursion_limit_is_malformed(tmp_path):
+    path = tmp_path / "deep.json"
+    text = _two_spaces()
+    path.write_text(text.replace('"reference":"r"',
+                                 '"reference":' + "[" * 200_000))
+    with pytest.raises(MalformedBundle, match="recursion"):
+        bundle.read_bundle(str(path))

@@ -230,6 +230,32 @@ def test_construct_out_below_a_file_exits_3(tmp_path, capsys):
     assert err.startswith("error: ") and str(taken) in err
 
 
+DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{}"),
+    ("bound", "--kind", "affine", "--dim", "2", "--q", "3", "{}"),
+], ids=["verify", "bound"])
+def test_bundle_nested_past_the_recursion_limit_exits_3(tmp_path, capsys,
+                                                        argv):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code, stdout, err = run(capsys, *(a.format(path) for a in argv))
+    assert (code, stdout) == (3, "")
+    assert "MALFORMED_BUNDLE" in err and "Traceback" not in err
+
+
+def test_checkpoint_nested_past_the_recursion_limit_exits_3(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ORTHOKIT_CHECKPOINT_DIR", str(tmp_path))
+    (tmp_path / "half-dim-2-3.json").write_text(DEEP)
+    code, stdout, err = run(capsys, "search", "half-dim", "--dim", "2",
+                            "--q", "3")
+    assert (code, stdout) == (3, "")
+    assert "MALFORMED_CHECKPOINT" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind,key,value", [
     ("projective", "dim", "4"),
     ("projective", "dim", 0),
@@ -543,12 +569,14 @@ def phi_bundle_doc():
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=FUZZ_EDITS)
-def test_mutated_bundle_gives_a_verdict_or_exit_3(phi_bundle_doc, tmp_path, edits):
+def test_mutated_bundle_gives_a_verdict_or_exit_3(phi_bundle_doc, tmp_path,
+                                                 assert_reads_like_json, edits):
     doc = json.loads(json.dumps(phi_bundle_doc))
     for edit in edits:
         _mutate(doc, edit)
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc))
+    assert_reads_like_json(path.read_text())
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["verify", str(path)])

@@ -165,6 +165,17 @@ def test_field_identity_is_cached():
     assert gf.field_create(2, 4) == gf.GF(2, 4)
 
 
+def test_modulus_coefficients_must_be_integers():
+    # 1.0 == 1: a float modulus would share the integer one's cache key
+    int_modulus = gf.field_create(2, 2).modulus
+    for make in (gf.field_create, gf.GF):
+        with pytest.raises(TypeError):
+            make(2, 2, [float(c) for c in int_modulus])
+    f = gf.field_create(2, 2, list(int_modulus))
+    assert f is gf.field_create(2, 2, int_modulus)
+    assert set(map(type, f.modulus)) == {int}
+
+
 def sequential_tables(f):
     """Antilog and log tables from one _mul_raw step per power."""
     antilog, log = [], [-1] * f.order
