@@ -47,22 +47,33 @@ PG(4,3)'s planes takes 18 ms (was 0.96 s), and PG(4,5)'s take 3.2 s.
 
 Singer reduction.  When every space is projective and its permutation
 is x -> u*x + c (mod N) on the Singer labels, as the power maps are,
-both k=2 deciders (pair and family) take the family path, one sort of
-all the spaces' keys, on only the triples through point 0.  Such a
-space's lines are u times the standard lines, and the Singer cycle
-x -> x+1 permutes them, so a triple (a, b, c) colinear in two such
-spaces shifts to (0, b-a, c-a), also colinear in both and no larger as
-a key.  The least shared triple thus always starts with 0 and
-the verdicts and witnesses are those of the full index, from
-(N-1)(q-1)/2 keys per space.  The form is read from the permutation
-itself; any other family, and any k != 2, takes the paths above.
+both k=2 deciders (pair and family) decide it by the ratios of the
+multipliers and pack keys only to find a witness.  Such a space's lines
+are u times the standard lines (the Singer cycle x -> x+1 permutes them,
+so c does not matter), and x -> x/u_i carries the pair (u_i S, u_j S)
+onto (S, (u_j/u_i) S).  So the family holds exactly when every ratio
+u_j/u_i lies in O, the units u for which x -> u*x is an orthomorphism.
+O is closed under u -> p*u, p the characteristic, as x -> p*x is the
+Frobenius collineation z -> z^p, which fixes the standard line set; and
+under u -> 1/u, as the relation is symmetric.  The ratios are marked in
+one boolean array of N entries and ``is_multiplier_orthomorphism`` is
+called once per orbit of the marked ones: 39 calls for the 77 ratios of
+the 78-space PG(6,3) power chain.  A ratio of 1, a repeated multiplier,
+is not in O.  Only a family with a ratio outside O goes on to the keys:
+the family path, one sort of all the spaces' keys, on only the triples
+through point 0.  A triple (a, b, c) colinear in two such spaces shifts
+to (0, b-a, c-a), also colinear in both and no larger as a key.  The
+least shared triple thus always starts with 0 and the witnesses are
+those of the full index, from (N-1)(q-1)/2 keys per space.  The form is
+read from the permutation itself; any other family, and any k != 2,
+takes the paths above.
 One multiplier x -> u*x against the standard space needs no keys: its
 lines through 0 are u times the standard ones, so it fails exactly when
 two points of one standard line through 0 go under u onto one standard
 line through 0.  ``is_multiplier_orthomorphism`` gathers the through-0
 line ids of the u-images of every standard line through 0 and looks for
-a repeat in a row; it gives the verdict only, and the pair decider's
-Singer path is its oracle.
+a repeat in a row; it gives the verdict only, and the Singer key index,
+``_least_shared_triple`` on the pair's keys through 0, is its oracle.
 
 Askew pairs run off one batched rank.  A line is in general position in
 the other space when every min(|line|, dim+1)-subset of its preimages,
@@ -97,8 +108,8 @@ from .geom import PROJECTIVE, Geometry
 _TRIPLE_CACHE_LIMIT = 2_000_000
 # matrix entries per working array of the askew decider
 _ASKEW_CHUNK = 1 << 20
-# block ids per working array of the block-pair scan, and point-pair ids
-# per working array of the pair decider
+# block ids per working array of the block-pair scan, point-pair ids per
+# working array of the pair decider, and ratios per block of the ratio path
 _OVERLAP_CHUNK = 1 << 20
 # packed keys (8 bytes each) a k=2 family's triple index may hold; past
 # it, the family is decided pair by pair
@@ -116,14 +127,19 @@ class Space:
     _triples: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        # the one permutation check, bundle reads included: integers only
-        # (a float or bool map is refused, not rounded), sorting to
-        # 0..n-1; kept as a private read-only int64 copy, so the cached
-        # triples cannot go stale
+        # the one permutation check, bundle reads included, in O(n):
+        # integers only (a float or bool map is refused, not rounded), n
+        # of them in 0..n-1, each hit once; kept as a private read-only
+        # int64 copy, so the cached triples cannot go stale
         perm = np.array(self.perm)
         n = self.geometry.point_count
-        if perm.dtype.kind not in ("i", "u") or not np.array_equal(
-                np.sort(perm), np.arange(n)):
+        ok = (perm.dtype.kind in ("i", "u") and perm.shape == (n,)
+              and perm.min() >= 0 and perm.max() < n)
+        if ok:
+            hit = np.zeros(n, dtype=bool)
+            hit[perm] = True
+            ok = np.count_nonzero(hit) == n
+        if not ok:
             raise ValueError("map is not a permutation of the point indices")
         self.perm = perm.astype(np.int64, copy=False)
         self.perm.flags.writeable = False
@@ -216,21 +232,31 @@ def _singer_multiplier(space: Space):
         return None
     perm = space.perm
     n = len(perm)
-    c = int(perm[0])
-    u = (int(perm[1]) - c) % n
-    if np.array_equal(perm, (np.arange(n) * u + c) % n):
+    u = (int(perm[1]) - int(perm[0])) % n
+    # such a map steps by u mod N from each label to the next: the
+    # difference is u, or u - N where it wraps
+    step = perm[1:] - perm[:-1]
+    if np.logical_or(step == u, step == u - n).all():
         return u
     return None
 
 
-def _singer_keys(spaces: list[Space]):
-    """Each space's packed keys of its colinear triples through point 0,
-    unsorted, or None unless every space is x -> u*x + c (mod N).  The
-    lines through 0 of such a space are u times the standard ones, so
-    a triple (0, lo, hi) packs as lo*N + hi, its full-index key."""
+def _singer_multipliers(spaces: list[Space]):
+    """Each space's u, or None unless every space is x -> u*x + c (mod N)."""
     us = [_singer_multiplier(s) for s in spaces]
-    if None in us:
-        return None
+    return None if None in us else us
+
+
+def _singer_keys(spaces: list[Space], us=None):
+    """Each space's packed keys of its colinear triples through point 0,
+    unsorted, or None unless every space is x -> u*x + c (mod N); ``us``
+    are their multipliers when already read.  The lines through 0 of such
+    a space are u times the standard ones, so a triple (0, lo, hi) packs
+    as lo*N + hi, its full-index key."""
+    if us is None:
+        us = _singer_multipliers(spaces)
+        if us is None:
+            return None
     g = spaces[0].geometry
     n = g.point_count
     rest = g.lines_through_origin()[:, 1:].astype(np.uint64)
@@ -241,6 +267,45 @@ def _singer_keys(spaces: list[Space]):
         a, b = pts[:, i], pts[:, j]
         out.append((np.minimum(a, b) * np.uint64(n) + np.maximum(a, b)).ravel())
     return out
+
+
+def _ratios_pass(g: Geometry, us) -> bool:
+    """Whether every ratio u_j/u_i (i != j) of the multipliers ``us`` is
+    in O, the units u with ``is_multiplier_orthomorphism(g, u)``: one
+    decider call per orbit of the ratios under u -> p*u and u -> 1/u (see
+    the module docstring).  A repeated multiplier gives the ratio 1, which
+    is not in O."""
+    n = g.point_count
+    us = np.array(us, dtype=np.int64)
+    inv = np.array([pow(int(u), -1, n) for u in us], dtype=np.int64)
+    ratio = np.zeros(n, dtype=bool)
+    step = max(1, _OVERLAP_CHUNK // len(us))
+    for lo in range(0, len(us), step):
+        block = inv[lo:lo + step, None] * us % n
+        # u_i/u_i is no ratio: 0 marks it, and 0 is never a unit
+        block[np.arange(len(block)), np.arange(lo, lo + len(block))] = 0
+        ratio[block] = True
+    ratio[0] = False
+    powers = [1]
+    while powers[-1] * g.field.p % n != 1:
+        powers.append(powers[-1] * g.field.p % n)
+    powers = np.array(powers, dtype=np.int64)
+    for u in np.flatnonzero(ratio).tolist():
+        if not ratio[u]:
+            continue  # its orbit passed already
+        if not is_multiplier_orthomorphism(g, u):
+            return False
+        ratio[np.array([[u], [pow(u, -1, n)]]) * powers % n] = False
+    return True
+
+
+def _least_singer_triple(spaces: list[Space], g: Geometry, us):
+    """``_least_shared_triple`` for a family of spaces x -> u*x + c with
+    multipliers ``us``: None when every ratio passes, with no key packed;
+    else from the keys through point 0."""
+    if _ratios_pass(g, us):
+        return None
+    return _least_shared_triple(spaces, g, _singer_keys(spaces, us))
 
 
 def _line_of(space: Space, tri) -> tuple | None:
@@ -329,9 +394,9 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
         return Verdict(True)
     if k <= 1:
         return naive_k_orthogoval_pair(s, t, k)
-    keys = _singer_keys([s, t]) if k == 2 else None
-    if keys is not None:
-        witness = _least_shared_triple([s, t], g, keys)
+    us = _singer_multipliers([s, t]) if k == 2 else None
+    if us is not None:
+        witness = _least_singer_triple([s, t], g, us)
         if witness is None:
             return Verdict(True)
         return Verdict(False, {key: witness[key]
@@ -438,12 +503,14 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if k >= g.points_per_line:
         return Verdict(True)  # no two lines share more points than a line has
     if k == 2:
-        keys = _singer_keys(spaces)
-        if keys is None and len(spaces) * g.line_count * _c3(
+        us = _singer_multipliers(spaces)
+        if us is not None:
+            witness = _least_singer_triple(spaces, g, us)
+        elif len(spaces) * g.line_count * _c3(
                 g.points_per_line) > _FAMILY_KEYS:
             witness = _least_pairwise_triple(spaces)
         else:
-            witness = _least_shared_triple(spaces, g, keys)
+            witness = _least_shared_triple(spaces, g, None)
         return Verdict(witness is None, witness)
     for i, j in itertools.combinations(range(len(spaces)), 2):
         v = is_k_orthogoval_pair(spaces[i], spaces[j], k)
@@ -538,11 +605,14 @@ def is_multiplier_orthomorphism(g: Geometry, u: int) -> bool:
     n = g.point_count
     if math.gcd(u, n) != 1:
         raise ValueError(f"multiplier {u} is not a unit mod {n}")
-    rows = g.lines_through_origin()[:, 1:].astype(np.int64)
-    ids = g.origin_line_ids()[rows * (u % n) % n]
-    # a repeat in a row is a column equal to one further right
-    return not any((ids[:, i, None] == ids[:, i + 1:]).any()
-                   for i in range(ids.shape[1] - 1))
+    x = np.multiply(g.lines_through_origin()[:, 1:], u % n, dtype=np.int64)
+    x -= x // n * n  # x mod N: numpy divides by a scalar faster than % does
+    # row i: for each standard line through 0, the through-0 line of the
+    # image of its i-th nonzero point (rows contiguous, so compared fast)
+    ids = g.origin_line_ids()[x].T.copy()
+    # u fails when two images of one line lie on one line through 0
+    return not any(np.count_nonzero(ids[i] == ids[i + 1:])
+                   for i in range(len(ids) - 1))
 
 
 def in_general_position(space: Space, pts) -> bool:

@@ -3,6 +3,7 @@ line-pair oracle, the Singer-reduced k=2 path vs the triple index,
 askew and half-dimension checks, determinism."""
 
 import contextlib
+import functools
 import itertools
 import math
 
@@ -458,11 +459,31 @@ def test_space_refuses_a_map_that_is_not_integers(perm):
 
 
 @pytest.mark.parametrize("perm", [
+    np.arange(9, dtype=np.float64),
+    np.arange(9) < 9,
+    np.arange(8),
+    np.arange(10),
+    np.arange(9).reshape(3, 3),
+    np.array([-9] + list(range(1, 9))),
+    np.array(list(range(8)) + [9]),
+    np.array([0, 0] + list(range(2, 9))),
+    np.array(list(range(8)) + [2 ** 63], dtype=np.uint64),
+], ids=["float", "bool", "short", "long", "2-D", "negative", "too-large",
+        "duplicate", "uint64-2^63"])
+def test_space_refuses_a_map_that_is_not_a_permutation(perm):
+    # each refusal of the linear check: kind, shape, range, then a point
+    # hit twice; -9 would index point 0, the one missing
+    with pytest.raises(ValueError, match="not a permutation"):
+        check.from_map(geom.affine(2, 3), perm)
+
+
+@pytest.mark.parametrize("perm", [
     np.arange(9, dtype=np.int8)[::-1],
     np.arange(9, dtype=np.uint16)[::-1],
     np.arange(9, dtype=np.int64)[::-1],
+    np.arange(9, dtype=np.uint64)[::-1],
     list(range(9))[::-1],
-], ids=["int8", "uint16", "int64", "list"])
+], ids=["int8", "uint16", "int64", "uint64", "list"])
 def test_space_accepts_any_integer_map(perm):
     s = check.from_map(geom.affine(2, 3), perm)
     assert s.perm.dtype == np.int64
@@ -946,7 +967,120 @@ def test_pairwise_fallback_builds_one_line_index_per_space(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the multiplier decider against the pair decider and the line oracle
+# the ratio path: a family of spaces x -> u*x + c holds at k=2 exactly when
+# every ratio u_j/u_i is in O, decided once per orbit under u -> p*u, 1/u
+# ----------------------------------------------------------------------
+
+SEEDED_PROJECTIVE = ((1, 5), (2, 2), (2, 4), (3, 3), (4, 2), (4, 3), (4, 5))
+
+
+def _seeded_multiplier_cases(rng):
+    """Seeded pairs and three-space families of multiplier spaces, with
+    random shifts c, each with the triple-index reference witness."""
+    pairs, fams = [], []
+    for dim, q in SEEDED_PROJECTIVE:
+        g = geom.projective(dim, q)
+        for _ in range(6):
+            s, t = multiplier_space(g, rng), multiplier_space(g, rng)
+            pairs.append(((s, t), triple_reference(s, t)))
+        for _ in range(4):
+            fam = [multiplier_space(g, rng) for _ in range(3)]
+            fams.append((fam, family_reference(fam)))
+    return pairs, fams
+
+
+def test_passing_multiplier_families_pack_no_keys(monkeypatch):
+    rows = [build_phi_family(q, r, w, n)
+            for q, r, ws, n in BIG_SETS_TABLE for w in ws]
+    pairs, fams = _seeded_multiplier_cases(np.random.default_rng(20261020))
+    pairs = [pair for pair, ref in pairs if ref is None]
+    fams = [fam for fam, ref in fams if ref is None]
+    assert len(pairs) >= 5 and len(fams) >= 3
+
+    def boom(*args):
+        raise AssertionError("a passing multiplier family packed keys")
+    monkeypatch.setattr(check, "_singer_keys", boom)
+    with full_index_off():
+        for fam in rows + fams:
+            assert check.are_mutually_orthogoval(fam)
+        for s, t in pairs:
+            assert check.is_k_orthogoval_pair(s, t, 2)
+            assert check.is_k_orthogoval_pair(t, s, 2)
+
+
+def _failing_multiplier_families():
+    fams = [build_phi_family(*row) for row in OVER_LONG_CHAINS]
+    # a repeated multiplier under another shift: the ratio 1
+    g = geom.projective(4, 2)
+    n = g.point_count
+    fams.append([check.standard(g), phi_space(g, 3),
+                 check.from_map(g, (np.arange(n) * 3 + 5) % n)])
+    fams.append([check.from_map(g, (np.arange(n) + 7) % n), phi_space(g, 5),
+                 check.standard(g)])
+    _, seeded = _seeded_multiplier_cases(np.random.default_rng(20261021))
+    fams += [fam for fam, ref in seeded if ref is not None]
+    return fams
+
+
+def test_failing_multiplier_families_keep_the_index_witness(monkeypatch):
+    fams = _failing_multiplier_families()
+    assert len(fams) > 10
+    refs = [family_reference(fam, through_zero=True) for fam in fams]
+    packed = []
+    keys = check._singer_keys
+
+    def counting(spaces, us=None):
+        packed.append(1)
+        return keys(spaces, us)
+    monkeypatch.setattr(check, "_singer_keys", counting)
+    with full_index_off():
+        for fam, ref in zip(fams, refs):
+            assert ref is not None
+            packed.clear()
+            v = check.are_mutually_orthogoval(fam)
+            assert not v and v.witness == ref, fam
+            assert packed == [1]  # the keys are packed once, for the witness
+            i, j = ref["space_a"], ref["space_b"]
+            v = check.is_k_orthogoval_pair(fam[i], fam[j], 2)
+            assert not v
+            assert v.witness == {key: ref[key]
+                                 for key in ("triple", "line_a", "line_b")}
+
+
+def test_ratio_path_calls_the_decider_once_per_orbit(monkeypatch):
+    fam = build_phi_family(3, 7, 25, 77)
+    g = fam[0].geometry
+    n, p = g.point_count, g.field.p
+    us = [int(s.perm[1]) for s in fam]  # x -> u*x sends 1 to u
+    ratios = {us[j] * pow(us[i], -1, n) % n
+              for i, j in itertools.combinations(range(len(us)), 2)}
+    frobenius = [1]
+    while frobenius[-1] * p % n != 1:
+        frobenius.append(frobenius[-1] * p % n)
+
+    def orbit(u):
+        return frozenset(v * f % n for v in (u, pow(u, -1, n))
+                         for f in frobenius)
+
+    orbits = {orbit(u) for u in ratios}
+    assert (len(ratios), len(orbits)) == (77, 39)
+    calls = []
+    decide = check.is_multiplier_orthomorphism
+
+    def counting(g, u):
+        calls.append(u)
+        return decide(g, u)
+    monkeypatch.setattr(check, "is_multiplier_orthomorphism", counting)
+    assert check.are_mutually_orthogoval(fam)
+    assert len(calls) == len(orbits)
+    assert {orbit(u) for u in calls} == orbits
+    calls.clear()
+    assert check.is_k_orthogoval_pair(fam[3], fam[1], 2)
+    assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# the multiplier decider against the key index and the line oracle
 # ----------------------------------------------------------------------
 
 def _prime_powers(limit):
@@ -973,15 +1107,42 @@ def _multiplier_space(g, u):
     return check.from_map(g, np.arange(n) * u % n)
 
 
+@functools.lru_cache(maxsize=None)
+def _key_index_multipliers(d, q):
+    """The units u mod N whose x -> u*x shares no colinear triple with
+    the standard PG(d, q), by the pair decider's Singer key index: the
+    pair decider's own verdict comes from the multiplier decider."""
+    g = geom.projective(d, q)
+    std = check.standard(g)
+    out = set()
+    for u in _units(g.point_count):
+        pair = [std, _multiplier_space(g, u)]
+        if check._least_shared_triple(pair, g, check._singer_keys(pair)) is None:
+            out.add(u)
+    return frozenset(out)
+
+
 @pytest.mark.parametrize("d, q", MULTIPLIER_GEOMETRIES)
 def test_multiplier_decider_equals_pair_decider_on_every_unit(d, q):
     # units mod N, not build_phi_map's exponents: it refuses u = 12 on
     # PG(4, 3), a unit mod 121 but not mod 242
     g = geom.projective(d, q)
-    std = check.standard(g)
+    passing = _key_index_multipliers(d, q)
     for u in _units(g.point_count):
-        slow = check.is_k_orthogoval_pair(std, _multiplier_space(g, u), 2)
-        assert check.is_multiplier_orthomorphism(g, u) is bool(slow), u
+        assert check.is_multiplier_orthomorphism(g, u) is (u in passing), u
+
+
+@pytest.mark.parametrize("d, q", MULTIPLIER_GEOMETRIES)
+def test_multiplier_set_is_closed_under_frobenius_and_inversion(d, q):
+    # the two moves the ratio path makes: x -> p*x is the Frobenius
+    # collineation, so u and p*u give one space, and (S, uS) is carried
+    # onto (S, u^-1 S) by x -> u^-1 x; checked on the key index
+    g = geom.projective(d, q)
+    n, p = g.point_count, g.field.p
+    passing = _key_index_multipliers(d, q)
+    for u in _units(n):
+        assert (p * u % n in passing) is (u in passing), u
+        assert (pow(u, -1, n) in passing) is (u in passing), u
 
 
 @pytest.mark.parametrize("d, q", [
