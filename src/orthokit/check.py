@@ -66,7 +66,7 @@ to (0, b-a, c-a), also colinear in both and no larger as a key.  The
 least shared triple thus always starts with 0 and the witnesses are
 those of the full index, from (N-1)(q-1)/2 keys per space.  The form is
 read from the permutation itself; any other family, and any k != 2,
-takes the paths above.
+takes the paths above, but for the translation reduction below.
 One multiplier x -> u*x against the standard space needs no keys: its
 lines through 0 are u times the standard ones, so it fails exactly when
 two points of one standard line through 0 go under u onto one standard
@@ -74,6 +74,30 @@ line through 0.  ``is_multiplier_orthomorphism`` gathers the through-0
 line ids of the u-images of every standard line through 0 and looks for
 a repeat in a row; it gives the verdict only, and the Singer key index,
 ``_least_shared_triple`` on the pair's keys through 0, is its oracle.
+
+Translation reduction.  When both spaces of a pair, or every space of a
+k=2 family, are affine and x -> A(x) + c, A additive over F_p on the
+base-p digits of the point index (the char-p maps and their products),
+the lines through 0 decide.  Such a map has pi(x+v) = pi(x) + A(v), so
+its lines are the cosets of the subgroups A(L), L a standard line
+through 0, and its line set is kept by every translation.  For a pair,
+w = t^-1 . s is x -> A_w(x) + w(0), and the image under w of a standard
+line L through 0 is a coset of A_w(L): a standard line meets it either
+not at all or in as many points as the parallel line through 0 meets
+A_w(L).  So at any k >= 2 one gather of ``origin_line_ids`` at the
+A_w-images of the nonzero points of every standard line L through 0
+gives the verdict: the pair fails exactly when an id repeats k or more
+times in a row.  A passing pair returns; a failing one at k >= 3 takes
+the line index's witness.  At k=2 a shared triple (a, b, c) translates
+to (0, b-a, c-a), also shared and no larger as a key, so a failing
+pair, and any larger family, takes the family path on the keys through
+0 as the Singer reduction does: (q-1)(q-2)/2 keys per line through 0,
+2,548 per AG(3,9) space instead of 619,164.  The form is read from the
+permutation: A from the images of the basis points p^i, and the map it
+predicts is compared with the permutation in one pass.  A family past
+_FAMILY_KEYS reads every space's form once, and decides a pair of two
+multiplier spaces by its ratio and a pair of two translation spaces by
+the gather, packing keys only for a failing pair.
 
 Askew pairs run off one batched rank.  A line is in general position in
 the other space when every min(|line|, dim+1)-subset of its preimages,
@@ -87,9 +111,15 @@ which keeps every rank.  So only the images of the (N-1)/q standard
 lines through 0 are tested, and a failing pair needs no more: those
 lines are the first rows of ``lines()``, and a failing line's shift
 through 0 fails too, so the first failing line through 0 is the first
-failing line of all.  Any other pair scans every line in ``lines()``
-order.  Either way the witness is the first failing line, first space
-before second, as in the per-line oracle ``naive_askew_pair``.
+failing line of all.  With the ratio u = u_t/u_s, the second direction
+(lines of t in s) is the first with u replaced by 1/u, and x -> p*x, the
+Frobenius collineation, keeps the lines and every rank; so when 1/u is
+in u*<p> mod N, that is u^2 in <p>, the second direction is skipped.
+Every inversion pair, u = -1, qualifies.  The witness stays exact: a
+failing first direction returns before the second.  Any other pair
+scans every line in ``lines()`` order.  Either way the witness is the
+first failing line, first space before second, as in the per-line
+oracle ``naive_askew_pair``.
 
 All predicates are pure and deterministic.
 """
@@ -103,7 +133,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryMismatch, OddDimension
-from .geom import PROJECTIVE, Geometry
+from .geom import AFFINE, PROJECTIVE, Geometry
 
 _TRIPLE_CACHE_LIMIT = 2_000_000
 # matrix entries per working array of the askew decider
@@ -241,32 +271,110 @@ def _singer_multiplier(space: Space):
     return None
 
 
-def _singer_multipliers(spaces: list[Space]):
-    """Each space's u, or None unless every space is x -> u*x + c (mod N)."""
-    us = [_singer_multiplier(s) for s in spaces]
-    return None if None in us else us
+def _translation_offset(space: Space):
+    """c if the space's permutation is x -> A(x) + c on an affine
+    geometry, A additive over F_p on the base-p digits of the point
+    index, else None.  A is read off the images of the basis points p^i,
+    and the map it predicts is compared with the permutation in one pass."""
+    g = space.geometry
+    if g.kind != AFFINE:
+        return None
+    perm = space.perm
+    p, m = g.field.p, g.dim * g.field.n
+    if m > 1:
+        # most other maps are refused at once: digit by digit, the image
+        # of 1 + p must be pi(1) + pi(p) - pi(0)
+        z, x, y, xy = (int(perm[i]) for i in (0, 1, p, 1 + p))
+        for _ in range(m):
+            if (x + y - z - xy) % p:
+                return None
+            z, x, y, xy = z // p, x // p, y // p, xy // p
+    weights = p ** np.arange(m)
+    c, *images = _digits(perm[np.append(0, weights)], p, m)
+    a = (np.array(images) - c) % p
+    predicted = (_digits(np.arange(len(perm)), p, m) @ a + c) % p
+    if np.array_equal(predicted @ weights, perm):
+        return int(perm[0])
+    return None
+
+
+def _forms(spaces: list[Space]) -> list:
+    """Each space's form, read once from its permutation: on a projective
+    geometry the multiplier u of x -> u*x + c (mod N), on an affine one
+    the offset c of x -> A(x) + c; None for a space of neither form."""
+    if spaces[0].geometry.kind == PROJECTIVE:
+        return [_singer_multiplier(s) for s in spaces]
+    return [_translation_offset(s) for s in spaces]
+
+
+def _digits(x, p: int, m: int) -> np.ndarray:
+    """The m base-p digits of each entry of x, least significant first,
+    along a new last axis: the F_p coordinates of affine points."""
+    return np.asarray(x)[..., None] // p ** np.arange(m) % p
+
+
+def _linear_images(perm: np.ndarray, g: Geometry) -> np.ndarray:
+    """For a map x -> A(x) + c of an affine g, A(x) = perm[x] - perm[0]
+    (over F_p, digit by digit) at the nonzero points of every standard
+    line through 0, one row per line."""
+    p, m = g.field.p, g.dim * g.field.n
+    x = _digits(perm[g.lines_through_origin()[:, 1:]], p, m)
+    return (x - _digits(perm[0], p, m)) % p @ p ** np.arange(m)
+
+
+def _origin_keys(rest: np.ndarray, n: int) -> np.ndarray:
+    """Packed keys, unsorted, of the triples (0, a, b) of a space's lines
+    through 0, given as rows of their nonzero points: lo*N + hi, each
+    triple's full-index key."""
+    rest = rest.astype(np.uint64)
+    i, j = np.triu_indices(rest.shape[1], 1)
+    a, b = rest[:, i], rest[:, j]
+    return (np.minimum(a, b) * np.uint64(n) + np.maximum(a, b)).ravel()
 
 
 def _singer_keys(spaces: list[Space], us=None):
     """Each space's packed keys of its colinear triples through point 0,
     unsorted, or None unless every space is x -> u*x + c (mod N); ``us``
     are their multipliers when already read.  The lines through 0 of such
-    a space are u times the standard ones, so a triple (0, lo, hi) packs
-    as lo*N + hi, its full-index key."""
+    a space are u times the standard ones."""
     if us is None:
-        us = _singer_multipliers(spaces)
-        if us is None:
+        us = [_singer_multiplier(s) for s in spaces]
+        if None in us:
             return None
     g = spaces[0].geometry
     n = g.point_count
-    rest = g.lines_through_origin()[:, 1:].astype(np.uint64)
-    i, j = np.triu_indices(rest.shape[1], 1)
-    out = []
-    for u in us:
-        pts = rest * np.uint64(u) % np.uint64(n)
-        a, b = pts[:, i], pts[:, j]
-        out.append((np.minimum(a, b) * np.uint64(n) + np.maximum(a, b)).ravel())
-    return out
+    rest = g.lines_through_origin()[:, 1:].astype(np.int64)
+    return [_origin_keys(rest * u % n, n) for u in us]
+
+
+def _translation_keys(spaces: list[Space]):
+    """Each translation space's packed keys of its colinear triples
+    through point 0, unsorted.  Its lines through 0 are the subgroups
+    A(L) = s(L) - s(0), L a standard line through 0."""
+    g = spaces[0].geometry
+    return [_origin_keys(_linear_images(s.perm, g), g.point_count)
+            for s in spaces]
+
+
+def _translation_pair_passes(s: Space, t: Space, k: int) -> bool:
+    """Whether two translation spaces are k-orthogoval, 2 <= k < q (see
+    the module docstring): w = t^-1 . s is x -> A_w(x) + w(0), and the
+    pair fails exactly when A_w takes k nonzero points of one standard
+    line through 0 onto one standard line through 0."""
+    g = s.geometry
+    ids = g.origin_line_ids()[_linear_images(t.inverse()[s.perm], g)]
+    ids.sort(axis=1)
+    return not (ids[:, k - 1:] == ids[:, :ids.shape[1] - k + 1]).any()
+
+
+def _powers_of_p(g: Geometry) -> list[int]:
+    """The subgroup <p> of the units mod N, p the characteristic, as
+    1, p, p^2, ... mod N."""
+    n, p = g.point_count, g.field.p
+    powers = [1]
+    while powers[-1] * p % n != 1:
+        powers.append(powers[-1] * p % n)
+    return powers
 
 
 def _ratios_pass(g: Geometry, us) -> bool:
@@ -286,10 +394,7 @@ def _ratios_pass(g: Geometry, us) -> bool:
         block[np.arange(len(block)), np.arange(lo, lo + len(block))] = 0
         ratio[block] = True
     ratio[0] = False
-    powers = [1]
-    while powers[-1] * g.field.p % n != 1:
-        powers.append(powers[-1] * g.field.p % n)
-    powers = np.array(powers, dtype=np.int64)
+    powers = np.array(_powers_of_p(g), dtype=np.int64)
     for u in np.flatnonzero(ratio).tolist():
         if not ratio[u]:
             continue  # its orbit passed already
@@ -306,6 +411,24 @@ def _least_singer_triple(spaces: list[Space], g: Geometry, us):
     if _ratios_pass(g, us):
         return None
     return _least_shared_triple(spaces, g, _singer_keys(spaces, us))
+
+
+def _least_translation_triple(spaces: list[Space], g: Geometry):
+    """``_least_shared_triple`` for a family of translation spaces, from
+    the keys through point 0; a pair that passes
+    ``_translation_pair_passes`` returns None with no key packed."""
+    if len(spaces) == 2 and _translation_pair_passes(*spaces, 2):
+        return None
+    return _least_shared_triple(spaces, g, _translation_keys(spaces))
+
+
+def _least_reduced_triple(spaces: list[Space], g: Geometry, forms):
+    """``_least_shared_triple`` for a family whose every space has a form
+    (``_forms``): by the ratios of the multipliers on a projective
+    geometry, from the lines through 0 on an affine one."""
+    if g.kind == PROJECTIVE:
+        return _least_singer_triple(spaces, g, forms)
+    return _least_translation_triple(spaces, g)
 
 
 def _line_of(space: Space, tri) -> tuple | None:
@@ -394,13 +517,17 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
         return Verdict(True)
     if k <= 1:
         return naive_k_orthogoval_pair(s, t, k)
-    us = _singer_multipliers([s, t]) if k == 2 else None
-    if us is not None:
-        witness = _least_singer_triple([s, t], g, us)
-        if witness is None:
-            return Verdict(True)
-        return Verdict(False, {key: witness[key]
-                               for key in ("triple", "line_a", "line_b")})
+    if k == 2:
+        forms = _forms([s, t])
+        if None not in forms:
+            witness = _least_reduced_triple([s, t], g, forms)
+            if witness is None:
+                return Verdict(True)
+            return Verdict(False, {key: witness[key]
+                                   for key in ("triple", "line_a", "line_b")})
+    elif (g.kind == AFFINE and None not in _forms([s, t])
+          and _translation_pair_passes(s, t, k)):
+        return Verdict(True)  # a failing pair takes the line index's witness
     ls, table = _line_index(s)
     lt = t.lines()
     best = _least_hit(table, lt, k, g.point_count)
@@ -503,12 +630,12 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if k >= g.points_per_line:
         return Verdict(True)  # no two lines share more points than a line has
     if k == 2:
-        us = _singer_multipliers(spaces)
-        if us is not None:
-            witness = _least_singer_triple(spaces, g, us)
+        forms = _forms(spaces)
+        if None not in forms:
+            witness = _least_reduced_triple(spaces, g, forms)
         elif len(spaces) * g.line_count * _c3(
                 g.points_per_line) > _FAMILY_KEYS:
-            witness = _least_pairwise_triple(spaces)
+            witness = _least_pairwise_triple(spaces, forms)
         else:
             witness = _least_shared_triple(spaces, g, None)
         return Verdict(witness is None, witness)
@@ -548,21 +675,22 @@ def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
     return _owners(spaces, tri)
 
 
-def _least_pairwise_triple(spaces: list[Space]):
+def _least_pairwise_triple(spaces: list[Space], forms):
     """``_least_shared_triple`` for a family whose triple index would not
     fit: the least of the pair deciders' k=2 witnesses, each the least
     triple its two spaces share, with its first two owners.  Space i's
     line index is built once for all j > i, and only one is alive at a
-    time; a pair of two multipliers keeps the Singer path."""
+    time; a pair of two spaces with a form (``forms``, read once by the
+    caller) keeps the reduced path."""
     g = spaces[0].geometry
     n = g.point_count
     best = None
     for i, s in enumerate(spaces):
         table = None
-        for t in spaces[i + 1:]:
-            keys = _singer_keys([s, t])
-            if keys is not None:
-                w = _least_shared_triple([s, t], g, keys)
+        for j in range(i + 1, len(spaces)):
+            t = spaces[j]
+            if forms[i] is not None and forms[j] is not None:
+                w = _least_reduced_triple([s, t], g, [forms[i], forms[j]])
                 tri = None if w is None else w["triple"]
             else:
                 if table is None:
@@ -644,9 +772,17 @@ def is_askew_pair(s: Space, t: Space) -> Verdict:
     g = _check_same_geometry([s, t])
     if _general_position_size(g) <= 2:
         return Verdict(True)  # two distinct points always have rank 2
-    singer = (_singer_multiplier(s) is not None
-              and _singer_multiplier(t) is not None)
-    for line_of, src, other in (("first", s, t), ("second", t, s)):
+    us = [_singer_multiplier(s), _singer_multiplier(t)]
+    singer = None not in us
+    directions = (("first", s, t), ("second", t, s))
+    if singer:
+        # the ratio u = u_t/u_s: when 1/u is in u*<p>, that is u^2 is in
+        # <p>, the second direction decides what the first does
+        n = g.point_count
+        u = us[1] * pow(us[0], -1, n) % n
+        if u * u % n in _powers_of_p(g):
+            directions = directions[:1]
+    for line_of, src, other in directions:
         if singer:
             # the first rows of src.lines(), sorted as it sorts them
             rows = np.sort(src.perm[g.lines_through_origin()], axis=1)

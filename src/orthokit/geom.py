@@ -32,7 +32,10 @@ indices, and flats(d) the one row of all points.
 Projective lines through point 0 come from one numpy pass over the
 labelling field's log tables, and every other line is one of their
 Singer shifts x -> x + m that does not wrap past N, with least point m.
-A table of N entries names the line through 0 of each point.
+Affine lines through 0 are the multiples {c v} of the normalised
+directions v, from the base field's log tables with no line enumerated;
+they are the first rows of lines().  On either kind a table of one
+entry per point names the line through 0 of each point.
 Echelon-built rows, each sorted, are put in lexicographic order by a
 sort on their first |(j-1)-flat| + 1 points, which no two distinct
 j-flats share.
@@ -250,37 +253,64 @@ class Geometry:
         return self._lines
 
     def lines_through_origin(self) -> np.ndarray:
-        """The lines of a projective space through point 0, as sorted
-        rows {0, j, log(1 + c z^j) mod N} over the nonzero scalars c, one
-        per line, in the order of their least nonzero point j.  The
-        Singer cycle x -> x+1 carries them onto every other line.
+        """The lines through point 0, as sorted rows, one per line, in the
+        order of their least nonzero point: the first rows of
+        :meth:`lines`.  Built once, read-only, after the cap check.
 
-        One numpy pass over the labelling field's log tables: the nonzero
-        scalars are the powers z^(N t), and adding 1 to a code steps only
-        its z^0 digit mod p.  Row j is kept when no other member is below
-        j."""
+        Projective: rows {0, j, log(1 + c z^j) mod N} over the nonzero
+        scalars c, kept at their least nonzero point j.  The Singer cycle
+        x -> x+1 carries them onto every other line.  One numpy pass over
+        the labelling field's log tables: the nonzero scalars are the
+        powers z^(N t), and adding 1 to a code steps only its z^0 digit
+        mod p.
+
+        Affine: rows {c v : c in F_q}, one per normalised direction v
+        (first nonzero coordinate 1), which is the row's least nonzero
+        point, in order of v's index.  The multiples c v come from the
+        base field's log tables.  The translations carry them onto every
+        other line."""
         if self._lines0 is None:
             self._check_cap()
-            ext = self.labeling_field
-            N, p = self.point_count, ext.p
-            j = np.arange(1, N)
-            # c z^j for c = z^(N t): exponents stay below q^(dim+1) - 1
-            cz = ext.antilog_array[np.arange(0, ext.order - 1, N)[:, None] + j]
-            # 1 + c z^j is never 0, as c z^j = -1 would put z^j in GF(q)
-            logs = ext.log_array[cz + np.where(cz % p == p - 1, 1 - p, 1)] % N
-            keep = logs.min(axis=0) >= j
-            rows = np.column_stack([np.zeros(keep.sum(), dtype=np.int64),
-                                    j[keep], logs[:, keep].T])
+            if self.kind == AFFINE:
+                rows = self._affine_lines_through_origin()
+            else:
+                rows = self._projective_lines_through_origin()
             rows.sort(axis=1)
             self._lines0 = rows.astype(np.int32)
             self._lines0.flags.writeable = False
         return self._lines0
 
+    def _projective_lines_through_origin(self) -> np.ndarray:
+        ext = self.labeling_field
+        N, p = self.point_count, ext.p
+        j = np.arange(1, N)
+        # c z^j for c = z^(N t): exponents stay below q^(dim+1) - 1
+        cz = ext.antilog_array[np.arange(0, ext.order - 1, N)[:, None] + j]
+        # 1 + c z^j is never 0, as c z^j = -1 would put z^j in GF(q)
+        logs = ext.log_array[cz + np.where(cz % p == p - 1, 1 - p, 1)] % N
+        keep = logs.min(axis=0) >= j
+        return np.column_stack([np.zeros(keep.sum(), dtype=np.int64),
+                                j[keep], logs[:, keep].T])
+
+    def _affine_lines_through_origin(self) -> np.ndarray:
+        q, d, f = self.q, self.dim, self.field
+        # the directions with i coordinates after the leading 1 have the
+        # indices q^i .. 2q^i - 1
+        v = np.concatenate([q ** i + np.arange(q ** i) for i in range(d)])
+        logs = f.log_array[_base_q_digits(v, q, d)].astype(np.int64)
+        # coordinate x of c v, c = g^t, is g^(t + log x), or 0 where x is
+        logs = logs[:, None, :]
+        multiples = np.where(logs < 0, 0, f.antilog_array[
+            (logs + np.arange(q - 1)[:, None]) % (q - 1)])
+        rows = np.zeros((len(v), q), dtype=np.int64)
+        rows[:, 1:] = _base_q_codes(multiples, q)
+        return rows
+
     def origin_line_ids(self) -> np.ndarray:
         """Entry x, for every point x != 0, is the row of
-        :meth:`lines_through_origin` holding x; entry 0, on every row,
-        is -1.  Built once, read-only, after the cap check of
-        :meth:`lines_through_origin`."""
+        :meth:`lines_through_origin` holding x, affine or projective;
+        entry 0, on every row, is -1.  Built once, read-only, after the
+        cap check of :meth:`lines_through_origin`."""
         if self._origin_ids is None:
             rows = self.lines_through_origin()
             ids = np.full(self.point_count, -1, dtype=np.int32)

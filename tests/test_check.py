@@ -15,6 +15,7 @@ from orthokit import check, geom
 from orthokit.build import (
     BIG_SETS_TABLE,
     build_char_p_pair,
+    build_product_family,
     build_phi_family,
     build_phi_map,
     phi_space,
@@ -655,6 +656,69 @@ def test_singer_askew_path_makes_no_rank_call_and_no_line_scan(monkeypatch, k, q
     assert calls == []
 
 
+# PG(d, q) with d even: the askew construction x -> -x lives here
+MIRROR_GEOMETRIES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8),
+                     (4, 2), (4, 3), (6, 2)]
+
+
+def _mirrored_units(g):
+    """The units u mod N with 1/u in u*<p>, p the characteristic."""
+    n, p = g.point_count, g.field.p
+    frobenius = {pow(p, j, n) for j in range(n)}
+    return [u for u in range(1, n) if math.gcd(u, n) == 1
+            and any(pow(u, -1, n) == u * f % n for f in frobenius)]
+
+
+@pytest.mark.parametrize("d, q", MIRROR_GEOMETRIES)
+def test_askew_directions_agree_on_every_mirrored_unit(d, q):
+    # the second direction of (S, uS) is the first of (S, u^-1 S), and
+    # x -> p*x keeps lines and ranks: so for every such unit both
+    # directions, each run on every line, give one verdict
+    g = geom.projective(d, q)
+    std = check.standard(g)
+    units = _mirrored_units(g)
+    assert g.point_count - 1 in units  # u = -1, the askew construction
+    for u in units:
+        t = _multiplier_space(g, u)
+        first = check._first_outside_general_position(std.lines(), t)
+        second = check._first_outside_general_position(t.lines(), std)
+        assert (first is None) is (second is None), u
+
+
+@pytest.mark.parametrize("k, q", ASKEW_ROWS)
+def test_askew_skips_the_mirror_direction_and_equals_naive(monkeypatch, k, q):
+    g = geom.projective(k, q)
+    n = g.point_count
+    rng = np.random.default_rng(n)
+    calls = []
+    scan = check._first_outside_general_position
+
+    def counting(rows, space):
+        calls.append(space)
+        return scan(rows, space)
+    monkeypatch.setattr(check, "_first_outside_general_position", counting)
+    mirrored = _mirrored_units(g)
+    for u in mirrored[:4] + [n - 1]:
+        # shifted on both sides: the shifts keep every rank
+        s = check.from_map(g, singer_shift(g, int(rng.integers(n))))
+        t = check.from_map(g, (np.arange(n) * u + rng.integers(n)) % n)
+        for a, b in ((s, t), (t, s)):
+            calls.clear()
+            assert_askew_equals_naive(a, b)
+            assert len(calls) == 1, u
+    # a passing pair whose ratio is not mirrored runs both directions;
+    # on PG(2, 2) every unit is mirrored
+    for u in _units(n):
+        if u not in mirrored and check.is_askew_pair(
+                check.standard(g), _multiplier_space(g, u)):
+            calls.clear()
+            assert_askew_equals_naive(check.standard(g), _multiplier_space(g, u))
+            assert len(calls) == 2, u
+            break
+    else:
+        assert (k, q) == (2, 2) and mirrored == _units(n)
+
+
 def test_half_dim_known_pair_ag23():
     g = geom.affine(2, 3)
     s = check.standard(g)
@@ -1211,3 +1275,184 @@ def test_odd_r_keeps_multiplier_orthomorphisms():
     units = _units(g.point_count)
     assert len(units) == 432
     assert sum(check.is_multiplier_orthomorphism(g, u) for u in units) == 189
+
+
+# ----------------------------------------------------------------------
+# translation reduction: affine spaces x -> A(x) + c, A additive over F_p
+# on the base-p digits of the point index
+# ----------------------------------------------------------------------
+
+# the benchmark's char-p pairs (p, n, k), and the AG(3, 9) one
+CHAR_P_ROWS = ((2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2),
+               (3, 1, 2), (3, 1, 3), (3, 2, 2), (3, 2, 3))
+TRANSLATION_GEOMETRIES = ((2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 3),
+                          (3, 4))
+
+
+def _fp_digits(g):
+    p, m = g.field.p, g.dim * g.field.n
+    weights = p ** np.arange(m)
+    return np.arange(g.point_count)[:, None] // weights % p, weights
+
+
+def linear_space(g, rng, shift=True):
+    """x -> A(x) + c on the base-p digits of the point index: A a seeded
+    invertible F_p matrix, c a seeded point, or 0 without ``shift``."""
+    digits, weights = _fp_digits(g)
+    p = g.field.p
+    c = digits[rng.integers(g.point_count)] if shift else 0
+    while True:
+        a = rng.integers(0, p, (len(weights), len(weights)))
+        image = (digits @ a + c) % p @ weights
+        if len(np.unique(image)) == g.point_count:
+            return check.from_map(g, image, name="linear")
+
+
+def translate(g, c):
+    """The standard space moved by the translation x -> x + c."""
+    digits, weights = _fp_digits(g)
+    return check.from_map(g, (digits + digits[c]) % g.field.p @ weights)
+
+
+def test_translation_form_is_read_from_the_permutation():
+    rng = np.random.default_rng(20261101)
+    accepted, refused = [], []
+    for p, n, k in CHAR_P_ROWS:
+        s, t, perm = build_char_p_pair(p, n, k)
+        accepted += [s, t]
+        if len(perm) > 4:  # every bijection of AG(2, 2) is affine
+            i, j = rng.choice(len(perm), 2, replace=False)
+            bad = perm.copy()
+            bad[[i, j]] = bad[[j, i]]
+            refused.append(check.from_map(s.geometry, bad))
+    s, t, _ = build_char_p_pair(3, 1, 2)
+    accepted += build_product_family([s, t], [t, s])
+    for d, q in TRANSLATION_GEOMETRIES:
+        g = geom.affine(d, q)
+        accepted += [linear_space(g, rng, False), linear_space(g, rng),
+                     translate(g, 5)]
+        refused.append(random_space(g, rng))
+    assert any(s.perm[0] for s in accepted)
+    for s in accepted:
+        assert check._translation_offset(s) == s.perm[0], s.name
+    for s in refused:
+        assert check._translation_offset(s) is None
+    # a projective space has no translation form
+    assert check._translation_offset(check.standard(geom.projective(2, 4))) is None
+
+
+def _translation_pairs(rng):
+    pairs = [build_char_p_pair(*row)[:2] for row in CHAR_P_ROWS]
+    for d, q in TRANSLATION_GEOMETRIES:
+        g = geom.affine(d, q)
+        std = check.standard(g)
+        pairs += [(linear_space(g, rng, False), linear_space(g, rng))
+                  for _ in range(3)]
+        pairs.append((std, linear_space(g, rng)))
+        # negative controls: a translate of the standard space, and a
+        # shifted linear space against a copy of itself
+        t = linear_space(g, rng)
+        pairs += [(std, translate(g, 7)), (t, check.from_map(g, t.perm))]
+    return pairs
+
+
+def test_translation_pair_verdict_equals_the_line_oracle():
+    outcomes = set()
+    for s, t in _translation_pairs(np.random.default_rng(20261102)):
+        g = s.geometry
+        assert check._translation_offset(t) is not None
+        for k in range(2, g.q):
+            fast = check.is_k_orthogoval_pair(s, t, k)
+            slow = check.naive_k_orthogoval_pair(s, t, k)
+            assert bool(fast) == bool(slow), (g, k)
+            # k = 2 takes the least shared triple, k >= 3 the line index's
+            # witness, which is the oracle's
+            if k == 2:
+                assert fast.witness == triple_reference(s, t), g
+            else:
+                assert fast.witness == slow.witness, (g, k)
+            outcomes.add((k == 2, bool(fast)))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _translation_families(rng):
+    fams = [list(build_char_p_pair(*row)[:2]) for row in CHAR_P_ROWS
+            if row[0] ** row[1] > 2]
+    # the product of two 2-orthogoval AG(2, 4) pairs, on AG(4, 4)
+    s, t, _ = build_char_p_pair(2, 2, 2)
+    fams.append(build_product_family([s, t], [t, s]))
+    for d, q in TRANSLATION_GEOMETRIES:
+        g = geom.affine(d, q)
+        for size in (2, 3, 4):
+            fams.append([linear_space(g, rng, i % 2 == 1) for i in range(size)])
+        fams.append([check.standard(g), linear_space(g, rng), translate(g, 3)])
+    return fams
+
+
+def test_translation_family_witnesses_equal_the_full_index():
+    fams = _translation_families(np.random.default_rng(20261103))
+    refs = [check._least_shared_triple(fam, fam[0].geometry, None)
+            for fam in fams]
+    outcomes = []
+    with full_index_off():
+        for fam, ref in zip(fams, refs):
+            v = check.are_mutually_orthogoval(fam)
+            assert bool(v) == (ref is None) and v.witness == ref, fam[0].geometry
+            outcomes.append(bool(v))
+    assert outcomes.count(True) >= 5 and outcomes.count(False) >= 20
+
+
+def test_translation_path_enumerates_no_lines(monkeypatch):
+    rng = np.random.default_rng(20261104)
+    s, t, _ = build_char_p_pair(3, 2, 3)
+    g = geom.affine(2, 9)
+    fam = [check.standard(g), linear_space(g, rng), linear_space(g, rng)]
+    ref = family_reference(fam)
+    assert ref is not None
+
+    def boom(*args):
+        raise AssertionError("the translation path enumerated lines")
+    monkeypatch.setattr(geom.Geometry, "lines", boom)
+    monkeypatch.setattr(geom.Geometry, "_echelon_flats", boom)
+    assert check.is_k_orthogoval_pair(s, t, 3)
+    v = check.are_mutually_orthogoval(fam)
+    assert not v and v.witness == ref
+
+
+def test_pairwise_fallback_reads_each_form_once(monkeypatch):
+    # [standard, power 3, random, power 5] on PG(4, 2): the three pairs of
+    # multipliers pass by their ratios and pack no key; only the pairs
+    # with the random space build a line index
+    g = geom.projective(4, 2)
+    fam = [check.standard(g), phi_space(g, 3),
+           random_space(g, np.random.default_rng(9)), phi_space(g, 5)]
+    ref = family_reference(fam)
+    assert ref is not None and 2 in (ref["space_a"], ref["space_b"])
+    reads, packed, hits = [], [], []
+
+    def counting(calls, f):
+        def wrapper(*args):
+            calls.append(args[0])
+            return f(*args)
+        return wrapper
+    monkeypatch.setattr(check, "_FAMILY_KEYS", 0)
+    monkeypatch.setattr(check, "_singer_multiplier",
+                        counting(reads, check._singer_multiplier))
+    monkeypatch.setattr(check, "_singer_keys", counting(packed, check._singer_keys))
+    monkeypatch.setattr(check, "_least_hit", counting(hits, check._least_hit))
+    v = check.are_mutually_orthogoval(fam)
+    assert not v and v.witness == ref
+    assert reads == fam and packed == [] and len(hits) == 3
+    # the same on AG(2, 9) with translation spaces: each form read once,
+    # and only the pairs with the random space take the line index
+    rng = np.random.default_rng(10)
+    s, t, _ = build_char_p_pair(3, 2, 2)
+    fam = [s, t, random_space(s.geometry, rng), linear_space(s.geometry, rng)]
+    ref = family_reference(fam)
+    reads.clear()
+    hits.clear()
+    monkeypatch.setattr(check, "_translation_offset",
+                        counting(reads, check._translation_offset))
+    v = check.are_mutually_orthogoval(fam)
+    assert not v and v.witness == ref
+    assert reads == fam and len(hits) == 3

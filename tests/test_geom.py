@@ -203,17 +203,45 @@ LINE_ORACLE_GEOMETRIES = [
 ]
 
 
-@pytest.mark.parametrize("make", [m for _, m in LINE_ORACLE_GEOMETRIES],
-                         ids=[name for name, _ in LINE_ORACLE_GEOMETRIES])
+# the lines through 0 and their table, on both kinds of geometry
+ORIGIN_GEOMETRIES = LINE_ORACLE_GEOMETRIES + [
+    (f"AG({d},{q})", functools.partial(geom.affine, d, q))
+    for d, q in ((1, 7), (2, 8), (2, 25), (3, 4), (3, 9), (4, 3))]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORIGIN_GEOMETRIES],
+                         ids=[name for name, _ in ORIGIN_GEOMETRIES])
 def test_lines_through_origin_equal_line_through(make):
     g = make()
     A = g.lines_through_origin()
     assert A.dtype == np.int32 and not A.flags.writeable
+    assert A is g.lines_through_origin()
     through = sorted({g.line_through(0, j) for j in range(1, g.point_count)},
                      key=lambda line: line[1])
     assert A.tolist() == [list(line) for line in through]
-    ref = loop_lines_through_origin(g)
+    if g.kind == "affine":
+        # the rows through 0 lead the lexsorted lines
+        lines = g.lines()
+        ref = lines[lines[:, 0] == 0]
+        assert (lines[:len(A)] == A).all()
+    else:
+        ref = loop_lines_through_origin(g)
     assert A.dtype == ref.dtype and A.shape == ref.shape and (A == ref).all()
+
+
+def test_affine_lines_through_origin_enumerate_no_line(monkeypatch):
+    # built from the field's log tables alone, with no q x q table
+    g = geom.affine(3, 9)
+
+    def boom(*args):
+        raise AssertionError("the lines through 0 enumerated lines")
+    monkeypatch.setattr(geom.Geometry, "lines", boom)
+    monkeypatch.setattr(geom.Geometry, "_echelon_flats", boom)
+    monkeypatch.setattr(type(g.field), "tables", boom)
+    A = g.lines_through_origin()
+    assert A.shape == ((9 ** 3 - 1) // 8, 9)
+    assert g.origin_line_ids()[A[:, 1:]].tolist() == [
+        [i] * 8 for i in range(len(A))]
 
 
 @pytest.mark.parametrize("make", [m for _, m in LINE_ORACLE_GEOMETRIES],
@@ -227,8 +255,8 @@ def test_projective_lines_equal_shift_sort_dedupe(make):
     assert (lines == ref).all()
 
 
-@pytest.mark.parametrize("make", [m for _, m in LINE_ORACLE_GEOMETRIES],
-                         ids=[name for name, _ in LINE_ORACLE_GEOMETRIES])
+@pytest.mark.parametrize("make", [m for _, m in ORIGIN_GEOMETRIES],
+                         ids=[name for name, _ in ORIGIN_GEOMETRIES])
 def test_origin_line_ids_name_the_line_through_0(make):
     g = make()
     ids = g.origin_line_ids()
