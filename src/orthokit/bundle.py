@@ -46,7 +46,7 @@ import numpy as np
 from . import geom
 from .check import Space, from_map, perm_from_cycles
 from .errors import MalformedBundle, OrthokitError
-from .gf import GF
+from .gf import GF, field_create
 
 FORMAT_VERSION = 1
 
@@ -156,7 +156,7 @@ def _geometry_from_header(header: dict) -> geom.Geometry:
         raise MalformedBundle("header field and labeling moduli must be "
                               "lists of integers")
     try:
-        field = GF(p, n, modulus=fdesc["modulus"])
+        field = field_create(p, n, fdesc["modulus"])
         g = geom.Geometry(kind, dim, field=field, labeling_modulus=modulus,
                           basis=basis)
         g._check_cap()

@@ -45,81 +45,69 @@ on a 2-core x86 box against the frozenset double loop it replaced: the
 AG(3,4) char-p pair passes k=2 in 0.3 ms (was 34 ms), a full scan of
 PG(4,3)'s planes takes 18 ms (was 0.96 s), and PG(4,5)'s take 3.2 s.
 
-Singer reduction.  When every space is projective and its permutation
-is x -> u*x + c (mod N) on the Singer labels, as the power maps are,
-both k=2 deciders (pair and family) decide it by the ratios of the
-multipliers and pack keys only to find a witness.  Such a space's lines
-are u times the standard lines (the Singer cycle x -> x+1 permutes them,
-so c does not matter), and x -> x/u_i carries the pair (u_i S, u_j S)
-onto (S, (u_j/u_i) S).  So the family holds exactly when every ratio
-u_j/u_i lies in O, the units u for which x -> u*x is an orthomorphism.
-O is closed under u -> p*u, p the characteristic, as x -> p*x is the
-Frobenius collineation z -> z^p, which fixes the standard line set; and
-under u -> 1/u, as the relation is symmetric.  The ratios are marked in
-one boolean array of N entries and ``is_multiplier_orthomorphism`` is
-called once per orbit of the marked ones: 39 calls for the 77 ratios of
-the 78-space PG(6,3) power chain.  A ratio of 1, a repeated multiplier,
-is not in O.  Only a family with a ratio outside O goes on to the keys:
-the family path, one sort of all the spaces' keys, on only the triples
-through point 0.  A triple (a, b, c) colinear in two such spaces shifts
-to (0, b-a, c-a), also colinear in both and no larger as a key.  The
-least shared triple thus always starts with 0 and the witnesses are
-those of the full index, from (N-1)(q-1)/2 keys per space.  The form is
-read from the permutation itself; any other family, and any k != 2,
-takes the paths above, but for the translation reduction below.
-One multiplier x -> u*x against the standard space needs no keys: its
-lines through 0 are u times the standard ones, so it fails exactly when
-two points of one standard line through 0 go under u onto one standard
-line through 0.  ``is_multiplier_orthomorphism`` gathers the through-0
-line ids of the u-images of every standard line through 0 and looks for
-a repeat in a row; it gives the verdict only, and the Singer key index,
-``_least_shared_triple`` on the pair's keys through 0, is its oracle.
-
-Translation reduction.  When both spaces of a pair, or every space of a
-k=2 family, are affine and x -> A(x) + c, A additive over F_p on the
-base-p digits of the point index (the char-p maps and their products),
-the lines through 0 decide.  Such a map has pi(x+v) = pi(x) + A(v), so
-its lines are the cosets of the subgroups A(L), L a standard line
-through 0, and its line set is kept by every translation.  For a pair,
-w = t^-1 . s is x -> A_w(x) + w(0), and the image under w of a standard
-line L through 0 is a coset of A_w(L): a standard line meets it either
-not at all or in as many points as the parallel line through 0 meets
-A_w(L).  So at any k >= 2 one gather of ``origin_line_ids`` at the
-A_w-images of the nonzero points of every standard line L through 0
-gives the verdict: the pair fails exactly when an id repeats k or more
-times in a row.  A passing pair returns; a failing one at k >= 3 takes
-the line index's witness.  At k=2 a shared triple (a, b, c) translates
-to (0, b-a, c-a), also shared and no larger as a key, so a failing
-pair, and any larger family, takes the family path on the keys through
-0 as the Singer reduction does: (q-1)(q-2)/2 keys per line through 0,
-2,548 per AG(3,9) space instead of 619,164.  The form is read from the
-permutation: A from the images of the basis points p^i, and the map it
-predicts is compared with the permutation in one pass.  A family past
-_FAMILY_KEYS reads every space's form once, and decides a pair of two
-multiplier spaces by its ratio and a pair of two translation spaces by
-the gather, packing keys only for a failing pair.
+Group reduction.  The Singer cycle x -> x+1 on the labels of PG (the
+group Z/N) and the translations of AG (F_p^m on the base-p digits of
+the point index, m = dim*n) act regularly and keep the standard line
+set.  A map has a form when it is x -> A(x) + c, A an automorphism of
+that group: x -> u*x on PG, u a unit mod N, as the power maps are; A
+additive over F_p on AG, as the char-p maps and their products are.
+Its lines are the shifts of A(L), L a standard line through 0, so the
+group keeps them too.  Relabelling both spaces by t^-1 keeps the
+relation, so (s, t) is k-orthogoval exactly when (standard, w) is,
+w = t^-1 . s.  When w has a form, two lines meeting in c points shift
+to two lines through 0 meeting in c points, so at any 2 <= k < |line|
+one gather of ``origin_line_ids`` at the A_w-images of the nonzero
+points of every standard line through 0 decides the pair: it fails
+exactly when k ids in a row are equal.  This also reaches pairs
+(h.s, h.t) that share any relabelling h.  The form is read from the
+permutation: on PG the multiplier u, by one comparison of consecutive
+labels; on AG the offset c, with A read off the images of the basis
+points p^i and the map it predicts compared with the permutation in
+one pass.  When s has a form as well, so does t = s . w^-1, and a
+failing pair's k=2 witness comes from the keys through 0: a triple
+(a, b, c) colinear in both shifts to (0, b-a, c-a), also colinear in
+both and no larger as a key, so the least shared triple is that of the
+full index, from (N-1)(q-1)/2 keys per PG space, or 2,548 per AG(3,9)
+space instead of 619,164.  Any other failing pair takes the line
+index's witness.  A k=2 family of spaces that all have a form holds,
+for a pair, when the gather on w passes; on PG, for 3 or more, when
+every ratio u_j/u_i of their multipliers lies in O, the units u for
+which x -> u*x is an orthomorphism, as x -> x/u_i carries
+(u_i S, u_j S) onto (S, (u_j/u_i) S).  O is closed under u -> p*u, p
+the characteristic, as x -> p*x is the Frobenius collineation
+z -> z^p; and under u -> 1/u, as the relation is symmetric.  The
+ratios are marked in one boolean array of N entries and
+``is_multiplier_orthomorphism``, the gather for w = x -> u*x, is
+called once per orbit of the marked ones: 39 calls for the 77 ratios
+of the 78-space PG(6,3) power chain.  A ratio of 1, a repeated
+multiplier, is not in O.  Any other such family, and one that fails,
+sorts the keys through 0 of all its spaces together.  A family past
+_FAMILY_KEYS reads every space's form once and takes each pair of two
+spaces with a form through the gather.  The key index,
+``_least_shared_triple`` on a pair's keys through 0, is the gather's
+oracle.
 
 Askew pairs run off one batched rank.  A line is in general position in
 the other space when every min(|line|, dim+1)-subset of its preimages,
 as homogeneous coordinates (affine points as (1, x)), has full rank
 over GF(q); all subsets of a chunk of lines go through one numpy
-Gaussian elimination on the field's tables.  The Singer reduction holds
-here too: when both spaces are x -> u*x + c, every line of one is a
-Singer shift of the image u*L + c of a standard line L through 0, and
-a shift moves the preimages in the other space by a Singer shift too,
-which keeps every rank.  So only the images of the (N-1)/q standard
-lines through 0 are tested, and a failing pair needs no more: those
-lines are the first rows of ``lines()``, and a failing line's shift
-through 0 fails too, so the first failing line through 0 is the first
-failing line of all.  With the ratio u = u_t/u_s, the second direction
-(lines of t in s) is the first with u replaced by 1/u, and x -> p*x, the
-Frobenius collineation, keeps the lines and every rank; so when 1/u is
-in u*<p> mod N, that is u^2 in <p>, the second direction is skipped.
-Every inversion pair, u = -1, qualifies.  The witness stays exact: a
-failing first direction returns before the second.  Any other pair
-scans every line in ``lines()`` order.  Either way the witness is the
-first failing line, first space before second, as in the per-line
-oracle ``naive_askew_pair``.
+Gaussian elimination on the field's tables.  The group reduction holds
+here too: when w = t^-1 . s has a form, the preimages in t of a line
+of s are the w-image of a standard line, a group shift of the image of
+a line through 0, and a shift is a collineation, which keeps every
+rank; w^-1 has a form as well.  So in either direction only the images
+of the standard lines through 0 are tested, and a failing pair needs
+no more: those lines are the first rows of ``lines()``, and a failing
+line's shift through 0 fails too, so the first failing line through 0
+is the first failing line of all.  On PG, with w's multiplier u, the
+second direction (lines of t in s) is the first with u replaced by
+1/u, and x -> p*x, the Frobenius collineation, keeps the lines and
+every rank; so when 1/u is in u*<p> mod N, that is u^2 in <p>, the
+second direction is skipped.  Every inversion pair, u = -1, qualifies.
+The witness stays exact: a failing first direction returns before the
+second.  Any other pair scans every line in ``lines()`` order.  Either
+way the witness is the first failing line, first space before second,
+as in the per-line oracle ``naive_askew_pair``.
 
 All predicates are pure and deterministic.
 """
@@ -133,7 +121,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryMismatch, OddDimension
-from .geom import AFFINE, PROJECTIVE, Geometry
+from .geom import PROJECTIVE, Geometry
 
 _TRIPLE_CACHE_LIMIT = 2_000_000
 # matrix entries per working array of the askew decider
@@ -255,12 +243,35 @@ def unpack_triple(key: int, n: int) -> tuple[int, int, int]:
     return (key // n, key % n, c)
 
 
-def _singer_multiplier(space: Space):
-    """u if the space's permutation is x -> u*x + c (mod N) on the
-    Singer labels of a projective geometry, else None."""
-    if space.geometry.kind != PROJECTIVE:
-        return None
-    perm = space.perm
+def _group(g: Geometry) -> tuple[int, int]:
+    """(M, m): the regular group keeping the standard lines of g is
+    (Z/M)^m on the base-M digits of the point index, the Singer cycle
+    (N, 1) on a projective g and the translations (p, dim*n) on an
+    affine one."""
+    if g.kind == PROJECTIVE:
+        return g.point_count, 1
+    return g.field.p, g.dim * g.field.n
+
+
+def _shift(x, y, g: Geometry, sign: int = 1):
+    """x + sign*y in the group of g (``_group``): mod N on a projective
+    g, digit by digit mod p on an affine one."""
+    mod, m = _group(g)
+    if m == 1:
+        return (x + sign * y) % mod
+    return (_digits(x, mod, m) + sign * _digits(y, mod, m)) % mod @ (
+        mod ** np.arange(m))
+
+
+def _digits(x, p: int, m: int) -> np.ndarray:
+    """The m base-p digits of each entry of x, least significant first,
+    along a new last axis: the F_p coordinates of affine points."""
+    return np.asarray(x)[..., None] // p ** np.arange(m) % p
+
+
+def _singer_multiplier(perm: np.ndarray, g: Geometry):
+    """u if perm is x -> u*x + c (mod N) on the Singer labels of a
+    projective g, else None."""
     n = len(perm)
     u = (int(perm[1]) - int(perm[0])) % n
     # such a map steps by u mod N from each label to the next: the
@@ -271,16 +282,12 @@ def _singer_multiplier(space: Space):
     return None
 
 
-def _translation_offset(space: Space):
-    """c if the space's permutation is x -> A(x) + c on an affine
-    geometry, A additive over F_p on the base-p digits of the point
-    index, else None.  A is read off the images of the basis points p^i,
-    and the map it predicts is compared with the permutation in one pass."""
-    g = space.geometry
-    if g.kind != AFFINE:
-        return None
-    perm = space.perm
-    p, m = g.field.p, g.dim * g.field.n
+def _translation_offset(perm: np.ndarray, g: Geometry):
+    """c if perm is x -> A(x) + c on an affine g, A additive over F_p on
+    the base-p digits of the point index, else None.  A is read off the
+    images of the basis points p^i, and the map it predicts is compared
+    with the permutation in one pass."""
+    p, m = _group(g)
     if m > 1:
         # most other maps are refused at once: digit by digit, the image
         # of 1 + p must be pi(1) + pi(p) - pi(0)
@@ -298,73 +305,49 @@ def _translation_offset(space: Space):
     return None
 
 
-def _forms(spaces: list[Space]) -> list:
-    """Each space's form, read once from its permutation: on a projective
-    geometry the multiplier u of x -> u*x + c (mod N), on an affine one
-    the offset c of x -> A(x) + c; None for a space of neither form."""
-    if spaces[0].geometry.kind == PROJECTIVE:
-        return [_singer_multiplier(s) for s in spaces]
-    return [_translation_offset(s) for s in spaces]
-
-
-def _digits(x, p: int, m: int) -> np.ndarray:
-    """The m base-p digits of each entry of x, least significant first,
-    along a new last axis: the F_p coordinates of affine points."""
-    return np.asarray(x)[..., None] // p ** np.arange(m) % p
+def _form(perm: np.ndarray, g: Geometry):
+    """The form of a map x -> A(x) + c of g (see the module docstring):
+    the multiplier u of x -> u*x + c on a projective g, the offset c on
+    an affine one; None for a map of no form."""
+    if g.kind == PROJECTIVE:
+        return _singer_multiplier(perm, g)
+    return _translation_offset(perm, g)
 
 
 def _linear_images(perm: np.ndarray, g: Geometry) -> np.ndarray:
-    """For a map x -> A(x) + c of an affine g, A(x) = perm[x] - perm[0]
-    (over F_p, digit by digit) at the nonzero points of every standard
-    line through 0, one row per line."""
-    p, m = g.field.p, g.dim * g.field.n
-    x = _digits(perm[g.lines_through_origin()[:, 1:]], p, m)
-    return (x - _digits(perm[0], p, m)) % p @ p ** np.arange(m)
+    """perm[x] - perm[0] in the group of g at the nonzero points x of
+    every standard line L through 0, one row per line: the nonzero points
+    of A(L) for a map x -> A(x) + c."""
+    return _shift(perm[g.lines_through_origin()[:, 1:]], perm[0], g, -1)
 
 
-def _origin_keys(rest: np.ndarray, n: int) -> np.ndarray:
-    """Packed keys, unsorted, of the triples (0, a, b) of a space's lines
-    through 0, given as rows of their nonzero points: lo*N + hi, each
-    triple's full-index key."""
-    rest = rest.astype(np.uint64)
-    i, j = np.triu_indices(rest.shape[1], 1)
-    a, b = rest[:, i], rest[:, j]
-    return (np.minimum(a, b) * np.uint64(n) + np.maximum(a, b)).ravel()
-
-
-def _singer_keys(spaces: list[Space], us=None):
-    """Each space's packed keys of its colinear triples through point 0,
-    unsorted, or None unless every space is x -> u*x + c (mod N); ``us``
-    are their multipliers when already read.  The lines through 0 of such
-    a space are u times the standard ones."""
-    if us is None:
-        us = [_singer_multiplier(s) for s in spaces]
-        if None in us:
-            return None
-    g = spaces[0].geometry
-    n = g.point_count
-    rest = g.lines_through_origin()[:, 1:].astype(np.int64)
-    return [_origin_keys(rest * u % n, n) for u in us]
-
-
-def _translation_keys(spaces: list[Space]):
-    """Each translation space's packed keys of its colinear triples
-    through point 0, unsorted.  Its lines through 0 are the subgroups
-    A(L) = s(L) - s(0), L a standard line through 0."""
-    g = spaces[0].geometry
-    return [_origin_keys(_linear_images(s.perm, g), g.point_count)
-            for s in spaces]
-
-
-def _translation_pair_passes(s: Space, t: Space, k: int) -> bool:
-    """Whether two translation spaces are k-orthogoval, 2 <= k < q (see
-    the module docstring): w = t^-1 . s is x -> A_w(x) + w(0), and the
-    pair fails exactly when A_w takes k nonzero points of one standard
-    line through 0 onto one standard line through 0."""
-    g = s.geometry
-    ids = g.origin_line_ids()[_linear_images(t.inverse()[s.perm], g)]
+def _origin_repeat(g: Geometry, images: np.ndarray, k: int) -> bool:
+    """Whether some row of ``images`` holds k points of one standard line
+    through 0, by a gather of ``origin_line_ids``."""
+    ids = g.origin_line_ids()[images]
+    if k == 2:
+        # row i: for each row of images, the through-0 line of its i-th
+        # point (rows contiguous, so compared fast)
+        ids = ids.T.copy()
+        return any(np.count_nonzero(ids[i] == ids[i + 1:])
+                   for i in range(len(ids) - 1))
     ids.sort(axis=1)
-    return not (ids[:, k - 1:] == ids[:, :ids.shape[1] - k + 1]).any()
+    return bool((ids[:, k - 1:] == ids[:, :ids.shape[1] - k + 1]).any())
+
+
+def _origin_keys(spaces: list[Space], g: Geometry) -> list[np.ndarray]:
+    """Each space's packed keys, unsorted, of its colinear triples
+    (0, a, b), for spaces that all have a form: their lines through 0
+    are the rows of ``_linear_images``.  lo*N + hi is the triple's
+    full-index key."""
+    n = np.uint64(g.point_count)
+    i, j = np.triu_indices(g.points_per_line - 1, 1)
+    out = []
+    for s in spaces:
+        rest = _linear_images(s.perm, g).astype(np.uint64)
+        a, b = rest[:, i], rest[:, j]
+        out.append((np.minimum(a, b) * n + np.maximum(a, b)).ravel())
+    return out
 
 
 def _powers_of_p(g: Geometry) -> list[int]:
@@ -404,48 +387,30 @@ def _ratios_pass(g: Geometry, us) -> bool:
     return True
 
 
-def _least_singer_triple(spaces: list[Space], g: Geometry, us):
-    """``_least_shared_triple`` for a family of spaces x -> u*x + c with
-    multipliers ``us``: None when every ratio passes, with no key packed;
-    else from the keys through point 0."""
-    if _ratios_pass(g, us):
-        return None
-    return _least_shared_triple(spaces, g, _singer_keys(spaces, us))
-
-
-def _least_translation_triple(spaces: list[Space], g: Geometry):
-    """``_least_shared_triple`` for a family of translation spaces, from
-    the keys through point 0; a pair that passes
-    ``_translation_pair_passes`` returns None with no key packed."""
-    if len(spaces) == 2 and _translation_pair_passes(*spaces, 2):
-        return None
-    return _least_shared_triple(spaces, g, _translation_keys(spaces))
-
-
 def _least_reduced_triple(spaces: list[Space], g: Geometry, forms):
     """``_least_shared_triple`` for a family whose every space has a form
-    (``_forms``): by the ratios of the multipliers on a projective
-    geometry, from the lines through 0 on an affine one."""
-    if g.kind == PROJECTIVE:
-        return _least_singer_triple(spaces, g, forms)
-    return _least_translation_triple(spaces, g)
+    (``forms``): None, with no key packed, when a pair's w = t^-1 . s
+    passes the gather or a projective family's ratios pass; else from the
+    keys through point 0."""
+    if len(spaces) == 2:
+        s, t = spaces
+        if not _origin_repeat(g, _linear_images(t.inverse()[s.perm], g), 2):
+            return None
+    elif g.kind == PROJECTIVE and _ratios_pass(g, forms):
+        return None
+    return _least_shared_triple(spaces, g, _origin_keys(spaces, g))
 
 
 def _line_of(space: Space, tri) -> tuple | None:
     """The line of ``space`` through the point triple, or None if the
     triple is not colinear in it: the standard line through the
-    preimages a and b, mapped back through the permutation.  On a
-    projective space that line is the Singer shift by a of the line
-    through 0 and b - a; on an affine one it is ``line_through``."""
+    preimages a and b, the shift by a of the line through 0 and b - a,
+    mapped back through the permutation."""
     inv = space.inverse()
     a, b, c = (int(inv[x]) for x in tri)
     g = space.geometry
-    if g.kind == PROJECTIVE:
-        n = g.point_count
-        line = ((g.lines_through_origin()[g.origin_line_ids()[(b - a) % n]]
-                 + a) % n).tolist()
-    else:
-        line = g.line_through(a, b)
+    through0 = g.origin_line_ids()[_shift(b, a, g, -1)]
+    line = _shift(g.lines_through_origin()[through0], a, g).tolist()
     if c not in line:
         return None
     return tuple(sorted(int(space.perm[x]) for x in line))
@@ -517,17 +482,17 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
         return Verdict(True)
     if k <= 1:
         return naive_k_orthogoval_pair(s, t, k)
-    if k == 2:
-        forms = _forms([s, t])
-        if None not in forms:
-            witness = _least_reduced_triple([s, t], g, forms)
-            if witness is None:
-                return Verdict(True)
+    w = t.inverse()[s.perm]
+    if _form(w, g) is not None:
+        # the pair is k-orthogoval exactly when (standard, w) is, and w's
+        # lines through 0 decide that (see the module docstring)
+        if not _origin_repeat(g, _linear_images(w, g), k):
+            return Verdict(True)
+        if k == 2 and _form(s.perm, g) is not None:
+            # t = s . w^-1 has a form too: the witness is through 0
+            witness = _least_shared_triple([s, t], g, _origin_keys([s, t], g))
             return Verdict(False, {key: witness[key]
                                    for key in ("triple", "line_a", "line_b")})
-    elif (g.kind == AFFINE and None not in _forms([s, t])
-          and _translation_pair_passes(s, t, k)):
-        return Verdict(True)  # a failing pair takes the line index's witness
     ls, table = _line_index(s)
     lt = t.lines()
     best = _least_hit(table, lt, k, g.point_count)
@@ -630,7 +595,7 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if k >= g.points_per_line:
         return Verdict(True)  # no two lines share more points than a line has
     if k == 2:
-        forms = _forms(spaces)
+        forms = [_form(s.perm, g) for s in spaces]
         if None not in forms:
             witness = _least_reduced_triple(spaces, g, forms)
         elif len(spaces) * g.line_count * _c3(
@@ -651,11 +616,11 @@ def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
     """The least triple colinear in two spaces of the family, with the
     first two such spaces and their lines through it, or None if there is
     no such triple.  No lesser triple is shared by those two, so this is
-    also their pair decider's witness.  ``keys`` is ``_singer_keys(spaces)``:
-    each space's keys through point 0, or None for every space's full
-    triple index.  All keys go into one buffer, sorted once, and its
-    least duplicate is the triple.  Each space's keys are packed once:
-    the owners come from :func:`_owners`."""
+    also their pair decider's witness.  ``keys`` is
+    ``_origin_keys(spaces, g)``, each space's keys through point 0, or
+    None for every space's full triple index.  All keys go into one
+    buffer, sorted once, and its least duplicate is the triple.  Each
+    space's keys are packed once: the owners come from :func:`_owners`."""
     if keys is None:
         per_space = g.line_count * _c3(g.points_per_line)
         keys = (s.triples() for s in spaces)
@@ -735,12 +700,8 @@ def is_multiplier_orthomorphism(g: Geometry, u: int) -> bool:
         raise ValueError(f"multiplier {u} is not a unit mod {n}")
     x = np.multiply(g.lines_through_origin()[:, 1:], u % n, dtype=np.int64)
     x -= x // n * n  # x mod N: numpy divides by a scalar faster than % does
-    # row i: for each standard line through 0, the through-0 line of the
-    # image of its i-th nonzero point (rows contiguous, so compared fast)
-    ids = g.origin_line_ids()[x].T.copy()
     # u fails when two images of one line lie on one line through 0
-    return not any(np.count_nonzero(ids[i] == ids[i + 1:])
-                   for i in range(len(ids) - 1))
+    return not _origin_repeat(g, x, 2)
 
 
 def in_general_position(space: Space, pts) -> bool:
@@ -772,18 +733,16 @@ def is_askew_pair(s: Space, t: Space) -> Verdict:
     g = _check_same_geometry([s, t])
     if _general_position_size(g) <= 2:
         return Verdict(True)  # two distinct points always have rank 2
-    us = [_singer_multiplier(s), _singer_multiplier(t)]
-    singer = None not in us
+    form = _form(t.inverse()[s.perm], g)
     directions = (("first", s, t), ("second", t, s))
-    if singer:
-        # the ratio u = u_t/u_s: when 1/u is in u*<p>, that is u^2 is in
-        # <p>, the second direction decides what the first does
+    if form is not None and g.kind == PROJECTIVE:
+        # w's multiplier u: when 1/u is in u*<p>, that is u^2 is in <p>,
+        # the second direction decides what the first does
         n = g.point_count
-        u = us[1] * pow(us[0], -1, n) % n
-        if u * u % n in _powers_of_p(g):
+        if form * form % n in _powers_of_p(g):
             directions = directions[:1]
     for line_of, src, other in directions:
-        if singer:
+        if form is not None:
             # the first rows of src.lines(), sorted as it sorts them
             rows = np.sort(src.perm[g.lines_through_origin()], axis=1)
         else:

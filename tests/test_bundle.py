@@ -467,3 +467,39 @@ def test_nesting_past_the_recursion_limit_is_malformed(tmp_path):
                                  '"reference":' + "[" * 200_000))
     with pytest.raises(MalformedBundle, match="recursion"):
         bundle.read_bundle(str(path))
+
+
+def test_repeated_reads_build_the_field_once(tmp_path, monkeypatch):
+    # the header's field comes from the field cache, so five reads of one
+    # AG(2,9) bundle build GF(9) once
+    from orthokit.build import build_char_p_pair
+    path = str(tmp_path / "ag29.json")
+    bundle.write_bundle(path, list(build_char_p_pair(3, 2, 2)[:2]))
+    built = []
+    init = gf.GF.__init__
+
+    def counting(self, p, n, modulus=None):
+        built.append((p, n))
+        init(self, p, n, modulus)
+    gf._cached_field.cache_clear()
+    monkeypatch.setattr(gf.GF, "__init__", counting)
+    for _ in range(5):
+        spaces, _ = bundle.read_bundle(path)
+        assert len(spaces) == 2
+    assert built == [(3, 2)]
+
+
+@pytest.mark.parametrize("modulus", [[1, 0, 1], [2, 1, 2], [2, 1]],
+                         ids=["reducible", "non-monic", "wrong-degree"])
+def test_bad_header_modulus_exits_3(tmp_path, capsys, modulus):
+    # x^2 + 1 = (x + 1)^2 over GF(2); a cached field never stands in for
+    # a modulus the field constructor refuses
+    from orthokit import cli
+    g = geom.affine(2, 4)
+    doc = json.loads(json.dumps(bundle.bundle_dict([standard(g), standard(g)])))
+    doc["header"]["field"]["modulus"] = modulus
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for _ in range(2):
+        assert cli.main(["verify", str(path)]) == 3
+        assert "malformed" in capsys.readouterr().err

@@ -1,5 +1,5 @@
 """Verification engines: fast triple-index checker vs the naive
-line-pair oracle, the Singer-reduced k=2 path vs the triple index,
+line-pair oracle, the group-reduced paths vs the triple index,
 askew and half-dimension checks, determinism."""
 
 import contextlib
@@ -119,8 +119,7 @@ def test_pair_witness_equals_least_shared_triple(kind, d, q):
         pairs.append(build_char_p_pair(g.field.p, 2, 2)[:2])
     for s, t in pairs:
         v = check.is_k_orthogoval_pair(s, t, 2)
-        ref = check._least_shared_triple([s, t], g,
-                                         check._singer_keys([s, t]))
+        ref = check._least_shared_triple([s, t], g, None)
         assert not v and ref is not None
         assert v.witness == {key: ref[key] for key in ("triple", "line_a", "line_b")}
 
@@ -216,7 +215,8 @@ def test_pair_decider_equals_dense_reference(monkeypatch, chunk, kind, d, q):
     outcomes = set()
     for s, t in ((std, random_space(g, rng)),
                  (random_space(g, rng), random_space(g, rng))):
-        assert check._singer_keys([s, t]) is None
+        # w = t^-1 . s has no form, so the line index decides
+        assert check._form(t.inverse()[s.perm], g) is None
         assert_pair_equals_dense_reference(s, t, outcomes)
     assert (2, False) in outcomes
 
@@ -915,7 +915,7 @@ def test_near_multiplier_maps_fall_back_to_the_full_index():
             bad = perm.copy()
             bad[[i, j]] = bad[[j, i]]
             t = check.from_map(g, bad)
-            assert check._singer_multiplier(t) is None
+            assert check._singer_multiplier(t.perm, g) is None
             s = check.standard(g)
             v = check.is_k_orthogoval_pair(s, t, 2)
             ref = triple_reference(s, t)
@@ -929,8 +929,8 @@ def test_near_multiplier_maps_fall_back_to_the_full_index():
 def test_cycle_catalog_family_falls_back_and_verifies():
     from orthokit.build import catalog_family
     fam = catalog_family("PG3_F2_X7")
-    assert any(check._singer_multiplier(s) is None for s in fam)
-    assert check._singer_keys(fam) is None
+    assert any(check._singer_multiplier(s.perm, s.geometry) is None
+               for s in fam)
     assert check.are_mutually_orthogoval(fam)
     assert family_reference(fam) is None
 
@@ -942,7 +942,7 @@ def test_failing_non_singer_family_builds_no_line_table(monkeypatch):
     swapped = np.arange(g.point_count)
     swapped[[0, 1]] = swapped[[1, 0]]
     fam = [phi_space(g, 3), check.from_map(g, swapped), check.standard(g)]
-    assert check._singer_multiplier(fam[1]) is None
+    assert check._singer_multiplier(fam[1].perm, g) is None
     ref = family_reference(fam)
 
     def boom(*args):
@@ -982,7 +982,7 @@ def test_pairwise_family_fallback_equals_the_triple_index(monkeypatch):
     monkeypatch.setattr(check, "_FAMILY_KEYS", 0)
     monkeypatch.setattr(check, "packed_triples", boom)
     for fam, v in zip(fams, want):
-        assert check._singer_keys(fam) is None
+        assert None in [check._form(s.perm, s.geometry) for s in fam]
         got = check.are_mutually_orthogoval(fam)
         assert got == v, fam[0].geometry
 
@@ -1063,7 +1063,7 @@ def test_passing_multiplier_families_pack_no_keys(monkeypatch):
 
     def boom(*args):
         raise AssertionError("a passing multiplier family packed keys")
-    monkeypatch.setattr(check, "_singer_keys", boom)
+    monkeypatch.setattr(check, "_origin_keys", boom)
     with full_index_off():
         for fam in rows + fams:
             assert check.are_mutually_orthogoval(fam)
@@ -1091,12 +1091,12 @@ def test_failing_multiplier_families_keep_the_index_witness(monkeypatch):
     assert len(fams) > 10
     refs = [family_reference(fam, through_zero=True) for fam in fams]
     packed = []
-    keys = check._singer_keys
+    keys = check._origin_keys
 
-    def counting(spaces, us=None):
+    def counting(spaces, g):
         packed.append(1)
-        return keys(spaces, us)
-    monkeypatch.setattr(check, "_singer_keys", counting)
+        return keys(spaces, g)
+    monkeypatch.setattr(check, "_origin_keys", counting)
     with full_index_off():
         for fam, ref in zip(fams, refs):
             assert ref is not None
@@ -1138,9 +1138,17 @@ def test_ratio_path_calls_the_decider_once_per_orbit(monkeypatch):
     assert check.are_mutually_orthogoval(fam)
     assert len(calls) == len(orbits)
     assert {orbit(u) for u in calls} == orbits
+    # a pair takes one gather on w = t^-1 . s, the multiplier u_3/u_1
+    gathers = []
+    repeat = check._origin_repeat
+
+    def gathering(g, images, k):
+        gathers.append(k)
+        return repeat(g, images, k)
+    monkeypatch.setattr(check, "_origin_repeat", gathering)
     calls.clear()
     assert check.is_k_orthogoval_pair(fam[3], fam[1], 2)
-    assert len(calls) == 1
+    assert gathers == [2] and calls == []
 
 
 # ----------------------------------------------------------------------
@@ -1181,7 +1189,7 @@ def _key_index_multipliers(d, q):
     out = set()
     for u in _units(g.point_count):
         pair = [std, _multiplier_space(g, u)]
-        if check._least_shared_triple(pair, g, check._singer_keys(pair)) is None:
+        if check._least_shared_triple(pair, g, check._origin_keys(pair, g)) is None:
             out.add(u)
     return frozenset(out)
 
@@ -1334,11 +1342,16 @@ def test_translation_form_is_read_from_the_permutation():
         refused.append(random_space(g, rng))
     assert any(s.perm[0] for s in accepted)
     for s in accepted:
-        assert check._translation_offset(s) == s.perm[0], s.name
+        assert check._translation_offset(s.perm, s.geometry) == s.perm[0], s.name
+        assert check._form(s.perm, s.geometry) == s.perm[0], s.name
     for s in refused:
-        assert check._translation_offset(s) is None
-    # a projective space has no translation form
-    assert check._translation_offset(check.standard(geom.projective(2, 4))) is None
+        assert check._translation_offset(s.perm, s.geometry) is None
+        assert check._form(s.perm, s.geometry) is None
+    # a projective space's form is its multiplier, not an offset
+    g = geom.projective(2, 4)
+    n = g.point_count
+    assert check._form(check.standard(g).perm, g) == 1
+    assert check._form((np.arange(n) * 2 + 3) % n, g) == 2
 
 
 def _translation_pairs(rng):
@@ -1360,7 +1373,7 @@ def test_translation_pair_verdict_equals_the_line_oracle():
     outcomes = set()
     for s, t in _translation_pairs(np.random.default_rng(20261102)):
         g = s.geometry
-        assert check._translation_offset(t) is not None
+        assert check._translation_offset(t.perm, g) is not None
         for k in range(2, g.q):
             fast = check.is_k_orthogoval_pair(s, t, k)
             slow = check.naive_k_orthogoval_pair(s, t, k)
@@ -1435,14 +1448,19 @@ def test_pairwise_fallback_reads_each_form_once(monkeypatch):
             calls.append(args[0])
             return f(*args)
         return wrapper
+
+    def read_once(fam):
+        # each space's own permutation, read once, in order
+        return (len(reads) == len(fam)
+                and all(r is s.perm for r, s in zip(reads, fam)))
     monkeypatch.setattr(check, "_FAMILY_KEYS", 0)
     monkeypatch.setattr(check, "_singer_multiplier",
                         counting(reads, check._singer_multiplier))
-    monkeypatch.setattr(check, "_singer_keys", counting(packed, check._singer_keys))
+    monkeypatch.setattr(check, "_origin_keys", counting(packed, check._origin_keys))
     monkeypatch.setattr(check, "_least_hit", counting(hits, check._least_hit))
     v = check.are_mutually_orthogoval(fam)
     assert not v and v.witness == ref
-    assert reads == fam and packed == [] and len(hits) == 3
+    assert read_once(fam) and packed == [] and len(hits) == 3
     # the same on AG(2, 9) with translation spaces: each form read once,
     # and only the pairs with the random space take the line index
     rng = np.random.default_rng(10)
@@ -1455,4 +1473,133 @@ def test_pairwise_fallback_reads_each_form_once(monkeypatch):
                         counting(reads, check._translation_offset))
     v = check.are_mutually_orthogoval(fam)
     assert not v and v.witness == ref
-    assert reads == fam and len(hits) == 3
+    assert read_once(fam) and len(hits) == 3
+
+
+# ----------------------------------------------------------------------
+# the group reduction decides a pair by w = t^-1 . s alone, so pairs
+# (h.s, h.t) that share a relabelling h take it too
+# ----------------------------------------------------------------------
+
+def relabel(space, h):
+    """The space moved by the point map h: x -> h(space(x))."""
+    return check.from_map(space.geometry, h[space.perm])
+
+
+def _multiplier_pairs(rng):
+    pairs = []
+    for dim, q in ((2, 4), (2, 7), (3, 3), (4, 2)):
+        g = geom.projective(dim, q)
+        pairs += [(multiplier_space(g, rng), multiplier_space(g, rng))
+                  for _ in range(3)]
+        # negative controls: a Singer shift, and a copy of itself
+        s = multiplier_space(g, rng)
+        pairs += [(check.standard(g), check.from_map(g, singer_shift(g, 3))),
+                  (s, check.from_map(g, s.perm))]
+    return pairs
+
+
+def _relabelled_pairs(rng):
+    """Char-p and PG multiplier pairs, each as it is and moved by one
+    seeded random point map h, with w = t^-1 . s of a form; and the
+    negative controls (h.s, h.s)."""
+    pairs = [build_char_p_pair(*row)[:2] for row in CHAR_P_ROWS]
+    pairs += _multiplier_pairs(rng)
+    out = []
+    for s, t in pairs:
+        h = rng.permutation(s.geometry.point_count)
+        out += [(s, t), (relabel(s, h), relabel(t, h)),
+                (relabel(s, h), relabel(s, h))]
+    return out
+
+
+def test_relabelled_pairs_equal_the_line_oracle_at_every_k():
+    outcomes = set()
+    for s, t in _relabelled_pairs(np.random.default_rng(20261201)):
+        g = s.geometry
+        assert check._form(t.inverse()[s.perm], g) is not None
+        for k in range(1, g.points_per_line):
+            fast = check.is_k_orthogoval_pair(s, t, k)
+            slow = check.naive_k_orthogoval_pair(s, t, k)
+            assert bool(fast) == bool(slow), (g, k)
+            if k == 2:
+                assert fast.witness == triple_reference(s, t), g
+            else:
+                assert fast.witness == slow.witness, (g, k)
+            outcomes.add((g.kind, k == 2, bool(fast)))
+    assert outcomes == {(kind, two, ok) for kind in ("affine", "projective")
+                        for two in (True, False) for ok in (True, False)}
+
+
+def test_relabelled_and_multiplier_pairs_pass_k3_without_the_line_index(
+        monkeypatch):
+    rng = np.random.default_rng(20261202)
+    pairs = [p for p in _multiplier_pairs(rng)
+             if check.naive_k_orthogoval_pair(*p, 3)]
+    for p, n, k in CHAR_P_ROWS:
+        if p <= 3:  # the char-p pairs hold exactly at k >= p
+            s, t, _ = build_char_p_pair(p, n, k)
+            h = rng.permutation(s.geometry.point_count)
+            pairs.append((relabel(s, h), relabel(t, h)))
+    assert sum(s.geometry.kind == "projective" for s, _ in pairs) >= 5
+
+    def boom(*args):
+        raise AssertionError("the pair decider built a line index")
+    monkeypatch.setattr(check, "_line_index", boom)
+    for s, t in pairs:
+        assert check.is_k_orthogoval_pair(s, t, 3), s.geometry
+
+
+def test_askew_equals_naive_on_relabelled_and_translation_pairs():
+    rng = np.random.default_rng(20261203)
+    pairs = []
+    for k, q in ((2, 3), (2, 4), (3, 2), (4, 2)):
+        g = geom.projective(k, q)
+        h = rng.permutation(g.point_count)
+        # x -> -x: askew on PG(2, q) and PG(4, 2), not on PG(3, 2)
+        for s, t in [(multiplier_space(g, rng), multiplier_space(g, rng))
+                     for _ in range(3)] + [(check.standard(g), phi_space(g, -1))]:
+            pairs += [(relabel(s, h), relabel(t, h)), (relabel(t, h), s)]
+    for s, t in _translation_pairs(rng):
+        if s.geometry.point_count <= 27:
+            pairs.append((s, t))
+    outcomes = set()
+    for s, t in pairs:
+        outcomes.add((s.geometry.kind, assert_askew_equals_naive(s, t).ok))
+    assert outcomes == {(kind, ok) for kind in ("affine", "projective")
+                        for ok in (True, False)}
+
+
+def test_standard_affine_space_against_a_random_map_reads_one_form(monkeypatch):
+    # only w = t^-1 . s is read, and its quick refusal decides
+    for d, q in ((2, 5), (3, 3), (2, 9)):
+        g = geom.affine(d, q)
+        s, t = check.standard(g), random_space(g, np.random.default_rng(q))
+        reads = []
+        offset = check._translation_offset
+
+        def counting(perm, g):
+            reads.append(perm)
+            return offset(perm, g)
+        monkeypatch.setattr(check, "_translation_offset", counting)
+        v = check.is_k_orthogoval_pair(s, t, 2)
+        monkeypatch.undo()
+        assert len(reads) == 1 and not v
+        assert v.witness == triple_reference(s, t)
+
+
+@pytest.mark.parametrize("d, q", [(2, 9), (3, 4), (4, 3)])
+def test_affine_line_of_equals_line_through(d, q):
+    # _line_of translates the line through 0 and b - a by a, digit by digit
+    g = geom.affine(d, q)
+    n = g.point_count
+    rng = np.random.default_rng(n)
+    t = random_space(g, rng)
+    for _ in range(200):
+        a, b = (int(x) for x in rng.choice(n, 2, replace=False))
+        want = g.line_through(a, b)
+        on = int(rng.choice([x for x in want if x not in (a, b)]))
+        off = int(rng.choice(sorted(set(range(n)) - set(want))))
+        assert check._line_of(t, [int(t.perm[x]) for x in (a, b, on)]) == (
+            tuple(sorted(int(t.perm[x]) for x in want)))
+        assert check._line_of(t, [int(t.perm[x]) for x in (a, b, off)]) is None

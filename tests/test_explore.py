@@ -88,7 +88,7 @@ def test_scanned_power_maps_are_multipliers_by_w_mod_n(q, r, w_max):
     big = q ** r - 1
     for w in range(2, w_max + 1):
         if math.gcd(w, big) == 1:
-            assert check._singer_multiplier(phi_space(g, w)) == w % g.point_count
+            assert check._singer_multiplier(phi_space(g, w).perm, g) == w % g.point_count
 
 
 @pytest.mark.parametrize("q, r, w", [(2, 5, 3), (2, 7, 3), (3, 5, 17),
@@ -97,7 +97,7 @@ def test_chained_power_maps_are_multipliers_by_x_mod_n(q, r, w):
     g = geom.projective(r - 1, q)
     big, x = q ** r - 1, w
     for _ in range(explore.power_chain(q, r, w) + 1):
-        assert check._singer_multiplier(phi_space(g, x)) == x % g.point_count
+        assert check._singer_multiplier(phi_space(g, x).perm, g) == x % g.point_count
         x = x * w % big
 
 
