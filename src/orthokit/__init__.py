@@ -22,6 +22,7 @@ from .check import (  # noqa: F401
     Space,
     Verdict,
     are_mutually_orthogoval,
+    from_form,
     from_map,
     is_askew_pair,
     is_half_dimension_orthogoval,

@@ -20,6 +20,7 @@ from .check import (
     Space,
     are_mutually_orthogoval,
     compose,
+    from_form,
     from_map,
     perm_from_cycles,
     standard,
@@ -137,30 +138,41 @@ def build_product_family(family_a: list[Space], family_b: list[Space]) -> list[S
 # power maps on Singer labels
 # ----------------------------------------------------------------------
 
-def build_phi_map(g: geom.Geometry, i: int) -> np.ndarray:
-    """Permutation induced on projective points by raising labels to the
-    i-th power.  On log indices this is multiplication by i mod N."""
+def _power_multiplier(g: geom.Geometry, i: int) -> int:
+    """The multiplier mod N of the i-th power map on the Singer labels:
+    on log indices, raising labels to the i-th power is multiplication by
+    i.  The exponent must be a unit mod q^(dim+1) - 1."""
     big = g.labeling_field.order - 1
     i = i % big
     if math.gcd(i, big) != 1:
         raise NotCoprime(f"exponent {i} shares a factor with {big}")
+    return i % g.point_count
+
+
+def build_phi_map(g: geom.Geometry, i: int) -> np.ndarray:
+    """Permutation induced on projective points by raising labels to the
+    i-th power.  On log indices this is multiplication by i mod N."""
     n = g.point_count
-    return (np.arange(n, dtype=np.int64) * i) % n
+    return (np.arange(n, dtype=np.int64) * _power_multiplier(g, i)) % n
 
 
 def phi_space(g: geom.Geometry, i: int) -> Space:
-    return from_map(g, build_phi_map(g, i), name=f"power{i}")
+    """The i-th power map as a space built from its form x -> u*x."""
+    return from_form(g, _power_multiplier(g, i), name=f"power{i}")
 
 
 def build_phi_family(q: int, r: int, w: int, n: int) -> list[Space]:
     """Standard PG(r-1, q) plus its images under the w^i power maps,
-    1 <= i <= n.  No property is claimed; verify separately."""
+    1 <= i <= n, each built from its form.  No property is claimed;
+    verify separately."""
     g = geom.projective(r - 1, q)
     spaces = [standard(g)]
-    big = g.labeling_field.order - 1
-    for i in range(1, n + 1):
-        e = pow(w, i, big)
-        spaces.append(from_map(g, build_phi_map(g, e), name=f"power{w}^{i}"))
+    if n:
+        # the w^i-th power map multiplies by u^i, u that of the w-th
+        u, x = _power_multiplier(g, w), 1
+        for i in range(1, n + 1):
+            x = x * u % g.point_count
+            spaces.append(from_form(g, x, name=f"power{w}^{i}"))
     return spaces
 
 

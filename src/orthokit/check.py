@@ -59,11 +59,20 @@ to two lines through 0 meeting in c points, so at any 2 <= k < |line|
 one gather of ``origin_line_ids`` at the A_w-images of the nonzero
 points of every standard line through 0 decides the pair: it fails
 exactly when k ids in a row are equal.  This also reaches pairs
-(h.s, h.t) that share any relabelling h.  The form is read from the
-permutation: on PG the multiplier u, by one comparison of consecutive
-labels; on AG the offset c, with A read off the images of the basis
-points p^i and the map it predicts compared with the permutation in
-one pass.  When s has a form as well, so does t = s . w^-1, and a
+(h.s, h.t) that share any relabelling h.  A space's form comes from
+its builder or from its map.  The power maps, ``standard`` on PG and
+``from_form`` build a projective space from its form (u, c), and make
+its permutation only when a path that enumerates lines asks for it;
+the reduced paths read the form alone, and ``_line_of`` maps a triple
+by x -> (x - c)/u and a line back by x -> u*x + c.  Any other space's
+form is read from its map once and kept on the space: on PG the
+multiplier u, by one comparison of consecutive labels; on AG the
+offset c, with A read off the images of the basis points p^i and the
+map it predicts compared with the permutation in one pass.  When both
+spaces of a PG pair have a form, w is x -> (u_s/u_t)*x +
+(c_s - c_t)/u_t, read off the two forms with no map made.  Only w's
+multiplier matters: its lines through 0 are u_w times the standard
+ones.  When s has a form as well, so does t = s . w^-1, and a
 failing pair's k=2 witness comes from the keys through 0: a triple
 (a, b, c) colinear in both shifts to (0, b-a, c-a), also colinear in
 both and no larger as a key, so the least shared triple is that of the
@@ -116,7 +125,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,23 +143,44 @@ _OVERLAP_CHUNK = 1 << 20
 _FAMILY_KEYS = 1 << 27
 
 
-@dataclass(eq=False)
-class Space:
-    """A geometry together with a point bijection from the standard space.
-    Spaces compare by identity: the map is an array."""
+_UNREAD = object()  # a map's form before its one read
 
-    geometry: Geometry
-    perm: np.ndarray
-    name: str = ""
-    _triples: np.ndarray = field(default=None, repr=False, compare=False)
+
+class Space:
+    """A geometry together with a point bijection from the standard space,
+    given by its map, or on a projective geometry by its form (u, c):
+    x -> u*x + c (mod N) on the Singer labels.  A form space makes its
+    permutation only when a path that enumerates lines first asks for
+    ``perm``; the group-reduced paths read ``form`` alone.  Spaces compare
+    by identity: the map is an array."""
+
+    def __init__(self, geometry: Geometry, perm=None, name: str = "",
+                 form=_UNREAD):
+        self.geometry = geometry
+        self.name = name
+        self._perm = perm
+        self._form = form
+        self._triples = None
+        self.__post_init__()
 
     def __post_init__(self):
-        # the one permutation check, bundle reads included, in O(n):
-        # integers only (a float or bool map is refused, not rounded), n
-        # of them in 0..n-1, each hit once; kept as a private read-only
-        # int64 copy, so the cached triples cannot go stale
-        perm = np.array(self.perm)
-        n = self.geometry.point_count
+        # the one check, bundle reads included.  A map, in O(n): integers
+        # only (a float or bool map is refused, not rounded), n of them in
+        # 0..n-1, each hit once; kept as a private read-only int64 copy,
+        # so the cached triples cannot go stale.  A form (u, c): integers,
+        # u a unit mod N, 0 <= c < N, on a projective geometry
+        g = self.geometry
+        n = g.point_count
+        if self._perm is None and self._form is not _UNREAD:
+            u, c = self._form
+            if not (g.kind == PROJECTIVE and _is_int(u) and _is_int(c)
+                    and 0 <= c < n and math.gcd(int(u), n) == 1):
+                raise ValueError(
+                    f"form ({u!r}, {c!r}) is not x -> u*x + c with u a unit "
+                    f"mod N and 0 <= c < N on a projective geometry")
+            self._form = (int(u) % n, int(c))
+            return
+        perm = np.array(self._perm)
         ok = (perm.dtype.kind in ("i", "u") and perm.shape == (n,)
               and perm.min() >= 0 and perm.max() < n)
         if ok:
@@ -159,16 +189,75 @@ class Space:
             ok = np.count_nonzero(hit) == n
         if not ok:
             raise ValueError("map is not a permutation of the point indices")
-        self.perm = perm.astype(np.int64, copy=False)
-        self.perm.flags.writeable = False
+        self._perm = perm.astype(np.int64, copy=False)
+        self._perm.flags.writeable = False
+
+    def __repr__(self):
+        return f"Space({self.geometry!r}, name={self.name!r})"
+
+    @property
+    def perm(self) -> np.ndarray:
+        """The map as a read-only int64 array, made from the form on first
+        use."""
+        if self._perm is None:
+            u, c = self._form
+            n = self.geometry.point_count
+            perm = np.arange(c, c + n * u, u, dtype=np.int64)
+            perm %= n
+            perm.flags.writeable = False
+            self._perm = perm
+        return self._perm
+
+    @property
+    def form(self):
+        """(u, c) when the space is x -> u*x + c (mod N) on the Singer labels
+        of a projective geometry, the offset c when it is x -> A(x) + c on
+        an affine one (see the module docstring), else None: the
+        builder's form, or the map's, read once and kept."""
+        if self._form is _UNREAD:
+            g = self.geometry
+            if g.kind == PROJECTIVE:
+                u = _singer_multiplier(self._perm, g)
+                self._form = None if u is None else (u, int(self._perm[0]))
+            else:
+                self._form = _translation_offset(self._perm, g)
+        return self._form
+
+    def image(self, x) -> np.ndarray:
+        """The map at the points x, from the form while no permutation is
+        made: x -> u*x + c."""
+        if self._perm is not None:
+            return self._perm[x]
+        u, c = self._form
+        y = np.multiply(x, u, dtype=np.int64)
+        y += c
+        y %= self.geometry.point_count
+        return y
+
+    def preimage(self, x) -> np.ndarray:
+        """The inverse map at the points x, from the form while no
+        permutation is made: x -> (x - c)/u."""
+        if self._perm is not None:
+            return self.inverse()[x]
+        u, c = self._form
+        n = self.geometry.point_count
+        y = np.subtract(x, c, dtype=np.int64)
+        y *= pow(u, -1, n)
+        y %= n
+        return y
 
     @property
     def is_standard(self) -> bool:
-        return bool(np.array_equal(self.perm, np.arange(len(self.perm))))
+        if self._perm is None:
+            return self._form == (1, 0)
+        return bool(np.array_equal(self._perm, np.arange(len(self._perm))))
 
     def inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm))
+        n = self.geometry.point_count
+        if self._perm is None:
+            return self.preimage(np.arange(n))
+        inv = np.empty_like(self._perm)
+        inv[self._perm] = np.arange(n)
         return inv
 
     def lines(self) -> np.ndarray:
@@ -187,13 +276,25 @@ class Space:
         return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def standard(g: Geometry, name: str = "standard") -> Space:
-    g._check_cap()  # before the identity map over every point
+    g._check_cap()  # before a map over every point, made now or on first use
+    if g.kind == PROJECTIVE:
+        return from_form(g, 1, 0, name=name)
     return Space(g, np.arange(g.point_count), name=name)
 
 
 def from_map(g: Geometry, perm, name: str = "") -> Space:
     return Space(g, perm, name=name)
+
+
+def from_form(g: Geometry, u: int, c: int = 0, name: str = "") -> Space:
+    """The space x -> u*x + c (mod N) on the Singer labels of a projective
+    g, u a unit mod N and 0 <= c < N, with no permutation made."""
+    return Space(g, None, name=name, form=(u, c))
 
 
 @dataclass
@@ -274,6 +375,8 @@ def _singer_multiplier(perm: np.ndarray, g: Geometry):
     projective g, else None."""
     n = len(perm)
     u = (int(perm[1]) - int(perm[0])) % n
+    if (int(perm[2]) - int(perm[1])) % n != u:
+        return None  # most other maps are refused at once
     # such a map steps by u mod N from each label to the next: the
     # difference is u, or u - N where it wraps
     step = perm[1:] - perm[:-1]
@@ -314,11 +417,32 @@ def _form(perm: np.ndarray, g: Geometry):
     return _translation_offset(perm, g)
 
 
+def _w_form(s: Space, t: Space, g: Geometry):
+    """(``_form`` of w = t^-1 . s, w's map or None).  When both spaces of
+    a projective g have a form, w is x -> (u_s/u_t)*x + (c_s - c_t)/u_t,
+    and its multiplier, all that is kept, comes with no map made.  Else
+    w's map is made and its form read."""
+    if g.kind == PROJECTIVE and s.form is not None and t.form is not None:
+        n = g.point_count
+        return s.form[0] * pow(t.form[0], -1, n) % n, None
+    w = t.inverse()[s.perm]
+    return _form(w, g), w
+
+
 def _linear_images(perm: np.ndarray, g: Geometry) -> np.ndarray:
     """perm[x] - perm[0] in the group of g at the nonzero points x of
     every standard line L through 0, one row per line: the nonzero points
     of A(L) for a map x -> A(x) + c."""
     return _shift(perm[g.lines_through_origin()[:, 1:]], perm[0], g, -1)
+
+
+def _multiplier_images(g: Geometry, u: int) -> np.ndarray:
+    """``_linear_images`` of x -> u*x + c on a projective g, from u alone:
+    u*x mod N at the nonzero points x of every standard line through 0."""
+    n = g.point_count
+    x = np.multiply(g.lines_through_origin()[:, 1:], u % n, dtype=np.int64)
+    x -= x // n * n  # x mod N: numpy divides by a scalar faster than % does
+    return x
 
 
 def _origin_repeat(g: Geometry, images: np.ndarray, k: int) -> bool:
@@ -338,13 +462,17 @@ def _origin_repeat(g: Geometry, images: np.ndarray, k: int) -> bool:
 def _origin_keys(spaces: list[Space], g: Geometry) -> list[np.ndarray]:
     """Each space's packed keys, unsorted, of its colinear triples
     (0, a, b), for spaces that all have a form: their lines through 0
-    are the rows of ``_linear_images``.  lo*N + hi is the triple's
-    full-index key."""
+    are the rows of ``_linear_images``, from the multiplier alone on a
+    projective g.  lo*N + hi is the triple's full-index key."""
     n = np.uint64(g.point_count)
     i, j = np.triu_indices(g.points_per_line - 1, 1)
     out = []
     for s in spaces:
-        rest = _linear_images(s.perm, g).astype(np.uint64)
+        if g.kind == PROJECTIVE:
+            rest = _multiplier_images(g, s.form[0])
+        else:
+            rest = _linear_images(s.perm, g)
+        rest = rest.astype(np.uint64)
         a, b = rest[:, i], rest[:, j]
         out.append((np.minimum(a, b) * n + np.maximum(a, b)).ravel())
     return out
@@ -387,16 +515,22 @@ def _ratios_pass(g: Geometry, us) -> bool:
     return True
 
 
-def _least_reduced_triple(spaces: list[Space], g: Geometry, forms):
-    """``_least_shared_triple`` for a family whose every space has a form
-    (``forms``): None, with no key packed, when a pair's w = t^-1 . s
-    passes the gather or a projective family's ratios pass; else from the
-    keys through point 0."""
+def _least_reduced_triple(spaces: list[Space], g: Geometry):
+    """``_least_shared_triple`` for a family whose every space has a form:
+    None, with no key packed, when a pair's w = t^-1 . s passes the
+    gather or a projective family's ratios pass; else from the keys
+    through point 0."""
     if len(spaces) == 2:
         s, t = spaces
-        if not _origin_repeat(g, _linear_images(t.inverse()[s.perm], g), 2):
+        if g.kind == PROJECTIVE:
+            images = _multiplier_images(g, _w_form(s, t, g)[0])
+        else:
+            # w = t^-1 . s has a form, as both spaces do: it is not read
+            images = _linear_images(t.inverse()[s.perm], g)
+        if not _origin_repeat(g, images, 2):
             return None
-    elif g.kind == PROJECTIVE and _ratios_pass(g, forms):
+    elif g.kind == PROJECTIVE and _ratios_pass(
+            g, [s.form[0] for s in spaces]):
         return None
     return _least_shared_triple(spaces, g, _origin_keys(spaces, g))
 
@@ -405,21 +539,21 @@ def _line_of(space: Space, tri) -> tuple | None:
     """The line of ``space`` through the point triple, or None if the
     triple is not colinear in it: the standard line through the
     preimages a and b, the shift by a of the line through 0 and b - a,
-    mapped back through the permutation."""
-    inv = space.inverse()
-    a, b, c = (int(inv[x]) for x in tri)
+    mapped back through the space.  A space built from its form maps the
+    points by its form, with no N-sized array."""
     g = space.geometry
+    a, b, c = space.preimage(list(tri)).tolist()
     through0 = g.origin_line_ids()[_shift(b, a, g, -1)]
-    line = _shift(g.lines_through_origin()[through0], a, g).tolist()
-    if c not in line:
+    line = _shift(g.lines_through_origin()[through0], a, g)
+    if c not in line.tolist():
         return None
-    return tuple(sorted(int(space.perm[x]) for x in line))
+    return tuple(sorted(space.image(line).tolist()))
 
 
 def _check_same_geometry(spaces):
     g = spaces[0].geometry
     for s in spaces[1:]:
-        if not g.same_as(s.geometry):
+        if s.geometry is not g and not g.same_as(s.geometry):
             raise GeometryMismatch("spaces live on different geometries")
     return g
 
@@ -482,13 +616,15 @@ def is_k_orthogoval_pair(s: Space, t: Space, k: int = 2) -> Verdict:
         return Verdict(True)
     if k <= 1:
         return naive_k_orthogoval_pair(s, t, k)
-    w = t.inverse()[s.perm]
-    if _form(w, g) is not None:
+    form, w = _w_form(s, t, g)
+    if form is not None:
         # the pair is k-orthogoval exactly when (standard, w) is, and w's
         # lines through 0 decide that (see the module docstring)
-        if not _origin_repeat(g, _linear_images(w, g), k):
+        images = (_multiplier_images(g, form) if w is None
+                  else _linear_images(w, g))
+        if not _origin_repeat(g, images, k):
             return Verdict(True)
-        if k == 2 and _form(s.perm, g) is not None:
+        if k == 2 and s.form is not None:
             # t = s . w^-1 has a form too: the witness is through 0
             witness = _least_shared_triple([s, t], g, _origin_keys([s, t], g))
             return Verdict(False, {key: witness[key]
@@ -595,12 +731,11 @@ def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     if k >= g.points_per_line:
         return Verdict(True)  # no two lines share more points than a line has
     if k == 2:
-        forms = [_form(s.perm, g) for s in spaces]
-        if None not in forms:
-            witness = _least_reduced_triple(spaces, g, forms)
+        if None not in [s.form for s in spaces]:
+            witness = _least_reduced_triple(spaces, g)
         elif len(spaces) * g.line_count * _c3(
                 g.points_per_line) > _FAMILY_KEYS:
-            witness = _least_pairwise_triple(spaces, forms)
+            witness = _least_pairwise_triple(spaces)
         else:
             witness = _least_shared_triple(spaces, g, None)
         return Verdict(witness is None, witness)
@@ -640,13 +775,12 @@ def _least_shared_triple(spaces: list[Space], g: Geometry, keys):
     return _owners(spaces, tri)
 
 
-def _least_pairwise_triple(spaces: list[Space], forms):
+def _least_pairwise_triple(spaces: list[Space]):
     """``_least_shared_triple`` for a family whose triple index would not
     fit: the least of the pair deciders' k=2 witnesses, each the least
     triple its two spaces share, with its first two owners.  Space i's
     line index is built once for all j > i, and only one is alive at a
-    time; a pair of two spaces with a form (``forms``, read once by the
-    caller) keeps the reduced path."""
+    time; a pair of two spaces with a form keeps the reduced path."""
     g = spaces[0].geometry
     n = g.point_count
     best = None
@@ -654,8 +788,8 @@ def _least_pairwise_triple(spaces: list[Space], forms):
         table = None
         for j in range(i + 1, len(spaces)):
             t = spaces[j]
-            if forms[i] is not None and forms[j] is not None:
-                w = _least_reduced_triple([s, t], g, [forms[i], forms[j]])
+            if s.form is not None and t.form is not None:
+                w = _least_reduced_triple([s, t], g)
                 tri = None if w is None else w["triple"]
             else:
                 if table is None:
@@ -698,10 +832,8 @@ def is_multiplier_orthomorphism(g: Geometry, u: int) -> bool:
     n = g.point_count
     if math.gcd(u, n) != 1:
         raise ValueError(f"multiplier {u} is not a unit mod {n}")
-    x = np.multiply(g.lines_through_origin()[:, 1:], u % n, dtype=np.int64)
-    x -= x // n * n  # x mod N: numpy divides by a scalar faster than % does
     # u fails when two images of one line lie on one line through 0
-    return not _origin_repeat(g, x, 2)
+    return not _origin_repeat(g, _multiplier_images(g, u), 2)
 
 
 def in_general_position(space: Space, pts) -> bool:
@@ -733,7 +865,7 @@ def is_askew_pair(s: Space, t: Space) -> Verdict:
     g = _check_same_geometry([s, t])
     if _general_position_size(g) <= 2:
         return Verdict(True)  # two distinct points always have rank 2
-    form = _form(t.inverse()[s.perm], g)
+    form = _w_form(s, t, g)[0]
     directions = (("first", s, t), ("second", t, s))
     if form is not None and g.kind == PROJECTIVE:
         # w's multiplier u: when 1/u is in u*<p>, that is u^2 is in <p>,
@@ -744,7 +876,7 @@ def is_askew_pair(s: Space, t: Space) -> Verdict:
     for line_of, src, other in directions:
         if form is not None:
             # the first rows of src.lines(), sorted as it sorts them
-            rows = np.sort(src.perm[g.lines_through_origin()], axis=1)
+            rows = np.sort(src.image(g.lines_through_origin()), axis=1)
         else:
             rows = src.lines()
         bad = _first_outside_general_position(rows, other)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from orthokit import check, geom
 from orthokit.build import (
     BIG_SETS_TABLE,
+    build_askew_pair,
     build_char_p_pair,
     build_product_family,
     build_phi_family,
@@ -1433,9 +1434,11 @@ def test_translation_path_enumerates_no_lines(monkeypatch):
 
 
 def test_pairwise_fallback_reads_each_form_once(monkeypatch):
-    # [standard, power 3, random, power 5] on PG(4, 2): the three pairs of
-    # multipliers pass by their ratios and pack no key; only the pairs
-    # with the random space build a line index
+    # [standard, power 3, random, power 5] on PG(4, 2): the builders give
+    # three of the forms, so only the random map is read, and its form is
+    # kept on the space, so a second check reads nothing; the three pairs
+    # of multipliers pass by their ratios and pack no key, and only the
+    # pairs with the random space build a line index
     g = geom.projective(4, 2)
     fam = [check.standard(g), phi_space(g, 3),
            random_space(g, np.random.default_rng(9)), phi_space(g, 5)]
@@ -1449,20 +1452,23 @@ def test_pairwise_fallback_reads_each_form_once(monkeypatch):
             return f(*args)
         return wrapper
 
-    def read_once(fam):
-        # each space's own permutation, read once, in order
-        return (len(reads) == len(fam)
-                and all(r is s.perm for r, s in zip(reads, fam)))
+    def read_once(mapped):
+        # each map-built space's own permutation, read once, in order, and
+        # no other map
+        return (len(reads) == len(mapped)
+                and all(r is s.perm for r, s in zip(reads, mapped)))
     monkeypatch.setattr(check, "_FAMILY_KEYS", 0)
     monkeypatch.setattr(check, "_singer_multiplier",
                         counting(reads, check._singer_multiplier))
     monkeypatch.setattr(check, "_origin_keys", counting(packed, check._origin_keys))
     monkeypatch.setattr(check, "_least_hit", counting(hits, check._least_hit))
-    v = check.are_mutually_orthogoval(fam)
-    assert not v and v.witness == ref
-    assert read_once(fam) and packed == [] and len(hits) == 3
-    # the same on AG(2, 9) with translation spaces: each form read once,
-    # and only the pairs with the random space take the line index
+    for _ in range(2):
+        v = check.are_mutually_orthogoval(fam)
+        assert not v and v.witness == ref
+    assert read_once(fam[2:3]) and packed == [] and len(hits) == 6
+    # the same on AG(2, 9), whose spaces are all built from maps: each form
+    # read once over both checks, and only the pairs with the random space
+    # take the line index
     rng = np.random.default_rng(10)
     s, t, _ = build_char_p_pair(3, 2, 2)
     fam = [s, t, random_space(s.geometry, rng), linear_space(s.geometry, rng)]
@@ -1471,9 +1477,10 @@ def test_pairwise_fallback_reads_each_form_once(monkeypatch):
     hits.clear()
     monkeypatch.setattr(check, "_translation_offset",
                         counting(reads, check._translation_offset))
-    v = check.are_mutually_orthogoval(fam)
-    assert not v and v.witness == ref
-    assert read_once(fam) and len(hits) == 3
+    for _ in range(2):
+        v = check.are_mutually_orthogoval(fam)
+        assert not v and v.witness == ref
+    assert read_once(fam) and len(hits) == 6
 
 
 # ----------------------------------------------------------------------
@@ -1603,3 +1610,159 @@ def test_affine_line_of_equals_line_through(d, q):
         assert check._line_of(t, [int(t.perm[x]) for x in (a, b, on)]) == (
             tuple(sorted(int(t.perm[x]) for x in want)))
         assert check._line_of(t, [int(t.perm[x]) for x in (a, b, off)]) is None
+
+
+# ----------------------------------------------------------------------
+# projective spaces built from their form (u, c): the reduced paths read
+# the form and make no permutation; the same family rebuilt from its maps
+# is the reference
+# ----------------------------------------------------------------------
+
+def from_maps(fam):
+    """The family rebuilt from its permutations, forms read from them."""
+    return [check.from_map(s.geometry, s.perm, name=s.name) for s in fam]
+
+
+def form_space(g, rng):
+    """A seeded space x -> u*x + c, c != 0, built from its form."""
+    n = g.point_count
+    u = int(rng.integers(1, n))
+    while math.gcd(u, n) != 1:
+        u = int(rng.integers(1, n))
+    return check.from_form(g, u, int(rng.integers(1, n)), name=f"{u}x+c")
+
+
+@contextlib.contextmanager
+def no_permutation():
+    """Make ``Space.perm`` raise: a form space's map is never made."""
+    def boom(self):
+        raise AssertionError("a permutation was made")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(check.Space, "perm", property(boom))
+        yield
+
+
+@pytest.mark.parametrize("row,holds", BIG_SETS_FAMILIES)
+def test_form_built_big_sets_equal_their_maps(row, holds):
+    with no_permutation():
+        v = check.are_mutually_orthogoval(build_phi_family(*row))
+    ref = check.are_mutually_orthogoval(from_maps(build_phi_family(*row)))
+    assert bool(v) == bool(ref) == holds
+    assert v.witness == ref.witness
+
+
+def test_seeded_form_families_and_pairs_equal_their_maps_and_the_oracle():
+    rng = np.random.default_rng(20261104)
+    outcomes = set()
+    for dim, q in SEEDED_PROJECTIVE:
+        g = geom.projective(dim, q)
+        for size in (2, 3, 4):
+            fam = [form_space(g, rng) for _ in range(size)]
+            with no_permutation():
+                v = check.are_mutually_orthogoval(fam)
+            ref = check.are_mutually_orthogoval(from_maps(fam))
+            assert bool(v) == bool(ref) and v.witness == ref.witness, fam
+            outcomes.add(("family", bool(v)))
+        for _ in range(4):
+            s, t = form_space(g, rng), form_space(g, rng)
+            for k in (2, 3):
+                # a failing pair's k=3 witness comes from the line index
+                with no_permutation() if k == 2 else contextlib.nullcontext():
+                    fast = check.is_k_orthogoval_pair(s, t, k)
+                slow = check.naive_k_orthogoval_pair(s, t, k)
+                assert bool(fast) == bool(slow), (g, k)
+                if k == 2:
+                    assert fast.witness == triple_reference(s, t), g
+                else:
+                    assert fast.witness == slow.witness, g
+                outcomes.add((k, bool(fast)))
+    assert outcomes == {(kind, ok) for kind in ("family", 2, 3)
+                        for ok in (True, False)}
+
+
+@pytest.mark.parametrize("d, q", [(4, 2), (4, 3), (6, 2)])
+def test_form_families_equal_the_full_triple_index(d, q):
+    g = geom.projective(d, q)
+    rng = np.random.default_rng(g.point_count)
+    fams = [[form_space(g, rng) for _ in range(size)]
+            for size in (2, 3, 3, 4, 5)]
+    rows = [(qq, r, w, n) for qq, r, ws, n in BIG_SETS_TABLE for w in ws]
+    fams += [build_phi_family(*row) for row in rows + list(OVER_LONG_CHAINS)
+             if row[:2] == (q, d + 1)]
+    outcomes = set()
+    for fam in fams:
+        with no_permutation():
+            v = check.are_mutually_orthogoval(fam)
+        assert v.witness == check._least_shared_triple(fam, g, None), fam
+        outcomes.add(bool(v))
+    assert outcomes == {True, False}
+
+
+def test_power_chain_checks_make_no_permutation():
+    # the (3,7,25,77) row passes and the (2,7,3,18) chain fails with the
+    # witness CI pins, each read off the forms alone; so do its first
+    # failing pair, and the askew inversion pair of PG(4,3)
+    fam = build_phi_family(3, 7, 25, 77)
+    bad = build_phi_family(2, 7, 3, 18)
+    with no_permutation():
+        assert check.are_mutually_orthogoval(fam)
+        v = check.are_mutually_orthogoval(bad)
+        pair = check.is_k_orthogoval_pair(bad[0], bad[18], 2)
+        assert check.is_askew_pair(*build_askew_pair(4, 3))
+    assert not v and not pair
+    assert (v.witness["triple"], v.witness["space_a"],
+            v.witness["space_b"]) == ((0, 1, 7), 0, 18)
+    assert v.witness == check.are_mutually_orthogoval(from_maps(bad)).witness
+    assert pair.witness == {key: v.witness[key]
+                            for key in ("triple", "line_a", "line_b")}
+
+
+@pytest.mark.parametrize("q, r, e", [(2, 5, 3), (2, 5, -1), (3, 5, 17),
+                                     (3, 7, 25 ** 5), (4, 7, 23 ** 3)])
+def test_form_permutation_is_made_on_first_use_as_build_phi_map(q, r, e):
+    g = geom.projective(r - 1, q)
+    s = phi_space(g, e)
+    inv = s.inverse()  # from the form, before the map is made
+    lines = s.image(g.lines_through_origin())
+    perm = s.perm
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, build_phi_map(g, e))
+    assert s.perm is perm  # made once
+    with pytest.raises(ValueError):
+        perm[0] = 1
+    assert np.array_equal(inv, s.inverse())
+    assert np.array_equal(lines, s.image(g.lines_through_origin()))
+    assert not s.is_standard and check.standard(g).is_standard
+
+
+@pytest.mark.parametrize("d, q", [(2, 41), (4, 2), (6, 3)])
+def test_form_line_of_equals_the_map_line_of(d, q):
+    g = geom.projective(d, q)
+    n = g.point_count
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        s = form_space(g, rng)
+        t = check.from_map(g, (np.arange(n) * s.form[0] + s.form[1]) % n)
+        tri = [int(x) for x in rng.choice(n, 3, replace=False)]
+        line = t.lines()[rng.integers(g.line_count)]
+        on = [int(x) for x in rng.choice(line, 3, replace=False)]
+        with no_permutation():
+            got = [check._line_of(s, tri), check._line_of(s, on)]
+        assert got == [check._line_of(t, tri), tuple(line.tolist())]
+
+
+@pytest.mark.parametrize("kind, u, c", [
+    ("projective", 0, 0),
+    ("projective", 3, 0),
+    ("projective", 1, -1),
+    ("projective", 1, 21),
+    ("affine", 1, 0),
+    ("projective", 2.0, 0),
+    ("projective", 1, True),
+], ids=["u=0", "u-shares-a-factor", "c=-1", "c=N", "affine", "u-float",
+        "c-bool"])
+def test_space_refuses_a_form_that_is_not_a_bijection(kind, u, c):
+    # PG(2, 4) has N = 21 = 3 * 7 points; AG spaces are built from maps
+    g = geom.projective(2, 4) if kind == "projective" else geom.affine(2, 3)
+    with pytest.raises(ValueError, match="form"):
+        check.from_form(g, u, c)

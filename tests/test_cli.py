@@ -40,6 +40,18 @@ def test_construct_phi_family_negative_n_exit_2(tmp_path, capsys):
     assert "--n" in err and not out.exists()
 
 
+def test_construct_phi_family_non_coprime_w_exit_2(tmp_path, capsys):
+    # the spaces are built from their forms, and the exponent check that
+    # refuses w = 2 against 3^3 - 1 = 26 comes first
+    out = tmp_path / "b.json"
+    code, stdout, err = run(capsys, "construct", "phi-family", "--q", "3",
+                            "--r", "3", "--w", "2", "--n", "2",
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "NOT_COPRIME" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_construct_catalog_and_char_p(tmp_path, capsys):
     out = str(tmp_path / "c.json")
     assert run(capsys, "construct", "catalog", "--name", "PG3_F3_X2",

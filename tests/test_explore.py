@@ -106,6 +106,13 @@ def test_scans_build_no_space_and_call_no_pair_decider(monkeypatch, capsys):
         raise AssertionError("a space or a pair check per exponent")
     cli.build_parser()  # its --name help loads the catalog's spaces once
     monkeypatch.setattr(check.Space, "__post_init__", boom)
+    # a space built from its map and one built from its form both run the
+    # one check, so the patch refuses every build
+    g = geom.projective(4, 2)
+    for build in (lambda: check.from_map(g, np.arange(g.point_count)),
+                  lambda: check.from_form(g, 3), lambda: phi_space(g, 3)):
+        with pytest.raises(AssertionError, match="a space"):
+            build()
     monkeypatch.setattr(check, "is_k_orthogoval_pair", boom)
     monkeypatch.setattr(explore, "phi_space", boom)
     assert explore.exponent_scan(5, 5, 10)["orthomorphisms"] == [3, 7, 9]
