@@ -84,11 +84,17 @@ every ratio u_j/u_i of their multipliers lies in O, the units u for
 which x -> u*x is an orthomorphism, as x -> x/u_i carries
 (u_i S, u_j S) onto (S, (u_j/u_i) S).  O is closed under u -> p*u, p
 the characteristic, as x -> p*x is the Frobenius collineation
-z -> z^p; and under u -> 1/u, as the relation is symmetric.  The
-ratios are marked in one boolean array of N entries and
-``is_multiplier_orthomorphism``, the gather for w = x -> u*x, is
-called once per orbit of the marked ones: 39 calls for the 77 ratios
-of the 78-space PG(6,3) power chain.  A ratio of 1, a repeated
+z -> z^p; and under u -> 1/u, as the relation is symmetric.  So
+``is_multiplier_orthomorphism``, the gather for w = x -> u*x, decides
+O once per orbit {u*p^i, u^-1*p^i}: the geometry keeps an int8 memo of
+N entries (0 undecided, 1 in O, -1 not), made on first use with the
+powers of p, and a gather marks its whole orbit in one write.  O
+depends only on the geometry's standard lines, fixed when it is made,
+so the memo cannot go stale.  Every consumer of O goes through it: the
+ratios are marked in one boolean array of N entries and each is
+queried, 39 gathers for the 77 ratios of the 78-space PG(6,3) power
+chain; ``orthokit.explore``'s scans, chains and cliques query their
+exponents and ratios the same way.  A ratio of 1, a repeated
 multiplier, is not in O.  Any other such family, and one that fails,
 sorts the keys through 0 of all its spaces together.  A family past
 _FAMILY_KEYS reads every space's form once and takes each pair of two
@@ -438,9 +444,14 @@ def _linear_images(perm: np.ndarray, g: Geometry) -> np.ndarray:
 
 def _multiplier_images(g: Geometry, u: int) -> np.ndarray:
     """``_linear_images`` of x -> u*x + c on a projective g, from u alone:
-    u*x mod N at the nonzero points x of every standard line through 0."""
+    u*x mod N at the nonzero points x of every standard line through 0,
+    read from one contiguous int64 copy of them kept on g."""
+    if g._rest0 is None:
+        rest = g.lines_through_origin()[:, 1:].astype(np.int64)
+        rest.flags.writeable = False
+        g._rest0 = rest
     n = g.point_count
-    x = np.multiply(g.lines_through_origin()[:, 1:], u % n, dtype=np.int64)
+    x = g._rest0 * (u % n)
     x -= x // n * n  # x mod N: numpy divides by a scalar faster than % does
     return x
 
@@ -490,10 +501,9 @@ def _powers_of_p(g: Geometry) -> list[int]:
 
 def _ratios_pass(g: Geometry, us) -> bool:
     """Whether every ratio u_j/u_i (i != j) of the multipliers ``us`` is
-    in O, the units u with ``is_multiplier_orthomorphism(g, u)``: one
-    decider call per orbit of the ratios under u -> p*u and u -> 1/u (see
-    the module docstring).  A repeated multiplier gives the ratio 1, which
-    is not in O."""
+    in O, by ``is_multiplier_orthomorphism``: one gather per orbit of the
+    ratios (see the module docstring).  A repeated multiplier gives the
+    ratio 1, which is not in O."""
     n = g.point_count
     us = np.array(us, dtype=np.int64)
     inv = np.array([pow(int(u), -1, n) for u in us], dtype=np.int64)
@@ -505,14 +515,8 @@ def _ratios_pass(g: Geometry, us) -> bool:
         block[np.arange(len(block)), np.arange(lo, lo + len(block))] = 0
         ratio[block] = True
     ratio[0] = False
-    powers = np.array(_powers_of_p(g), dtype=np.int64)
-    for u in np.flatnonzero(ratio).tolist():
-        if not ratio[u]:
-            continue  # its orbit passed already
-        if not is_multiplier_orthomorphism(g, u):
-            return False
-        ratio[np.array([[u], [pow(u, -1, n)]]) * powers % n] = False
-    return True
+    return all(is_multiplier_orthomorphism(g, u)
+               for u in np.flatnonzero(ratio).tolist())
 
 
 def _least_reduced_triple(spaces: list[Space], g: Geometry):
@@ -827,11 +831,32 @@ def is_orthomorphism(g: Geometry, perm) -> Verdict:
 def is_multiplier_orthomorphism(g: Geometry, u: int) -> bool:
     """Whether x -> u*x (mod N) on the Singer labels of a projective g,
     u a unit mod N, is an orthomorphism: the verdict of
-    ``is_orthomorphism`` with no witness, read off the lines through 0
-    (see the module docstring)."""
+    ``is_orthomorphism`` with no witness, read off the lines through 0.
+    The first query in an orbit {u*p^i, u^-1*p^i} runs the gather and
+    marks the whole orbit in g's memo; any later one is a lookup (see
+    the module docstring)."""
     n = g.point_count
     if math.gcd(u, n) != 1:
         raise ValueError(f"multiplier {u} is not a unit mod {n}")
+    u = int(u) % n
+    if g._multipliers is None:
+        if g.kind != PROJECTIVE:
+            # no Singer labels, and p^i mod q^d never comes back to 1
+            raise ValueError(f"multipliers act on a projective geometry, "
+                             f"not on {g!r}")
+        # 0 undecided, 1 in O, -1 not; with <p> as a column
+        powers = np.array(_powers_of_p(g), dtype=np.int64)[:, None]
+        g._multipliers = np.zeros(n, dtype=np.int8), powers
+    memo, powers = g._multipliers
+    if not memo.item(u):
+        orbit = powers * [u, pow(u, -1, n)] % n
+        memo[orbit] = 1 if _multiplier_gather(g, u) else -1
+    return memo.item(u) > 0
+
+
+def _multiplier_gather(g: Geometry, u: int) -> bool:
+    """``is_multiplier_orthomorphism`` with no memo, for u a unit mod N:
+    one gather, which the memo runs once per orbit."""
     # u fails when two images of one line lie on one line through 0
     return not _origin_repeat(g, _multiplier_images(g, u), 2)
 

@@ -3,7 +3,8 @@
 Four task kinds: exponent scans for orthomorphism power maps, power
 chains and branch-and-bound clique search over power maps (the three
 decide each exponent, or the ratio of two, as a multiplier of the Singer
-labels, with one gather over the lines through 0), and the exhaustive
+labels, with one gather over the lines through 0 per orbit of
+multipliers under u -> p*u and u -> 1/u), and the exhaustive
 search over affine structures used for the half-dimension nonexistence
 question, reduced by GL(d, q) through a closed-form test of lex-least
 prefixes, reduced on the domain side by the affine maps of each subspace
@@ -80,8 +81,9 @@ def exponent_scan(q: int, r: int, w_max: int) -> dict:
     """All w in [2, w_max] coprime to q^r - 1 whose power map is an
     orthomorphism of PG(r-1, q), plus the sufficient-condition subset.
     On the Singer labels the w-th power map is x -> (w mod N)*x, so each
-    w is one call of ``is_multiplier_orthomorphism``: no space is built
-    per exponent."""
+    w is one query of ``is_multiplier_orthomorphism``: no space is built
+    per exponent, and one gather decides each orbit the exponents meet
+    (188 for the 1,292 exponents w <= 2,000 at q=4, r=7)."""
     g = geom.projective(r - 1, q)
     g._check_cap()  # an oversize geometry is refused even if no w is tested
     n, big = g.point_count, q ** r - 1
@@ -100,15 +102,16 @@ def power_chain(q: int, r: int, w: int) -> int:
     """Largest n with the w^i power map an orthomorphism for all
     1 <= i <= n.  The walk x <- x*w mod q^r - 1 stops at the first
     failure, or when x comes back to 1, the identity, after w's
-    multiplicative order of steps.  Each step is one call of
-    ``is_multiplier_orthomorphism`` on x mod N."""
+    multiplicative order of steps.  Each step is one query of
+    ``is_multiplier_orthomorphism`` on x mod N, a gather only for an
+    orbit not met before: 40 for the 78 steps of (3, 7, 25)."""
     g = geom.projective(r - 1, q)
     g._check_cap()  # an oversize geometry is refused even if w = 1
     big = q ** r - 1
     if math.gcd(w, big) != 1:
         raise NotCoprime(f"w = {w} shares a factor with {big}")
-    n, x = 0, w % big
-    while x != 1 and is_multiplier_orthomorphism(g, x % g.point_count):
+    size, n, x = g.point_count, 0, w % big
+    while x != 1 and is_multiplier_orthomorphism(g, x % size):
         n += 1
         x = x * w % big
     return n
@@ -133,8 +136,9 @@ def clique_search(q: int, r: int, ws: list,
     The w-th power map is x -> u*x on the Singer labels, u = w mod N, and
     multiplying every label by u_i^-1 carries (u_i S, u_j S) onto
     (S, (u_j/u_i) S).  So i and j are adjacent exactly when x -> (u_j/u_i)*x
-    is an orthomorphism: one ``is_multiplier_orthomorphism`` call per
-    unordered pair, as orthogovality is symmetric, and no space built."""
+    is an orthomorphism: one ``is_multiplier_orthomorphism`` query per
+    unordered pair, as orthogovality is symmetric, and no space built;
+    a gather runs once per orbit of the ratios."""
     g = geom.projective(r - 1, q)
     g._check_cap()  # an oversize geometry is refused before any w
     big, n = q ** r - 1, g.point_count

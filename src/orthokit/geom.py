@@ -115,6 +115,11 @@ class Geometry:
         self._lines = None
         self._lines0 = None
         self._origin_ids = None
+        # kept by orthokit.check for the multiplier decider: the nonzero
+        # points of the lines through 0 as one contiguous int64 array, and
+        # the memo of O with the powers of p (see check's module docstring)
+        self._rest0 = None
+        self._multipliers = None
         self._flats = {}
 
     # -- counting -------------------------------------------------------

@@ -44,6 +44,18 @@ def assert_additive():
     return check_map
 
 
+@pytest.fixture
+def multiplier_orbit():
+    """The orbit of the unit u mod n under u -> p*u and u -> 1/u, as a
+    frozenset: the units a multiplier decider decides together."""
+    def orbit(u, n, p):
+        powers = [1]
+        while powers[-1] * p % n != 1:
+            powers.append(powers[-1] * p % n)
+        return frozenset(v * f % n for v in (u, pow(u, -1, n)) for f in powers)
+    return orbit
+
+
 def _read_outcome(read):
     """What a bundle read gives: the names, permutations and provenance,
     or the class of its refusal."""

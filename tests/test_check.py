@@ -6,6 +6,7 @@ import contextlib
 import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -1112,33 +1113,32 @@ def test_failing_multiplier_families_keep_the_index_witness(monkeypatch):
                                  for key in ("triple", "line_a", "line_b")}
 
 
-def test_ratio_path_calls_the_decider_once_per_orbit(monkeypatch):
+def test_ratio_path_calls_the_decider_once_per_orbit(
+        monkeypatch, multiplier_orbit):
+    # every ratio goes through the memoized decider, which gathers once per
+    # orbit of the ratios under u -> p*u and u -> 1/u
     fam = build_phi_family(3, 7, 25, 77)
     g = fam[0].geometry
     n, p = g.point_count, g.field.p
     us = [int(s.perm[1]) for s in fam]  # x -> u*x sends 1 to u
     ratios = {us[j] * pow(us[i], -1, n) % n
               for i, j in itertools.combinations(range(len(us)), 2)}
-    frobenius = [1]
-    while frobenius[-1] * p % n != 1:
-        frobenius.append(frobenius[-1] * p % n)
-
-    def orbit(u):
-        return frozenset(v * f % n for v in (u, pow(u, -1, n))
-                         for f in frobenius)
-
-    orbits = {orbit(u) for u in ratios}
+    orbits = {multiplier_orbit(u, n, p) for u in ratios}
     assert (len(ratios), len(orbits)) == (77, 39)
     calls = []
-    decide = check.is_multiplier_orthomorphism
+    gather = check._multiplier_gather
 
     def counting(g, u):
         calls.append(u)
-        return decide(g, u)
-    monkeypatch.setattr(check, "is_multiplier_orthomorphism", counting)
+        return gather(g, u)
+    monkeypatch.setattr(check, "_multiplier_gather", counting)
     assert check.are_mutually_orthogoval(fam)
     assert len(calls) == len(orbits)
-    assert {orbit(u) for u in calls} == orbits
+    assert {multiplier_orbit(u, n, p) for u in calls} == orbits
+    # a second check of the family is all lookups
+    calls.clear()
+    assert check.are_mutually_orthogoval(fam)
+    assert calls == []
     # a pair takes one gather on w = t^-1 . s, the multiplier u_3/u_1
     gathers = []
     repeat = check._origin_repeat
@@ -1147,7 +1147,6 @@ def test_ratio_path_calls_the_decider_once_per_orbit(monkeypatch):
         gathers.append(k)
         return repeat(g, images, k)
     monkeypatch.setattr(check, "_origin_repeat", gathering)
-    calls.clear()
     assert check.is_k_orthogoval_pair(fam[3], fam[1], 2)
     assert gathers == [2] and calls == []
 
@@ -1180,12 +1179,11 @@ def _multiplier_space(g, u):
     return check.from_map(g, np.arange(n) * u % n)
 
 
-@functools.lru_cache(maxsize=None)
-def _key_index_multipliers(d, q):
+def _key_index_set(g):
     """The units u mod N whose x -> u*x shares no colinear triple with
-    the standard PG(d, q), by the pair decider's Singer key index: the
-    pair decider's own verdict comes from the multiplier decider."""
-    g = geom.projective(d, q)
+    the standard space of the projective g, by the pair decider's Singer
+    key index: the pair decider's own verdict comes from the multiplier
+    decider."""
     std = check.standard(g)
     out = set()
     for u in _units(g.point_count):
@@ -1195,6 +1193,12 @@ def _key_index_multipliers(d, q):
     return frozenset(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _key_index_multipliers(d, q):
+    """``_key_index_set`` of the standard PG(d, q)."""
+    return _key_index_set(geom.projective(d, q))
+
+
 @pytest.mark.parametrize("d, q", MULTIPLIER_GEOMETRIES)
 def test_multiplier_decider_equals_pair_decider_on_every_unit(d, q):
     # units mod N, not build_phi_map's exponents: it refuses u = 12 on
@@ -1202,6 +1206,7 @@ def test_multiplier_decider_equals_pair_decider_on_every_unit(d, q):
     g = geom.projective(d, q)
     passing = _key_index_multipliers(d, q)
     for u in _units(g.point_count):
+        assert check._multiplier_gather(g, u) is (u in passing), u
         assert check.is_multiplier_orthomorphism(g, u) is (u in passing), u
 
 
@@ -1226,13 +1231,69 @@ def test_multiplier_decider_equals_line_oracle(d, q):
     std = check.standard(g)
     passing_left = 1 if g.line_count ** 2 > _NAIVE_LINE_PAIRS else math.inf
     for u in _units(g.point_count):
-        fast = check.is_multiplier_orthomorphism(g, u)
+        fast = check._multiplier_gather(g, u)
+        assert check.is_multiplier_orthomorphism(g, u) is fast, u
         if fast:
             if not passing_left:
                 continue
             passing_left -= 1
         slow = check.naive_k_orthogoval_pair(std, _multiplier_space(g, u), 2)
         assert fast is bool(slow), u
+
+
+@pytest.mark.parametrize("d, q", MULTIPLIER_GEOMETRIES)
+def test_multiplier_memo_does_not_depend_on_query_order(d, q):
+    # a fresh geometry queried in a seeded shuffle: each verdict, whether
+    # gathered or looked up, is the raw gather's
+    g = geom.projective(d, q)
+    units = _units(g.point_count)
+    random.Random(20261021 + 100 * d + q).shuffle(units)
+    got = {u: check.is_multiplier_orthomorphism(g, u) for u in units}
+    assert got == {u: check._multiplier_gather(g, u) for u in units}
+    assert {u for u, ok in got.items() if ok} == _key_index_multipliers(d, q)
+
+
+@pytest.mark.parametrize("make_a, make_b", [
+    # PG(4, 3) under two labelling moduli: the moduli relabel the points
+    # by a unit, which commutes with every multiplier, so O is the same
+    (lambda: geom.projective(4, 3),
+     lambda: geom.projective(4, 3, labeling_modulus=[1, 0, 0, 0, 2, 1])),
+    # PG(4, 2) and PG(2, 5) both have N = 31 and different sets O
+    (lambda: geom.projective(4, 2), lambda: geom.projective(2, 5)),
+])
+def test_each_geometry_keeps_its_own_multiplier_memo(make_a, make_b):
+    a, b = make_a(), make_b()
+    n = a.point_count
+    assert b.point_count == n
+    got = {id(a): set(), id(b): set()}
+    for u in _units(n):
+        for g in (a, b):
+            if check.is_multiplier_orthomorphism(g, u):
+                got[id(g)].add(u)
+    assert got[id(a)] == _key_index_set(a)
+    assert got[id(b)] == _key_index_set(b)
+    assert a._multipliers[0] is not b._multipliers[0]
+
+
+def test_multiplier_decider_returns_a_bool_and_refuses_before_the_memo():
+    g = geom.projective(4, 3)
+    # a non-unit on a fresh geometry makes no memo
+    with pytest.raises(ValueError, match="not a unit"):
+        check.is_multiplier_orthomorphism(g, 11)
+    assert g._multipliers is None
+    passing = _key_index_multipliers(4, 3)
+    for u in (min(passing), 1, min(passing) + 121, 1 + 121):
+        for _ in range(2):  # gathered, then looked up
+            ok = check.is_multiplier_orthomorphism(g, u)
+            assert type(ok) is bool and ok is (u % 121 in passing), u
+    memo = g._multipliers[0].copy()
+    for u in (0, 11, 121 + 22, -11):
+        with pytest.raises(ValueError, match="not a unit"):
+            check.is_multiplier_orthomorphism(g, u)
+    assert np.array_equal(g._multipliers[0], memo)
+    # an affine geometry has no Singer labels: refused, not looped on
+    with pytest.raises(ValueError, match="projective"):
+        check.is_multiplier_orthomorphism(geom.affine(2, 3), 2)
 
 
 @pytest.mark.parametrize("q, r, w, n", [
@@ -1275,6 +1336,7 @@ def test_subfield_line_fixes_every_multiplier_when_r_is_even(d, q):
     assert any(row.tolist() == line for row in g.lines())
     for u in _units(n):
         assert sorted(u * x % n for x in line) == line, u
+        assert not check._multiplier_gather(g, u), u
         assert not check.is_multiplier_orthomorphism(g, u), u
 
 
@@ -1283,7 +1345,9 @@ def test_odd_r_keeps_multiplier_orthomorphisms():
     g = geom.projective(8, 2)
     units = _units(g.point_count)
     assert len(units) == 432
-    assert sum(check.is_multiplier_orthomorphism(g, u) for u in units) == 189
+    raw = [check._multiplier_gather(g, u) for u in units]
+    assert sum(raw) == 189
+    assert [check.is_multiplier_orthomorphism(g, u) for u in units] == raw
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,74 @@ def test_scans_build_no_space_and_call_no_pair_decider(monkeypatch, capsys):
         5, 13, 17]
 
 
+@pytest.fixture
+def gathers(monkeypatch):
+    """The units the multiplier decider's raw gather runs on, in order."""
+    calls = []
+    gather = check._multiplier_gather
+
+    def counting(g, u):
+        calls.append(u)
+        return gather(g, u)
+    monkeypatch.setattr(check, "_multiplier_gather", counting)
+    return calls
+
+
+def _raw_decider(g, u):
+    """The multiplier decider with no memo: one gather per query."""
+    n = g.point_count
+    assert math.gcd(u, n) == 1
+    return check._multiplier_gather(g, u % n)
+
+
+def test_power_chain_gathers_once_per_orbit(gathers, multiplier_orbit):
+    q, r, w = 3, 7, 25
+    n, big = (q ** r - 1) // (q - 1), q ** r - 1
+    assert explore.power_chain(q, r, w) == 77
+    # the walk queries w^1, ..., w^78, the last one failing
+    queried = [pow(w, i, big) % n for i in range(1, 79)]
+    orbits = {multiplier_orbit(u, n, 3) for u in queried}
+    assert len(orbits) == len(gathers) == 40
+    assert {multiplier_orbit(u, n, 3) for u in gathers} == orbits
+
+
+def test_exponent_scan_gathers_once_per_orbit(
+        monkeypatch, gathers, multiplier_orbit):
+    q, r, w_max = 4, 7, 2000
+    n, big = (q ** r - 1) // (q - 1), q ** r - 1
+    res = explore.exponent_scan(q, r, w_max)
+    units = [w % n for w in range(2, w_max + 1) if math.gcd(w, big) == 1]
+    orbits = {multiplier_orbit(u, n, 2) for u in units}
+    assert (len(units), len(orbits), len(gathers)) == (1292, 188, 188)
+    assert {multiplier_orbit(u, n, 2) for u in gathers} == orbits
+    # the report of one raw gather per w
+    monkeypatch.setattr(explore, "is_multiplier_orthomorphism", _raw_decider)
+    gathers.clear()
+    assert explore.exponent_scan(q, r, w_max) == res
+    assert len(gathers) == 1292
+
+
+def test_clique_search_gathers_once_per_orbit(
+        monkeypatch, gathers, multiplier_orbit):
+    q, r = 4, 7
+    n, big = (q ** r - 1) // (q - 1), q ** r - 1
+    ws = [w for w in range(2, big) if math.gcd(w, big) == 1][:60]
+    res = explore.clique_search(q, r, ws)
+    us = [w % n for w in ws]
+    ratios = [us[j] * pow(us[i], -1, n) % n
+              for i, j in itertools.combinations(range(60), 2)]
+    orbits = {multiplier_orbit(u, n, 2) for u in ratios}
+    assert (len(ratios), len(orbits), len(gathers)) == (1770, 179, 179)
+    assert {multiplier_orbit(u, n, 2) for u in gathers} == orbits
+    # the search over one raw gather per pair
+    monkeypatch.setattr(explore, "is_multiplier_orthomorphism", _raw_decider)
+    gathers.clear()
+    raw = explore.clique_search(q, r, ws)
+    assert len(gathers) == 1770
+    assert (res.members, res.nodes, res.exhaustive) == (
+        raw.members, raw.nodes, raw.exhaustive)
+
+
 def _lift(u, q, r):
     """An exponent w = u mod N coprime to q^r - 1, for a unit u mod N."""
     n, big = (q ** r - 1) // (q - 1), q ** r - 1
