@@ -20,13 +20,15 @@ random PG(2,97) pair (2-core box) k=2 takes 4.2 s and 345 MB peak RSS,
 against 10.3 s and 1.6 GB for one dense pass over int32 ids; k=3 takes
 2.1 s and 310 MB (was 3.6 s, 770 MB).
 
-Family checks at k=2 run off a triple index: one packed 64-bit key per
+A family of two spaces is a pair: its pair decider decides it at every
+k, and a failing witness names spaces 0 and 1.  Family checks of three
+or more spaces at k=2 run off a triple index: one packed 64-bit key per
 colinear point triple, sorted globally so that a triple colinear in two
 spaces shows up as a duplicate.  A family whose index would pass
 _FAMILY_KEYS keys (1 GiB) is decided pair by pair instead: the least of
 the pairs' witness triples is the least shared triple, and its first
-two owners are found as the index finds them.  A two-space PG(2,97)
-family would need 2.9 billion keys (21.5 GiB).
+two owners are found as the index finds them.  A three-space PG(2,97)
+family would need 4.3 billion keys (32 GiB).
 
 One scan of all block pairs is the independent oracle
 ``naive_k_orthogoval_pair`` over lines, also deciding k <= 1 (every pair
@@ -72,16 +74,18 @@ map it predicts compared with the permutation in one pass.  When both
 spaces of a PG pair have a form, w is x -> (u_s/u_t)*x +
 (c_s - c_t)/u_t, read off the two forms with no map made.  Only w's
 multiplier matters: its lines through 0 are u_w times the standard
-ones.  When s has a form as well, so does t = s . w^-1, and a
-failing pair's k=2 witness comes from the keys through 0: a triple
-(a, b, c) colinear in both shifts to (0, b-a, c-a), also colinear in
-both and no larger as a key, so the least shared triple is that of the
-full index, from (N-1)(q-1)/2 keys per PG space, or 2,548 per AG(3,9)
-space instead of 619,164.  Any other failing pair takes the line
-index's witness.  A k=2 family of spaces that all have a form holds,
-for a pair, when the gather on w passes; on PG, for 3 or more, when
-every ratio u_j/u_i of their multipliers lies in O, the units u for
-which x -> u*x is an orthomorphism, as x -> x/u_i carries
+ones.  On AG, when both spaces' forms are already read, w's is not:
+w has a form too, and its offset is w(0).  When s has a form as well,
+so does t = s . w^-1, and a failing pair's k=2 witness comes from the
+keys through 0: a triple (a, b, c) colinear in both shifts to
+(0, b-a, c-a), also colinear in both and no larger as a key, so the
+least shared triple is that of the full index, from (N-1)(q-1)/2 keys
+per PG space, or 2,548 per AG(3,9) space instead of 619,164.  Any
+other failing pair takes the line index's witness.  A family of two is
+a pair, so it holds when the gather on w passes.  A k=2 family of three
+or more spaces that all have a form holds, on PG, when every ratio
+u_j/u_i of their multipliers lies in O, the units u for which
+x -> u*x is an orthomorphism, as x -> x/u_i carries
 (u_i S, u_j S) onto (S, (u_j/u_i) S).  O is closed under u -> p*u, p
 the characteristic, as x -> p*x is the Frobenius collineation
 z -> z^p; and under u -> 1/u, as the relation is symmetric.  So
@@ -98,9 +102,9 @@ exponents and ratios the same way.  A ratio of 1, a repeated
 multiplier, is not in O.  Any other such family, and one that fails,
 sorts the keys through 0 of all its spaces together.  A family past
 _FAMILY_KEYS reads every space's form once and takes each pair of two
-spaces with a form through the gather.  The key index,
-``_least_shared_triple`` on a pair's keys through 0, is the gather's
-oracle.
+spaces with a form to its pair decider, so through the gather.  The
+key index, ``_least_shared_triple`` on a pair's keys through 0, is the
+gather's oracle.
 
 Askew pairs run off one batched rank.  A line is in general position in
 the other space when every min(|line|, dim+1)-subset of its preimages,
@@ -427,11 +431,14 @@ def _w_form(s: Space, t: Space, g: Geometry):
     """(``_form`` of w = t^-1 . s, w's map or None).  When both spaces of
     a projective g have a form, w is x -> (u_s/u_t)*x + (c_s - c_t)/u_t,
     and its multiplier, all that is kept, comes with no map made.  Else
-    w's map is made and its form read."""
+    w's map is made, and its form read unless both spaces' forms already
+    are: then w has a form as well, and on an affine g that is w(0)."""
     if g.kind == PROJECTIVE and s.form is not None and t.form is not None:
         n = g.point_count
         return s.form[0] * pow(t.form[0], -1, n) % n, None
     w = t.inverse()[s.perm]
+    if all(x._form not in (_UNREAD, None) for x in (s, t)):
+        return int(w[0]), w
     return _form(w, g), w
 
 
@@ -517,26 +524,6 @@ def _ratios_pass(g: Geometry, us) -> bool:
     ratio[0] = False
     return all(is_multiplier_orthomorphism(g, u)
                for u in np.flatnonzero(ratio).tolist())
-
-
-def _least_reduced_triple(spaces: list[Space], g: Geometry):
-    """``_least_shared_triple`` for a family whose every space has a form:
-    None, with no key packed, when a pair's w = t^-1 . s passes the
-    gather or a projective family's ratios pass; else from the keys
-    through point 0."""
-    if len(spaces) == 2:
-        s, t = spaces
-        if g.kind == PROJECTIVE:
-            images = _multiplier_images(g, _w_form(s, t, g)[0])
-        else:
-            # w = t^-1 . s has a form, as both spaces do: it is not read
-            images = _linear_images(t.inverse()[s.perm], g)
-        if not _origin_repeat(g, images, 2):
-            return None
-    elif g.kind == PROJECTIVE and _ratios_pass(
-            g, [s.form[0] for s in spaces]):
-        return None
-    return _least_shared_triple(spaces, g, _origin_keys(spaces, g))
 
 
 def _line_of(space: Space, tri) -> tuple | None:
@@ -727,16 +714,19 @@ def naive_k_orthogoval_pair(s: Space, t: Space, k: int) -> Verdict:
 
 def are_mutually_orthogoval(spaces: list[Space], k: int = 2) -> Verdict:
     """No point triple colinear in two spaces of the family (k=2), or
-    pairwise k-orthogoval for general k."""
+    pairwise k-orthogoval for general k.  A family of two is a pair."""
     if len(spaces) < 2:
         raise ValueError("need at least 2 spaces")
     g = _check_same_geometry(spaces)
     _check_k(k)
     if k >= g.points_per_line:
         return Verdict(True)  # no two lines share more points than a line has
-    if k == 2:
+    if k == 2 and len(spaces) > 2:
         if None not in [s.form for s in spaces]:
-            witness = _least_reduced_triple(spaces, g)
+            if g.kind == PROJECTIVE and _ratios_pass(
+                    g, [s.form[0] for s in spaces]):
+                return Verdict(True)
+            witness = _least_shared_triple(spaces, g, _origin_keys(spaces, g))
         elif len(spaces) * g.line_count * _c3(
                 g.points_per_line) > _FAMILY_KEYS:
             witness = _least_pairwise_triple(spaces)
@@ -784,17 +774,17 @@ def _least_pairwise_triple(spaces: list[Space]):
     fit: the least of the pair deciders' k=2 witnesses, each the least
     triple its two spaces share, with its first two owners.  Space i's
     line index is built once for all j > i, and only one is alive at a
-    time; a pair of two spaces with a form keeps the reduced path."""
-    g = spaces[0].geometry
-    n = g.point_count
+    time; a pair of two spaces with a form goes to its pair decider,
+    which gathers on w = t^-1 . s and builds no line index."""
+    n = spaces[0].geometry.point_count
     best = None
     for i, s in enumerate(spaces):
         table = None
         for j in range(i + 1, len(spaces)):
             t = spaces[j]
             if s.form is not None and t.form is not None:
-                w = _least_reduced_triple([s, t], g)
-                tri = None if w is None else w["triple"]
+                v = is_k_orthogoval_pair(s, t, 2)
+                tri = None if v else v.witness["triple"]
             else:
                 if table is None:
                     table = _line_index(s)[1]

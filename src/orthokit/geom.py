@@ -46,7 +46,7 @@ and flats of more than MAX_FLAT_INCIDENCES points in all are refused.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -123,19 +123,20 @@ class Geometry:
         self._flats = {}
 
     # -- counting -------------------------------------------------------
+    # closed forms at any size, each computed on its first read and kept
 
-    @property
+    @cached_property
     def point_count(self) -> int:
         q, d = self.q, self.dim
         if self.kind == AFFINE:
             return q ** d
         return (q ** (d + 1) - 1) // (q - 1)
 
-    @property
+    @cached_property
     def points_per_line(self) -> int:
         return self.q if self.kind == AFFINE else self.q + 1
 
-    @property
+    @cached_property
     def line_count(self) -> int:
         n, b = self.point_count, self.points_per_line
         return (n * (n - 1)) // (b * (b - 1))

@@ -440,42 +440,32 @@ def test_spaces_compare_by_identity():
     assert len({s, check.standard(g)}) == 2  # and they hash
 
 
-@pytest.mark.parametrize("perm", [np.arange(9) - 1, np.arange(1, 10)],
-                         ids=["-1..7", "1..9"])
-def test_space_rejects_values_outside_the_point_range(perm):
-    # distinct values of the right count, but not the indices 0..8
-    with pytest.raises(ValueError):
-        check.from_map(geom.affine(2, 3), perm)
-
-
 @pytest.mark.parametrize("perm", [
+    np.arange(9, dtype=np.float64),
     np.arange(9) + 0.5,
     list(range(8)) + [8.0],
     np.array(list(range(8)) + [2 ** 70], dtype=object),
     np.array(list(range(8)) + [-2 ** 70], dtype=object),
-    np.arange(9) < 5,
-], ids=["float-array", "float-in-list", "object-2^70", "object--2^70", "bool"])
-def test_space_refuses_a_map_that_is_not_integers(perm):
-    # a float map is refused, not rounded down to the identity
-    with pytest.raises(ValueError, match="not a permutation"):
-        check.from_map(geom.affine(2, 3), perm)
-
-
-@pytest.mark.parametrize("perm", [
-    np.arange(9, dtype=np.float64),
     np.arange(9) < 9,
+    np.arange(9) < 5,
     np.arange(8),
     np.arange(10),
     np.arange(9).reshape(3, 3),
     np.array([-9] + list(range(1, 9))),
     np.array(list(range(8)) + [9]),
-    np.array([0, 0] + list(range(2, 9))),
+    np.arange(9) - 1,
+    np.arange(1, 10),
     np.array(list(range(8)) + [2 ** 63], dtype=np.uint64),
-], ids=["float", "bool", "short", "long", "2-D", "negative", "too-large",
-        "duplicate", "uint64-2^63"])
+    np.array([0, 0] + list(range(2, 9))),
+], ids=["float", "float-array", "float-in-list", "object-2^70",
+        "object--2^70", "bool", "bool-mixed", "short", "long", "2-D",
+        "negative", "too-large", "-1..7", "1..9", "uint64-2^63",
+        "duplicate"])
 def test_space_refuses_a_map_that_is_not_a_permutation(perm):
-    # each refusal of the linear check: kind, shape, range, then a point
-    # hit twice; -9 would index point 0, the one missing
+    # each refusal of the linear check: kind (a float map is refused, not
+    # rounded down to the identity), shape, range (distinct values of the
+    # right count, but not the indices 0..8), then a point hit twice; -9
+    # would index point 0, the one missing
     with pytest.raises(ValueError, match="not a permutation"):
         check.from_map(geom.affine(2, 3), perm)
 
@@ -991,9 +981,11 @@ def test_pairwise_family_fallback_equals_the_triple_index(monkeypatch):
 
 def test_family_key_budget_is_checked_before_packing(monkeypatch):
     # a family exactly at the budget packs its index; one key more and it
-    # goes pair by pair
+    # goes pair by pair, each of its three pairs through the line index
     g = geom.affine(2, 3)
-    fam = [check.standard(g), random_space(g, np.random.default_rng(3))]
+    rng = np.random.default_rng(3)
+    fam = [check.standard(g), random_space(g, rng), random_space(g, rng)]
+    assert [check._form(s.perm, g) is None for s in fam] == [False, True, True]
     keys = len(fam) * g.line_count * check._c3(g.points_per_line)
     pairs = []
     hit = check._least_hit
@@ -1007,7 +999,7 @@ def test_family_key_budget_is_checked_before_packing(monkeypatch):
     assert pairs == []
     monkeypatch.setattr(check, "_FAMILY_KEYS", keys - 1)
     check.are_mutually_orthogoval(fam)
-    assert pairs == [1]
+    assert pairs == [1, 1, 1]
 
 
 def test_pairwise_fallback_builds_one_line_index_per_space(monkeypatch):
@@ -1830,3 +1822,87 @@ def test_space_refuses_a_form_that_is_not_a_bijection(kind, u, c):
     g = geom.projective(2, 4) if kind == "projective" else geom.affine(2, 3)
     with pytest.raises(ValueError, match="form"):
         check.from_form(g, u, c)
+
+
+# ----------------------------------------------------------------------
+# a family of two is a pair: its pair decider decides it at every k, and
+# no triple index is packed
+# ----------------------------------------------------------------------
+
+def assert_family_of_two_is_its_pair(s, t):
+    """The family [s, t], in both orders and at k = 2, 3, 4, decided with
+    ``packed_triples`` made to raise, equals its references: at k=2
+    ``family_reference`` and the pair decider, at k = 3 and 4
+    ``dense_pair_reference``, a failing witness naming spaces 0 and 1.
+    Returns the k=2 verdict."""
+    def boom(*args):
+        raise AssertionError("a family of two packed a triple index")
+    oks = set()
+    for a, b in ((s, t), (t, s)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(check, "packed_triples", boom)
+            got = {k: check.are_mutually_orthogoval([a, b], k)
+                   for k in (2, 3, 4)}
+        # lines of two points hold no triple
+        ref = (family_reference([a, b]) if a.geometry.points_per_line > 2
+               else None)
+        assert got[2] == check.Verdict(ref is None, ref)
+        for k in (2, 3, 4):
+            want = (check.is_k_orthogoval_pair(a, b, 2) if k == 2
+                    else dense_pair_reference(a, b, k))
+            if not want:
+                want.witness = dict(want.witness, space_a=0, space_b=1)
+            assert got[k] == want, k
+        oks.add(got[2].ok)
+    (ok,) = oks
+    return ok
+
+
+@pytest.mark.parametrize("kind, d, q", DENSE_REFERENCE_GEOMETRIES)
+def test_family_of_two_is_its_pair(kind, d, q):
+    g = (geom.affine if kind == "affine" else geom.projective)(d, q)
+    rng = np.random.default_rng((20261022, d, q))
+    std = check.standard(g)
+    if kind == "projective":
+        def form():
+            return form_space(g, rng)
+    else:
+        def form():
+            return linear_space(g, rng)
+    h = rng.permutation(g.point_count)
+    # negative controls: random maps, except on PG(2,2), whose 7 lines
+    # are 7 of its 35 triples, so that a random pair may share none
+    for s, t in ((std, random_space(g, rng)),
+                 (random_space(g, rng), random_space(g, rng))):
+        ok = assert_family_of_two_is_its_pair(s, t)
+        assert not ok or g.point_count == 7
+    # form spaces, a form space and a random map, and two form spaces
+    # relabelled by one random point map h
+    for s, t in ((form(), form()), (std, form()),
+                 (form(), random_space(g, rng)),
+                 (relabel(form(), h), relabel(form(), h))):
+        assert_family_of_two_is_its_pair(s, t)
+    # positive controls: multipliers whose ratio u is in O, and the
+    # half-dimension certificates of AG(2,3) and AG(2,4)
+    controls = []
+    if kind == "projective":
+        n = g.point_count
+        inside = [u for u in range(2, n) if math.gcd(u, n) == 1
+                  and check.is_multiplier_orthomorphism(g, u)]
+        if inside:
+            s = form()
+            u, _ = s.form
+            controls.append((s, check.from_form(
+                g, u * inside[0] % n, int(rng.integers(n)))))
+    elif d == 2 and q in HALF_DIM_CERTIFICATES:
+        controls.append((std, check.from_map(g, HALF_DIM_CERTIFICATES[q])))
+    for s, t in controls:
+        assert assert_family_of_two_is_its_pair(s, t)
+
+
+@pytest.mark.parametrize("p, n, k", CHAR_P_ROWS)
+def test_char_p_family_of_two_is_its_pair(p, n, k):
+    s, t, _ = build_char_p_pair(p, n, k)
+    # the pair holds exactly at k >= p: a positive control at k = p
+    assert assert_family_of_two_is_its_pair(s, t) == (p == 2)
+    assert check.are_mutually_orthogoval([s, t], p)

@@ -86,13 +86,18 @@ def test_construct_char_p_refuses_a_huge_degree_by_the_cap(tmp_path, capsys):
 def test_out_of_memory_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
     # exit 1 would read as "property fails"
     from orthokit import bundle, check, geom
+    # three spaces, two of no form, so the family check packs its triple
+    # index (a family of two goes to the pair decider, which packs none)
     g = geom.affine(2, 3)
-    path = str(tmp_path / "pair.json")
+    path = str(tmp_path / "family.json")
     bundle.write_bundle(path, [check.standard(g),
-                               check.from_map(g, [0, 1, 3, 2, 4, 7, 6, 8, 5])])
+                               check.from_map(g, [0, 1, 3, 2, 4, 7, 6, 8, 5]),
+                               check.from_map(g, [0, 2, 1, 3, 4, 5, 6, 7, 8])])
 
     def no_memory(*args):
         raise MemoryError("Unable to allocate 21.5 GiB")
+    # the catalog, whose families are checked when it loads, loads unpatched
+    cli.build_parser()
     monkeypatch.setattr(check, "packed_triples", no_memory)
     code, stdout, err = run(capsys, "verify", path)
     assert (code, stdout) == (2, "")

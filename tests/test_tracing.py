@@ -16,11 +16,12 @@ def test_perfbench_tracer_fits_the_package():
     tracer = tracing.Tracer()  # looks up every traced name
     tracer.install()
     try:
-        # a transposition is no Singer multiplier map, so the family check
-        # reads each space's full triple index
+        # a transposition is no Singer multiplier map, so the check of a
+        # family of three reads each space's full triple index
         g = geom.projective(2, 2)
-        swap = check.from_map(g, check.perm_from_cycles(7, [[0, 1]]))
-        assert not check.are_mutually_orthogoval([check.standard(g), swap])
+        swaps = [check.from_map(g, check.perm_from_cycles(7, [cycle]))
+                 for cycle in ([0, 1], [2, 3])]
+        assert not check.are_mutually_orthogoval([check.standard(g), *swaps])
         geom.projective(2, 2).lines()
     finally:
         tracer.uninstall()
