@@ -10,10 +10,11 @@ family twice gives byte-identical files.
 ``canonical_json(bundle_dict(spaces, provenance))`` defines the bytes.
 ``write_bundle`` writes those bytes without encoding one Python int at a
 time: the header and provenance are encoded by the same code, with the
-space list left empty, and each permutation is joined from one table of
-the N decimal point labels, made once per bundle.  The whole text is
-built, and every refusal raised, before the file is opened, so a
-refused write leaves an existing file as it was.
+space list left empty, and each permutation is joined from one
+fixed-width byte table of the N decimal point labels, made once per
+bundle: the row's gathered labels, less their zero padding.  The whole
+text is built, and every refusal raised, before the file is opened, so
+a refused write leaves an existing file as it was.
 
 ``read_bundle`` makes no Python int per point.  It walks the top object
 and its ``spaces`` with the json module's own C pieces: keys by
@@ -29,10 +30,13 @@ validator: it takes such an int64 row as type-tested, type-tests a
 permutation list with builtins (a bool is not an int) and makes one
 ``np.array`` of it, and ``Space``, the one permutation check, decides
 length, range and bijection; spaces given as cycles are checked for
-range and repeats first.  In one process on a 2-core box (Python 3.11,
+range and repeats first.  A header of the standard field and labelling
+reads into the process's shared ``geom.affine`` or ``geom.projective``,
+so repeated reads build its tables once; any other header reads into a
+fresh geometry.  In one process on a 2-core box (Python 3.11,
 numpy 2.4), the 78-space PG(6,3) family (1,093 points, a 343 kB file)
-writes in about 3.4 ms and reads in 4.9 ms (best of 5 per process, least
-over 15 processes; 11.9 ms through ``json.load``), and the 630-space
+writes in about 1.8 ms and reads in 4.4 ms (best of 5 per process, least
+over 10 processes; 11.9 ms through ``json.load``), and the 630-space
 PG(12,2) transversal (8,191 points, 25 MB) reads in 0.26-0.33 s at a
 peak RSS of 109 MB (0.85 s and 263 MB through ``json.load``).
 """
@@ -94,13 +98,17 @@ def bundle_dict(spaces: list[Space], provenance: dict = None) -> dict:
 
 def _bundle_text(spaces: list[Space], provenance: dict = None) -> str:
     """``canonical_json(bundle_dict(spaces, provenance))``, with each
-    permutation joined from one table of decimal point labels."""
+    permutation joined from one fixed-width table of decimal point
+    labels."""
     frame = canonical_json(_frame(spaces, provenance))
-    labels = np.array([str(i) for i in range(spaces[0].geometry.point_count)],
-                      dtype=object)
+    # label i is b"i," in a fixed-width bytes array, padded with zero
+    # bytes: a row is its gathered bytes less the zeros and the last comma
+    labels = np.array([b"%d," % i
+                       for i in range(spaces[0].geometry.point_count)])
     items = ",".join(
         '{"name":' + _encode(s.name) + ',"permutation":['
-        + ",".join(labels[s.perm]) + "]}" for s in spaces)
+        + labels.take(s.perm).tobytes().translate(None, b"\0")[:-1].decode()
+        + "]}" for s in spaces)
     # "spaces" sorts last: the frame ends '"spaces":[]}\n', and the
     # items go between those brackets
     return frame[:-3] + items + frame[-3:]
@@ -121,9 +129,11 @@ def _header_int(obj: dict, key: str, lo: int, hi: int) -> int:
 
 
 def _geometry_from_header(header: dict) -> geom.Geometry:
-    """The standard geometry a header describes.  Sizes are checked
-    before anything is built, so a bad header allocates nothing large,
-    and any construction error is a malformed bundle."""
+    """The standard geometry a header describes: the shared
+    ``geom.affine`` or ``geom.projective`` when it is the same geometry,
+    else a fresh one.  Sizes are checked before anything is built, so a
+    bad header allocates nothing large, and any construction error is a
+    malformed bundle."""
     if not isinstance(header, dict):
         raise MalformedBundle("bundle header must be an object")
     kind = header.get("kind")
@@ -168,7 +178,10 @@ def _geometry_from_header(header: dict) -> geom.Geometry:
     _check_primitive(fdesc, g.field, "field")
     if kind == geom.PROJECTIVE:
         _check_primitive(labeling, g.labeling_field, "labeling")
-    return g
+    # the standard labelling reads into the process's shared geometry, so
+    # its tables are not built again
+    shared = (geom.affine if kind == geom.AFFINE else geom.projective)(dim, q)
+    return shared if g.same_as(shared) else g
 
 
 def _check_primitive(desc: dict, field: GF, what: str):

@@ -41,6 +41,14 @@ sort on their first |(j-1)-flat| + 1 points, which no two distinct
 j-flats share.
 Lines and flats are cached read-only int32 arrays (flats(1) is lines()),
 and flats of more than MAX_FLAT_INCIDENCES points in all are refused.
+
+``affine`` and ``projective`` return one shared geometry per parameters
+for the life of the process (the same parameters given positionally or
+by keyword, and a labelling modulus as a list or a tuple, are one key),
+so its lines, flats, lines through 0 and the multiplier memo that
+orthokit.check keeps on it are built once per process.  Every such table
+is a function of the parameters alone.  ``Geometry(...)`` called
+directly gives a private, fresh instance.
 """
 
 from __future__ import annotations
@@ -505,11 +513,25 @@ class Geometry:
 
 
 def affine(dim: int, q: int) -> Geometry:
-    return Geometry(AFFINE, dim, q=q)
+    """The process's shared AG(dim, q) (see :func:`_shared_geometry`)."""
+    return _shared_geometry(AFFINE, dim, q, None, None)
 
 
 def projective(dim: int, q: int, labeling_modulus=None, basis="phi") -> Geometry:
-    return Geometry(PROJECTIVE, dim, q=q, labeling_modulus=labeling_modulus,
+    """The process's shared PG(dim, q) with this labelling (see
+    :func:`_shared_geometry`)."""
+    modulus = tuple(labeling_modulus) if labeling_modulus else None
+    return _shared_geometry(PROJECTIVE, dim, q, modulus,
+                            _basis_exponents(basis, dim + 1))
+
+
+@lru_cache(maxsize=None)
+def _shared_geometry(kind, dim, q, labeling_modulus, basis) -> Geometry:
+    """One geometry per normalised parameters for the life of the process,
+    its tables filled on first use.  Each table is a function of the
+    parameters alone, so sharing it changes no result.  A refusal raises
+    on every call, as an exception is never cached."""
+    return Geometry(kind, dim, q=q, labeling_modulus=labeling_modulus,
                     basis=basis)
 
 

@@ -5,8 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from orthokit import bundle, check
+from orthokit import bundle, check, geom
 from orthokit.errors import MalformedBundle
+
+
+@pytest.fixture(autouse=True)
+def fresh_shared_geometries():
+    """Each test starts with no shared geometry, so none sees the tables
+    or the multiplier memo that another test filled, or a memo entry
+    that a patched decider wrote."""
+    geom._shared_geometry.cache_clear()
 
 
 def _translation_map(g, t_coords):

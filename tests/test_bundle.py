@@ -226,6 +226,20 @@ def test_writer_equals_oracle_on_nested_provenance(tmp_path):
     assert_writes_oracle(tmp_path / "b.json", build_phi_family(2, 5, 3, 5), prov)
 
 
+@pytest.mark.parametrize("make, points", [
+    (lambda: geom.projective(1, 9), 10), (lambda: geom.affine(1, 101), 101),
+    (lambda: geom.affine(2, 32), 1_024), (lambda: geom.affine(1, 1009), 1_009),
+], ids=["PG(1,9)", "AG(1,101)", "AG(2,32)", "AG(1,1009)"])
+def test_writer_equals_oracle_at_label_width_boundaries(tmp_path, make, points):
+    # the last labels are 9, 100, 1023 and 1008: the fixed width is set
+    # by the widest labels, which are all, one or a few of the points
+    g = make()
+    assert g.point_count == points
+    rng = np.random.default_rng(points)
+    assert_writes_oracle(tmp_path / "b.json", [
+        standard(g), from_map(g, rng.permutation(points), name="random")])
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(names=st.lists(st.text(max_size=8), min_size=1, max_size=4))
@@ -487,6 +501,28 @@ def test_repeated_reads_build_the_field_once(tmp_path, monkeypatch):
         spaces, _ = bundle.read_bundle(path)
         assert len(spaces) == 2
     assert built == [(3, 2)]
+
+
+def test_a_standard_header_reads_into_the_shared_geometry(tmp_path):
+    g = geom.projective(4, 2)
+    path = str(tmp_path / "pg42.json")
+    bundle.write_bundle(path, [standard(g), phi_space(g, -1)])
+    for _ in range(2):
+        spaces, _ = bundle.read_bundle(path)
+        assert all(s.geometry is g for s in spaces)
+
+
+def test_a_header_with_another_field_modulus_reads_fresh(tmp_path):
+    # GF(9) by x^2 + 2x + 2, not the default x^2 + x + 2
+    field = gf.field_create(3, 2, [2, 2, 1])
+    assert field != geom.affine(2, 9).field
+    g = geom.Geometry(geom.AFFINE, 2, field=field)
+    path = str(tmp_path / "ag29.json")
+    bundle.write_bundle(path, [standard(g), standard(g)])
+    spaces, _ = bundle.read_bundle(path)
+    back = spaces[0].geometry
+    assert back is not geom.affine(2, 9) and not back.same_as(geom.affine(2, 9))
+    assert back.same_as(g) and spaces[1].geometry is back
 
 
 @pytest.mark.parametrize("modulus", [[1, 0, 1], [2, 1, 2], [2, 1]],

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthokit import check, geom
+from orthokit import check, explore, geom
 from orthokit.build import (
     BIG_SETS_TABLE,
     build_askew_pair,
@@ -1906,3 +1906,41 @@ def test_char_p_family_of_two_is_its_pair(p, n, k):
     # the pair holds exactly at k >= p: a positive control at k = p
     assert assert_family_of_two_is_its_pair(s, t) == (p == 2)
     assert check.are_mutually_orthogoval([s, t], p)
+
+
+# ----------------------------------------------------------------------
+# the shared geometry, its tables and memo filled, against a fresh one
+# ----------------------------------------------------------------------
+
+def _decisions(g, seed):
+    """Verdicts, witnesses included, of every pair of four seeded spaces
+    at k = 2 and 3, and of two three-space families, all on g."""
+    rng = np.random.default_rng(seed)
+    make = form_space if g.kind == geom.PROJECTIVE else linear_space
+    std = check.standard(g)
+    a, b, r = make(g, rng), make(g, rng), random_space(g, rng)
+    out = [check.is_k_orthogoval_pair(s, t, k) for k in (2, 3)
+           for s, t in itertools.combinations((std, a, b, r), 2)]
+    return out + [check.are_mutually_orthogoval(fam)
+                  for fam in ([std, a, b], [a, b, r])]
+
+
+@pytest.mark.parametrize("kind, d, q", DENSE_REFERENCE_GEOMETRIES)
+def test_shared_geometry_decides_as_a_fresh_one(kind, d, q):
+    shared = (geom.affine if kind == "affine" else geom.projective)(d, q)
+    seed = (20261022, d, q)
+    first = _decisions(shared, seed)
+    assert shared._lines0 is not None
+    assert _decisions(shared, seed) == first
+    assert _decisions(geom.Geometry(kind, d, q), seed) == first
+    assert not all(first)  # the random space is a negative control
+
+
+def test_memo_filled_by_a_power_chain_decides_as_a_fresh_one():
+    shared = geom.projective(4, 3)
+    assert explore.power_chain(3, 5, 17) == 9
+    assert np.count_nonzero(shared._multipliers[0])
+    fresh = geom.Geometry(geom.PROJECTIVE, 4, 3)
+    for u in _units(shared.point_count):
+        assert (check.is_multiplier_orthomorphism(shared, u)
+                is check.is_multiplier_orthomorphism(fresh, u)), u

@@ -708,6 +708,49 @@ def test_same_as_and_mismatch():
     assert not a.same_as(geom.projective(2, 3))
 
 
+# ----------------------------------------------------------------------
+# one shared geometry per parameters
+# ----------------------------------------------------------------------
+
+def test_affine_and_projective_share_one_geometry_per_parameters():
+    g = geom.affine(2, 9)
+    assert geom.affine(2, 9) is g and geom.affine(dim=2, q=9) is g
+    assert g.lines() is geom.affine(2, 9).lines()
+    assert geom.affine(3, 9) is not g
+    h = geom.projective(3, 3)
+    assert geom.projective(dim=3, q=3) is h
+    assert geom.projective(3, 3, None, "phi") is h
+    assert geom.projective(3, 3, basis=[1, 2, 3, 4]) is h
+    # a labelling modulus as a list or a tuple, and a basis by name or by
+    # its exponents, are one key
+    desc = geom.projective(3, 3, labeling_modulus=[2, 0, 0, 2, 1], basis="desc")
+    assert geom.projective(3, 3, (2, 0, 0, 2, 1), "desc") is desc
+    assert geom.projective(3, 3, [2, 0, 0, 2, 1], [3, 2, 1, 0]) is desc
+    assert desc is not h and desc is not geom.projective(
+        3, 3, labeling_modulus=[2, 0, 0, 2, 1])
+
+
+def test_a_direct_geometry_is_private():
+    shared = geom.affine(2, 9)
+    shared.lines()
+    for _ in range(2):
+        fresh = geom.Geometry(geom.AFFINE, 2, 9)
+        assert fresh is not shared and fresh.same_as(shared)
+        assert fresh._lines is None
+    assert geom.affine(2, 9) is shared
+
+
+@pytest.mark.parametrize("make", [geom.affine, geom.projective])
+def test_a_q_past_the_cap_is_refused_on_every_call(monkeypatch, make):
+    # the refusal is never cached, and comes before any field is built
+    def boom(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(geom, "field_create", boom)
+    for _ in range(2):
+        with pytest.raises(BadDimension, match="enumeration cap"):
+            make(2, 10_007)
+
+
 def test_basis_changes_coords_not_indices():
     g1 = geom.projective(3, 3, labeling_modulus=[2, 0, 0, 2, 1], basis="phi")
     g2 = geom.projective(3, 3, labeling_modulus=[2, 0, 0, 2, 1], basis="desc")
