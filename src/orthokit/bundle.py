@@ -30,10 +30,7 @@ validator: it takes such an int64 row as type-tested, type-tests a
 permutation list with builtins (a bool is not an int) and makes one
 ``np.array`` of it, and ``Space``, the one permutation check, decides
 length, range and bijection; spaces given as cycles are checked for
-range and repeats first.  A header of the standard field and labelling
-reads into the process's shared ``geom.affine`` or ``geom.projective``,
-so repeated reads build its tables once; any other header reads into a
-fresh geometry.  In one process on a 2-core box (Python 3.11,
+range and repeats first.  In one process on a 2-core box (Python 3.11,
 numpy 2.4), the 78-space PG(6,3) family (1,093 points, a 343 kB file)
 writes in about 1.8 ms and reads in 4.4 ms (best of 5 per process, least
 over 10 processes; 11.9 ms through ``json.load``), and the 630-space
@@ -129,11 +126,9 @@ def _header_int(obj: dict, key: str, lo: int, hi: int) -> int:
 
 
 def _geometry_from_header(header: dict) -> geom.Geometry:
-    """The standard geometry a header describes: the shared
-    ``geom.affine`` or ``geom.projective`` when it is the same geometry,
-    else a fresh one.  Sizes are checked before anything is built, so a
-    bad header allocates nothing large, and any construction error is a
-    malformed bundle."""
+    """The standard geometry a header describes.  Sizes are checked
+    before anything is built, so a bad header allocates nothing large,
+    and any construction error is a malformed bundle."""
     if not isinstance(header, dict):
         raise MalformedBundle("bundle header must be an object")
     kind = header.get("kind")
@@ -178,10 +173,7 @@ def _geometry_from_header(header: dict) -> geom.Geometry:
     _check_primitive(fdesc, g.field, "field")
     if kind == geom.PROJECTIVE:
         _check_primitive(labeling, g.labeling_field, "labeling")
-    # the standard labelling reads into the process's shared geometry, so
-    # its tables are not built again
-    shared = (geom.affine if kind == geom.AFFINE else geom.projective)(dim, q)
-    return shared if g.same_as(shared) else g
+    return g
 
 
 def _check_primitive(desc: dict, field: GF, what: str):

@@ -43,17 +43,21 @@ Lines and flats are cached read-only int32 arrays (flats(1) is lines()),
 and flats of more than MAX_FLAT_INCIDENCES points in all are refused.
 
 ``affine`` and ``projective`` return one shared geometry per parameters
-for the life of the process (the same parameters given positionally or
-by keyword, and a labelling modulus as a list or a tuple, are one key),
-so its lines, flats, lines through 0 and the multiplier memo that
-orthokit.check keeps on it are built once per process.  Every such table
-is a function of the parameters alone.  ``Geometry(...)`` called
+for as long as it stays among the process's _SHARED_GEOMETRIES most
+recently asked for (the same parameters given positionally or by
+keyword, and a labelling modulus as a list or a tuple, are one key;
+each parameter must be an integer), so a batch that meets the same few
+geometries builds their lines, flats, lines through 0 and the multiplier
+memo that orthokit.check keeps on them once.  Every such table is a
+function of the parameters alone.  The bound caps what the process
+keeps: PG(6,4)'s lines alone take 28 MB.  ``Geometry(...)`` called
 directly gives a private, fresh instance.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -77,6 +81,11 @@ MAX_LABELING_FIELD = 1 << 20
 # 6 ns each (3.2 s over the 629,486 of PG(4,5)'s planes), so deciding
 # near the cap would take minutes
 MAX_FLAT_INCIDENCES = 1 << 22
+# shared geometries kept, least recently used dropped first: a batch
+# cycles through its geometries, and one of more geometries than this
+# would find none kept from its previous round.  `reproduce askew` meets
+# 10, and perfbench's deciders workload 20 per pass.
+_SHARED_GEOMETRIES = 32
 # coordinates per working array when flats are built from echelon bases
 _ECHELON_CHUNK = 1 << 18
 
@@ -512,25 +521,34 @@ class Geometry:
         return f"{name}({self.dim}, F_{self.q})"
 
 
+# The shared geometry's key takes integers only, through operator.index:
+# 2.0 == 2 and hashes alike, so a float would share the int's key and
+# leave its floats in the geometry every later call gets.
+
 def affine(dim: int, q: int) -> Geometry:
     """The process's shared AG(dim, q) (see :func:`_shared_geometry`)."""
-    return _shared_geometry(AFFINE, dim, q, None, None)
+    return _shared_geometry(AFFINE, operator.index(dim), operator.index(q),
+                            None, None)
 
 
 def projective(dim: int, q: int, labeling_modulus=None, basis="phi") -> Geometry:
     """The process's shared PG(dim, q) with this labelling (see
     :func:`_shared_geometry`)."""
-    modulus = tuple(labeling_modulus) if labeling_modulus else None
-    return _shared_geometry(PROJECTIVE, dim, q, modulus,
-                            _basis_exponents(basis, dim + 1))
+    dim = operator.index(dim)
+    modulus = (tuple(operator.index(c) for c in labeling_modulus)
+               if labeling_modulus else None)
+    return _shared_geometry(
+        PROJECTIVE, dim, operator.index(q), modulus,
+        tuple(operator.index(e) for e in _basis_exponents(basis, dim + 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SHARED_GEOMETRIES)
 def _shared_geometry(kind, dim, q, labeling_modulus, basis) -> Geometry:
-    """One geometry per normalised parameters for the life of the process,
-    its tables filled on first use.  Each table is a function of the
-    parameters alone, so sharing it changes no result.  A refusal raises
-    on every call, as an exception is never cached."""
+    """One geometry per normalised parameters while it is among the
+    _SHARED_GEOMETRIES most recently asked for, its tables filled on first
+    use.  Each table is a function of the parameters alone, so sharing it
+    changes no result.  A refusal raises on every call, as an exception
+    is never cached."""
     return Geometry(kind, dim, q=q, labeling_modulus=labeling_modulus,
                     basis=basis)
 

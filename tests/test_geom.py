@@ -730,6 +730,21 @@ def test_affine_and_projective_share_one_geometry_per_parameters():
         3, 3, labeling_modulus=[2, 0, 0, 2, 1])
 
 
+def test_only_the_most_recent_shared_geometries_are_kept():
+    # the least recently asked for is dropped first, and a new instance,
+    # its tables built again, takes its place
+    qs = [q for q in range(2, 1000)
+          if all(q % p for p in range(2, q))][:geom._SHARED_GEOMETRIES + 1]
+    first = geom.affine(1, qs[0])
+    kept = [geom.affine(1, q) for q in qs[1:-1]]
+    assert geom.affine(1, qs[0]) is first
+    geom.affine(1, qs[-1])  # drops AG(1, qs[1]), the least recent
+    assert geom.affine(1, qs[0]) is first
+    assert all(geom.affine(1, q) is g for q, g in zip(qs[2:-1], kept[1:]))
+    again = geom.affine(1, qs[1])
+    assert again is not kept[0] and again.same_as(kept[0])
+
+
 def test_a_direct_geometry_is_private():
     shared = geom.affine(2, 9)
     shared.lines()
@@ -738,6 +753,27 @@ def test_a_direct_geometry_is_private():
         assert fresh is not shared and fresh.same_as(shared)
         assert fresh._lines is None
     assert geom.affine(2, 9) is shared
+
+
+@pytest.mark.parametrize("make", [
+    lambda: geom.affine(2.0, 9), lambda: geom.affine(2, 9.0),
+    lambda: geom.projective(3.0, 3), lambda: geom.projective(3, 3.0),
+    lambda: geom.projective(3, 3, [2.0, 0, 0, 2, 1]),
+    lambda: geom.projective(3, 3, basis=[1.0, 2, 3, 4]),
+], ids=["affine-dim", "affine-q", "projective-dim", "projective-q",
+        "modulus", "basis"])
+def test_a_non_integer_parameter_is_refused_and_never_shared(make):
+    # 2.0 == 2 hashes alike: a float must not reach the shared key, where
+    # the geometry built from it would be every later int call's
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            make()
+    g = geom.affine(2, 9)
+    assert type(g.point_count) is int and g.point_count == 81
+    h = geom.projective(3, 3, [2, 0, 0, 2, 1], [1, 2, 3, 4])
+    assert h.labeling_field.order == 81 and h is geom.projective(3, 3, (2, 0, 0, 2, 1))
+    # integer types other than int are one key with the int
+    assert geom.affine(np.int64(2), True + 8) is g
 
 
 @pytest.mark.parametrize("make", [geom.affine, geom.projective])
